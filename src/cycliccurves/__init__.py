@@ -32,9 +32,6 @@ from .families import (
     Kummer,
     NotPrimitive,
     PrimitivePair,
-    cyclic_order,
-    generator,
-    genus,
     identity_descriptor,
     kummer_genus,
     kummer_signature,

@@ -41,7 +41,6 @@ from .families import (
     Hyperelliptic,
     Kummer,
     PrimitivePair,
-    genus as model_genus,
 )
 from .ramification import (
     FiltrationProfile,
@@ -108,9 +107,9 @@ class ClassificationEntry:
         if self.n < 2 * self.genus + 1:
             raise ValueError(
                 f"N={self.n} below 2g+1={2 * self.genus + 1}")
-        if model_genus(self.model) != self.genus:
+        if self.model.genus() != self.genus:
             raise ValueError(
-                f"model genus {model_genus(self.model)} != {self.genus}")
+                f"model genus {self.model.genus()} != {self.genus}")
         if self.wild:
             if self.signature is not None or self.orbits is None:
                 raise ValueError("wild entry must carry orbits, not signature")
@@ -123,8 +122,7 @@ class ClassificationEntry:
                              self.signature) != self.genus:
                 raise ValueError("signature inconsistent with genus")
             if isinstance(self.model, Kummer):
-                pair = self.model.pair
-                expected = kummer_signature_cached(pair.n, pair.r, pair.s)
+                expected = self.model.pair.signature
                 if self.signature != expected:
                     raise ValueError(
                         f"signature {self.signature} is not the model's "
@@ -161,8 +159,7 @@ def primitive_pairs(n: int):
 def _pairs_by_genus(n):
     out: dict[int, list[tuple[int, int]]] = {}
     for pair in primitive_pairs(n):
-        t = n + 2 - gcd(n, pair.r) - gcd(n, pair.s) - gcd(n, pair.r + pair.s)
-        out.setdefault(t // 2, []).append((pair.r, pair.s))
+        out.setdefault(pair.genus, []).append((pair.r, pair.s))
     return {g: tuple(pairs) for g, pairs in out.items()}
 
 
@@ -199,9 +196,11 @@ def canonical_pair(n: int, r: int, s: int) -> PrimitivePair:
 
 
 @lru_cache(maxsize=None)
-def _canonical_genus_pairs(n, g):
+def _canonical_genus_models(n, g):
     # Decompose the genus-g pairs at order n into symmetry orbits once;
     # genus is orbit-invariant, so orbits never straddle genus classes.
+    # The models are shared by every classify call that lists them, and
+    # with them each pair's signature, computed once.
     seen = set()
     reps = []
     for rs in _pairs_by_genus(n).get(g, ()):
@@ -210,7 +209,7 @@ def _canonical_genus_pairs(n, g):
         orbit = _pair_orbit(n, *rs)
         seen |= orbit
         reps.append(min(orbit))
-    return tuple(sorted(reps))
+    return tuple(Kummer.of(n, r, s) for r, s in sorted(reps))
 
 
 def enumerate_signatures(n: int, g: int) -> list[Signature]:
@@ -308,13 +307,14 @@ def classify(p: int, g: int, *, raw_pairs: bool = False,
         if p and big_n % p == 0:
             continue
         if raw_pairs:
-            pairs = _pairs_by_genus(big_n).get(g, ())
+            models = [Kummer.of(big_n, r, s)
+                      for r, s in _pairs_by_genus(big_n).get(g, ())]
         else:
-            pairs = _canonical_genus_pairs(big_n, g)
-        for r, s in pairs:
+            models = _canonical_genus_models(big_n, g)
+        for model in models:
             entries.append(ClassificationEntry(
-                n=big_n, branch=BRANCH_KUMMER, model=Kummer.of(big_n, r, s),
-                genus=g, signature=kummer_signature_cached(big_n, r, s)))
+                n=big_n, branch=BRANCH_KUMMER, model=model, genus=g,
+                signature=model.pair.signature))
 
     if g % 2 == 0:
         big_n = 2 * g + 2
@@ -337,7 +337,7 @@ def classify(p: int, g: int, *, raw_pairs: bool = False,
                 n=2 * p, branch=BRANCH_AS_RATIONAL,
                 model=ASRational(p, "a", "b", "c"), genus=g,
                 orbits=_wild_orbits(BRANCH_AS_RATIONAL, p, g), wild=True))
-    if p >= 3 and g == (p - 1) // 2 and p == 2 * g + 1:
+    if p == 2 * g + 1:
         entries.append(ClassificationEntry(
             n=p, branch=BRANCH_HOMMA, model=Homma(p), genus=g,
             orbits=_wild_orbits(BRANCH_HOMMA, p, g), wild=True))
@@ -352,11 +352,6 @@ def _entry_key(entry):
     pair = entry.model.pair if isinstance(entry.model, Kummer) else None
     return (entry.n, _BRANCHES.index(entry.branch),
             (pair.r, pair.s) if pair else ())
-
-
-@lru_cache(maxsize=None)
-def kummer_signature_cached(n, r, s):
-    return Signature(0, (n // gcd(n, r), n // gcd(n, s), n // gcd(n, r + s)))
 
 
 @dataclass(frozen=True)

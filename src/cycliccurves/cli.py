@@ -7,10 +7,11 @@ Four subcommands, all batch-oriented with machine-readable output:
   signatures  --n N --genus G [--format ...]
   verify      --model SPEC --q Q [--zeta-depth D] [--max-field-size M]
 
-Model specs: kummer:N,r,s | hyper:g,lambda | aspower:p,m,a,b |
-asrational:p,a,b,c | homma:p.  Parameters are integers (prime-field
-residues) or dot-separated coefficient strings like 2.1 for extension
-field elements (meaning 2 + 1*x in the base-p encoding).
+A model spec is a family name and its parameters, `name:v1,v2,...`,
+in the order the family declares (`families.FAMILIES`).  Field
+coefficients are integers (prime-field residues) or dot-separated
+coefficient strings like 2.1 for extension field elements (meaning
+2 + 1*x in the base-p encoding).
 
 Output is line-delimited JSON by default (canonical key order, integers
 only, byte-stable under reparse/reserialize); --format csv/table give a
@@ -31,32 +32,18 @@ from .classify import (
     enumerate_signatures,
     primitive_pairs,
 )
-from .families import (
-    ASPower,
-    ASRational,
-    Homma,
-    Hyperelliptic,
-    Kummer,
-    kummer_genus,
-)
+from .families import FAMILIES
 from .intmath import prime_factors
 
 SCHEMA_VERSION = "1"
 
+_FAMILY_BY_NAME = {family.name: family for family in FAMILIES}
+_SPEC_GRAMMAR = " | ".join(
+    f"{family.name}:{','.join(family.spec_fields)}" for family in FAMILIES)
+
 
 def model_to_spec(model) -> str:
-    if isinstance(model, Kummer):
-        p = model.pair
-        return f"kummer:{p.n},{p.r},{p.s}"
-    if isinstance(model, Hyperelliptic):
-        return f"hyper:{model.g},{model.lam}"
-    if isinstance(model, ASPower):
-        return f"aspower:{model.p},{model.m},{model.a},{model.b}"
-    if isinstance(model, ASRational):
-        return f"asrational:{model.p},{model.a},{model.b},{model.c}"
-    if isinstance(model, Homma):
-        return f"homma:{model.p}"
-    raise TypeError(f"unknown model {model!r}")
+    return f"{model.name}:{','.join(str(v) for v in model.spec_values())}"
 
 
 def _parse_param(token, p):
@@ -81,22 +68,15 @@ def parse_model_spec(spec, p):
     """
     kind, _, rest = spec.partition(":")
     parts = rest.split(",") if rest else []
+    family = _FAMILY_BY_NAME.get(kind)
+    if family is None or len(parts) != len(family.spec_fields):
+        raise ValueError(f"bad model spec {spec!r}")
+    k = len(parts) - family.coefficients
     try:
-        if kind == "kummer" and len(parts) == 3:
-            return Kummer.of(*(int(t) for t in parts))
-        if kind == "hyper" and len(parts) == 2:
-            return Hyperelliptic(int(parts[0]), _parse_param(parts[1], p))
-        if kind == "aspower" and len(parts) == 4:
-            return ASPower(int(parts[0]), int(parts[1]),
-                           _parse_param(parts[2], p), _parse_param(parts[3], p))
-        if kind == "asrational" and len(parts) == 4:
-            return ASRational(int(parts[0]), *(
-                _parse_param(t, p) for t in parts[1:]))
-        if kind == "homma" and len(parts) == 1:
-            return Homma(int(parts[0]))
+        return family.of(*(int(t) for t in parts[:k]),
+                         *(_parse_param(t, p) for t in parts[k:]))
     except ValueError as exc:
         raise ValueError(f"bad model spec {spec!r}: {exc}") from exc
-    raise ValueError(f"bad model spec {spec!r}")
 
 
 def _parse_prime_power(q):
@@ -192,7 +172,7 @@ def _cmd_classify(args):
 
 def _cmd_pairs(args):
     pairs = list(primitive_pairs(args.n))
-    rows = [(pair, kummer_genus(pair.n, pair.r, pair.s)) for pair in pairs]
+    rows = [(pair, pair.genus) for pair in pairs]
     if args.genus is not None:
         rows = [(pair, g) for pair, g in rows if g == args.genus]
     if args.canonical:
@@ -312,9 +292,7 @@ def _build_parser():
 
     v = sub.add_parser("verify",
                        help="count places and verify automorphisms")
-    v.add_argument("--model", required=True,
-                   help="kummer:N,r,s | hyper:g,lambda | aspower:p,m,a,b | "
-                        "asrational:p,a,b,c | homma:p")
+    v.add_argument("--model", required=True, help=_SPEC_GRAMMAR)
     v.add_argument("--q", type=int, required=True, help="odd prime power")
     v.add_argument("--zeta-depth", type=int, default=0,
                    help="count over this many extensions and infer the genus")

@@ -9,17 +9,30 @@ cyclic automorphism group of order N >= 2g + 1:
   * ASRational    b*y^p + c*y = a*x + 1/x     N = 2p,  wild
   * Homma         y^p - y = x^2               N = p,   wild
 
+Each family is one frozen dataclass, the one place its equation is
+stated: invariants and symbolic generator (`genus`, `cyclic_order`,
+`generator`); the curve as lhs(y) = rhs(x) over a finite field, with
+preconditions, x-domain and the places an x-by-x count does not see
+(`equation`); the generator on affine points (`point_map`,
+`affine_fixed`); and the command-line spec `name:field,...` (`name`,
+`spec_fields`).  Counting, automorphism checks (`fforacle`) and spec
+parsing (`cli`) are generic over these, so adding a family means
+adding one class to `FAMILIES`.
+
 Models are field-agnostic value objects: parameters are either plain
 integers (read in the prime subfield) or strings standing for symbolic
-parameters.  Root-of-unity symbols in automorphism descriptors stay
-symbolic here; they are bound to concrete field elements only by the
-verification engine in `fforacle`.
+parameters.  Only `equation` and `point_map` see a field, which they
+take as an argument.
 
 Constructors reject parameter choices that degenerate to genus < 2.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import filterfalse
 from math import gcd
+from typing import Any, ClassVar
 
 from .intmath import is_prime
 from .ramification import Signature
@@ -33,6 +46,10 @@ class NotPrimitive(ValueError):
 
 class DegenerateModel(ValueError):
     """Parameters produce a curve of genus < 2 or a singular family."""
+
+
+class PreconditionViolated(ValueError):
+    """A model/field precondition fails (divisibility, zero parameter...)."""
 
 
 @dataclass(frozen=True)
@@ -55,21 +72,32 @@ class PrimitivePair:
         if gcd(gcd(r, s), n) != 1:
             raise NotPrimitive(f"gcd(r, s, n) != 1 for ({r}, {s}) mod {n}")
 
+    @property
+    def genus(self) -> int:
+        """Genus of y^n = x^r (1-x)^s:
+        (n + 2 - gcd(n,r) - gcd(n,s) - gcd(n,r+s)) / 2."""
+        n, r, s = self.n, self.r, self.s
+        total = n + 2 - gcd(n, r) - gcd(n, s) - gcd(n, r + s)
+        assert total % 2 == 0, (n, r, s)
+        return total // 2
+
+    @cached_property
+    def signature(self) -> Signature:
+        """Ramification signature of y^n = x^r (1-x)^s: genus-0 quotient,
+        branched over x = 0, 1, infinity with indices n/gcd."""
+        n, r, s = self.n, self.r, self.s
+        return Signature(
+            0, (n // gcd(n, r), n // gcd(n, s), n // gcd(n, r + s)))
+
 
 def kummer_genus(n: int, r: int, s: int) -> int:
-    """Genus of y^n = x^r (1-x)^s for a primitive pair:
-    (n + 2 - gcd(n,r) - gcd(n,s) - gcd(n,r+s)) / 2."""
-    PrimitivePair(n, r, s)
-    total = n + 2 - gcd(n, r) - gcd(n, s) - gcd(n, r + s)
-    assert total % 2 == 0, (n, r, s)
-    return total // 2
+    """Genus of y^n = x^r (1-x)^s for a primitive pair."""
+    return PrimitivePair(n, r, s).genus
 
 
 def kummer_signature(n: int, r: int, s: int) -> Signature:
-    """Ramification signature of y^n = x^r (1-x)^s: genus-0 quotient,
-    branched over x = 0, 1, infinity with indices n/gcd."""
-    PrimitivePair(n, r, s)
-    return Signature(0, (n // gcd(n, r), n // gcd(n, s), n // gcd(n, r + s)))
+    """Ramification signature of y^n = x^r (1-x)^s for a primitive pair."""
+    return PrimitivePair(n, r, s).signature
 
 
 @dataclass(frozen=True)
@@ -91,8 +119,108 @@ def identity_descriptor() -> AutomorphismDescriptor:
     return AutomorphismDescriptor(1, "(x, y) -> (x, y)", None)
 
 
+# ---------------------------------------------------------------------------
+# equations over a finite field
+
+
+def _require(cond, msg):
+    if not cond:
+        raise PreconditionViolated(msg)
+
+
+def _bind(value, fld, base=None):
+    """Resolve an integer model parameter to an element of `fld`.
+
+    Values below p are prime-subfield residues; values in [p, q) are
+    base-p encodings relative to the field the model was defined over
+    (`base`, defaulting to `fld` itself) and are lifted along the
+    subfield embedding.
+    """
+    if not isinstance(value, int):
+        raise PreconditionViolated(
+            f"symbolic parameter {value!r} cannot be evaluated in a field")
+    if value < fld.p:
+        return value % fld.p
+    src = base if base is not None else fld
+    if value < src.q:
+        return fld.lift_from(value, src)
+    raise PreconditionViolated(
+        f"parameter {value} outside field of size {src.q}")
+
+
+def _require_characteristic(p, fld):
+    _require(fld.p == p,
+             f"curve lives in characteristic {p}, field has {fld.p}")
+
+
+# The left sides y^n and y^p - y, each with its fibre rule: the number of
+# y in the field with lhs(y) = v.  (The third, b*y^p + c*y, is counted
+# by a histogram over y.)
+
+def _power_lhs(fld, n):
+    """y^n: a nonzero v has gcd(n, q-1) n-th roots when it is an n-th
+    power and none otherwise."""
+    return (lambda y: fld.pow(y, n)), (lambda v: fld.num_nth_roots(v, n))
+
+
+def _artin_schreier_lhs(fld):
+    """y^p - y: additive with kernel F_p and image the trace-zero
+    elements, so v has p preimages when Tr(v) = 0 and none otherwise."""
+    p = fld.p
+    return ((lambda y: fld.sub(fld.pow(y, p), y)),
+            (lambda v: 0 if fld.trace(v) else p))
+
+
+@dataclass(frozen=True)
+class Equation:
+    """A family's affine model lhs(y) = rhs(x), bound to one field.
+
+    `fibre(v)` is the number of y with lhs(y) = v in closed form, or
+    None where only a histogram of lhs over y gives it.  `extra` is the
+    number of rational places of the smooth model that the x values in
+    `counted_xs` do not account for: the places at infinity, over
+    `missing_x` (x values outside the affine model) and over
+    `separate_x` (x values whose places come from the ramification data
+    instead).
+    """
+
+    fld: Any
+    lhs: Callable[[int], int]
+    fibre: Callable[[int], int] | None
+    rhs: Callable[[int], int]
+    extra: int
+    missing_x: tuple = ()
+    separate_x: tuple = ()
+
+    def affine_xs(self):
+        """The x values of the affine model."""
+        return filterfalse(self.missing_x.__contains__, self.fld.elements())
+
+    def counted_xs(self):
+        """The x values whose places are counted through the equation."""
+        skip = self.missing_x + self.separate_x
+        return filterfalse(skip.__contains__, self.fld.elements())
+
+
+# ---------------------------------------------------------------------------
+# the families
+
+
 class CurveModel:
     """Base class for the tagged union of curve families."""
+
+    name: ClassVar[str]  # spec keyword
+    spec_fields: ClassVar[tuple[str, ...]]  # spec parameters, in order
+    coefficients: ClassVar[int] = 0  # trailing spec fields: field elements
+    affine_fixed: ClassVar[tuple] = ()  # affine points the generator fixes
+
+    @classmethod
+    def of(cls, *values):
+        """The model with these spec values, in `spec_fields` order."""
+        return cls(*values)
+
+    def spec_values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.spec_fields)
 
     def genus(self) -> int:
         raise NotImplementedError
@@ -101,6 +229,17 @@ class CurveModel:
         raise NotImplementedError
 
     def generator(self) -> AutomorphismDescriptor:
+        raise NotImplementedError
+
+    def equation(self, fld, base=None) -> Equation:
+        """The curve over `fld`; parameter values in [p, q) are read in
+        `base` (default `fld`) and lifted.  Raises PreconditionViolated
+        where the model is not defined or not smooth over `fld`."""
+        raise NotImplementedError
+
+    def point_map(self, eq: Equation, zeta) -> Callable:
+        """The generator on affine points, with its root of unity bound
+        to `zeta` (None when it has none)."""
         raise NotImplementedError
 
     def is_concrete(self) -> bool:
@@ -116,6 +255,10 @@ def _concrete(*params) -> bool:
 class Kummer(CurveModel):
     """y^n = x^r (1-x)^s with (r, s) a primitive pair."""
 
+    name = "kummer"
+    spec_fields = ("n", "r", "s")
+    affine_fixed = ((0, 0), (1, 0))
+
     pair: PrimitivePair
 
     def __post_init__(self):
@@ -127,10 +270,11 @@ class Kummer(CurveModel):
     def of(cls, n, r, s):
         return cls(PrimitivePair(n, r, s))
 
+    def spec_values(self):
+        return (self.pair.n, self.pair.r, self.pair.s)
+
     def genus(self):
-        p = self.pair
-        t = p.n + 2 - gcd(p.n, p.r) - gcd(p.n, p.s) - gcd(p.n, p.r + p.s)
-        return t // 2
+        return self.pair.genus
 
     def cyclic_order(self):
         return self.pair.n
@@ -139,10 +283,35 @@ class Kummer(CurveModel):
         return AutomorphismDescriptor(
             self.pair.n, "(x, y) -> (x, zeta*y)", zeta_order=self.pair.n)
 
+    def equation(self, fld, base=None):
+        n, r, s = self.pair.n, self.pair.r, self.pair.s
+        _require((fld.q - 1) % n == 0,
+                 f"n={n} does not divide q-1={fld.q - 1}")
+        # Over x = 0, 1 and infinity the rational places correspond to
+        # the roots in F_q of z^d = u, where d is gcd(n, ord) and u is
+        # the value of the local unit part: 1 over x = 0 and (-1)^s over
+        # x = 1 and infinity.
+        minus_one_s = fld.neg(1) if s % 2 else 1
+        extra = (fld.num_nth_roots(1, gcd(n, r))
+                 + fld.num_nth_roots(minus_one_s, gcd(n, s))
+                 + fld.num_nth_roots(minus_one_s, gcd(n, r + s)))
+        return Equation(
+            fld, *_power_lhs(fld, n),
+            rhs=lambda x: fld.mul(fld.pow(x, r), fld.pow(fld.sub(1, x), s)),
+            extra=extra, separate_x=(0, 1))
+
+    def point_map(self, eq, zeta):
+        fld = eq.fld
+        return lambda pt: (pt[0], fld.mul(zeta, pt[1]))
+
 
 @dataclass(frozen=True)
 class Hyperelliptic(CurveModel):
     """y^2 = (x^(g+1) - 1)(x^(g+1) - lam), g even, lam outside {0, 1}."""
+
+    name = "hyper"
+    spec_fields = ("g", "lam")
+    coefficients = 1
 
     g: int
     lam: Param
@@ -163,6 +332,25 @@ class Hyperelliptic(CurveModel):
         return AutomorphismDescriptor(
             2 * self.g + 2, "(x, y) -> (zeta*x, -y)", zeta_order=self.g + 1)
 
+    def equation(self, fld, base=None):
+        lam = _bind(self.lam, fld, base)
+        _require(lam not in (0, 1), f"lambda={self.lam} is 0 or 1 in field")
+        _require((self.g + 1) % fld.p != 0,
+                 f"p={fld.p} divides g+1; family is singular here")
+        e = self.g + 1
+
+        def rhs(x):
+            xe = fld.pow(x, e)
+            return fld.mul(fld.sub(xe, 1), fld.sub(xe, lam))
+
+        # degree 2g + 2 with a square leading coefficient: two places
+        # at infinity
+        return Equation(fld, *_power_lhs(fld, 2), rhs=rhs, extra=2)
+
+    def point_map(self, eq, zeta):
+        fld = eq.fld
+        return lambda pt: (fld.mul(zeta, pt[0]), fld.neg(pt[1]))
+
     def is_concrete(self):
         return _concrete(self.lam)
 
@@ -170,6 +358,10 @@ class Hyperelliptic(CurveModel):
 @dataclass(frozen=True)
 class ASPower(CurveModel):
     """y^p - y = a(x^m - b) with m > 1 coprime to p and a nonzero."""
+
+    name = "aspower"
+    spec_fields = ("p", "m", "a", "b")
+    coefficients = 2
 
     p: int
     m: int
@@ -195,6 +387,23 @@ class ASPower(CurveModel):
         return AutomorphismDescriptor(
             self.p * self.m, "(x, y) -> (zeta*x, y + 1)", zeta_order=self.m)
 
+    def equation(self, fld, base=None):
+        _require_characteristic(self.p, fld)
+        _require((fld.q - 1) % self.m == 0,
+                 f"m={self.m} does not divide q-1={fld.q - 1}")
+        a = _bind(self.a, fld, base)
+        b = _bind(self.b, fld, base)
+        _require(a != 0, "coefficient a vanishes in field")
+        m = self.m
+        # one place at infinity, totally ramified
+        return Equation(
+            fld, *_artin_schreier_lhs(fld),
+            rhs=lambda x: fld.mul(a, fld.sub(fld.pow(x, m), b)), extra=1)
+
+    def point_map(self, eq, zeta):
+        fld = eq.fld
+        return lambda pt: (fld.mul(zeta, pt[0]), fld.add(pt[1], 1))
+
     def is_concrete(self):
         return _concrete(self.a, self.b)
 
@@ -202,6 +411,10 @@ class ASPower(CurveModel):
 @dataclass(frozen=True)
 class ASRational(CurveModel):
     """b*y^p + c*y = a*x + 1/x with a, b, c nonzero."""
+
+    name = "asrational"
+    spec_fields = ("p", "a", "b", "c")
+    coefficients = 3
 
     p: int
     a: Param
@@ -225,6 +438,34 @@ class ASRational(CurveModel):
         return AutomorphismDescriptor(
             2 * self.p, "(x, y) -> (1/(a*x), y + gamma)", zeta_order=None)
 
+    def equation(self, fld, base=None):
+        _require_characteristic(self.p, fld)
+        a = _bind(self.a, fld, base)
+        b = _bind(self.b, fld, base)
+        c = _bind(self.c, fld, base)
+        _require(a != 0 and b != 0 and c != 0, "coefficient vanishes in field")
+        p = self.p
+
+        def lhs(y):
+            return fld.add(fld.mul(b, fld.pow(y, p)), fld.mul(c, y))
+
+        # one place over x = 0 and one over infinity
+        return Equation(
+            fld, lhs, fibre=None,
+            rhs=lambda x: fld.add(fld.mul(a, x), fld.inv(x)),
+            extra=2, missing_x=(0,))
+
+    def point_map(self, eq, zeta):
+        fld = eq.fld
+        a = _bind(self.a, fld)
+        # lhs is additive, so y -> y + gamma preserves it when
+        # lhs(gamma) = 0
+        gamma = next((y for y in range(1, fld.q) if eq.lhs(y) == 0), None)
+        if gamma is None:
+            raise PreconditionViolated(
+                "additive polynomial b*Y^p + c*Y has no nonzero root in field")
+        return lambda pt: (fld.inv(fld.mul(a, pt[0])), fld.add(pt[1], gamma))
+
     def is_concrete(self):
         return _concrete(self.a, self.b, self.c)
 
@@ -232,6 +473,9 @@ class ASRational(CurveModel):
 @dataclass(frozen=True)
 class Homma(CurveModel):
     """y^p - y = x^2, carrying a cyclic group of order exactly p."""
+
+    name = "homma"
+    spec_fields = ("p",)
 
     p: int
 
@@ -251,17 +495,15 @@ class Homma(CurveModel):
         return AutomorphismDescriptor(
             self.p, "(x, y) -> (x, y + 1)", zeta_order=None)
 
+    def equation(self, fld, base=None):
+        _require_characteristic(self.p, fld)
+        # one place at infinity, totally ramified
+        return Equation(fld, *_artin_schreier_lhs(fld),
+                        rhs=lambda x: fld.mul(x, x), extra=1)
 
-def genus(model: CurveModel) -> int:
-    """Genus of a curve model; always >= 2 for constructible models."""
-    return model.genus()
+    def point_map(self, eq, zeta):
+        fld = eq.fld
+        return lambda pt: (pt[0], fld.add(pt[1], 1))
 
 
-def cyclic_order(model: CurveModel) -> int:
-    """Order of the distinguished cyclic automorphism group."""
-    return model.cyclic_order()
-
-
-def generator(model: CurveModel) -> AutomorphismDescriptor:
-    """Symbolic generator of the distinguished cyclic group."""
-    return model.generator()
+FAMILIES = (Kummer, Hyperelliptic, ASPower, ASRational, Homma)

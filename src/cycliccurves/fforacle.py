@@ -8,9 +8,9 @@ the curve families by exact computation over small finite fields:
     irreducible monic polynomial of degree k, chosen deterministically
     so counts are reproducible across runs.
   * `count_places` returns the exact number of rational places of the
-    smooth model of a curve over a field, combining character-sum
-    counts on the affine part with exact place counts over the branch
-    and infinite points derived from the ramification data.
+    smooth model of a curve over a field, combining fibre counts on the
+    affine part with exact place counts over the branch and infinite
+    points derived from the ramification data.
   * `count_places_naive` is the brute-force double-loop oracle for the
     affine part; fast and naive paths must agree exactly.
   * `zeta_genus` infers the genus from a series of place counts by
@@ -19,6 +19,10 @@ the curve families by exact computation over small finite fields:
   * `verify_automorphism` instantiates a symbolic generator on the
     rational points and checks that it is a permutation of the exact
     claimed order, reporting orbit structure and fixed points.
+
+Both counts, `affine_points` and `verify_automorphism` are generic: the
+equation, its x-domain, the extra places and the generator's action
+come from the family (`CurveModel.equation` and `point_map`).
 
 Parameter conventions: integer model parameters with absolute value
 below p denote prime-subfield elements; values in [p, q) are read as
@@ -32,6 +36,7 @@ could be partitioned over x-ranges; this implementation keeps them
 sequential, which is ample at the supported field sizes.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,21 +46,13 @@ import numpy as np
 
 from .intmath import is_prime, prime_factors
 from .families import (
-    ASPower,
-    ASRational,
     AutomorphismDescriptor,
     CurveModel,
-    Homma,
-    Hyperelliptic,
-    Kummer,
+    PreconditionViolated,
 )
 
 Q_CAP = 2**31
-TABLE_LIMIT = 1 << 22  # build exp/log tables for extension fields up to here
-
-
-class PreconditionViolated(ValueError):
-    """A model/field precondition fails (divisibility, zero parameter...)."""
+TABLE_LIMIT = 1 << 22  # largest extension field (it needs exp/log tables)
 
 
 class FieldTooLarge(ValueError):
@@ -190,6 +187,11 @@ class FiniteField:
         q = p**k
         if q > Q_CAP:
             raise FieldTooLarge(f"q = {p}^{k} exceeds 2^31")
+        if k >= 2 and q > TABLE_LIMIT:
+            # extension-field arithmetic runs on discrete-log tables,
+            # and building them beyond this size takes too long
+            raise FieldTooLarge(
+                f"extension field of size {q} exceeds the table ceiling 2^22")
         if modulus is None:
             modulus = _least_irreducible(p, k)
         else:
@@ -208,7 +210,7 @@ class FiniteField:
         self._exp = self._log = None
         self._basis_traces = None
         self._lift_roots = {}
-        if k >= 2 and q <= TABLE_LIMIT:
+        if k >= 2:
             self._build_tables()
 
     def __repr__(self):
@@ -341,33 +343,27 @@ class FiniteField:
         return out
 
     def mul(self, a, b):
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
         if self.k == 1:
             return a * b % self.p
-        return self._mul_slow(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
         if a == 0:
             return 0 if e else 1
-        if self._exp is not None:
-            return self._exp[self._log[a] * e % (self.q - 1)]
         if self.k == 1:
             return pow(a, e, self.p)
-        return self._pow_slow(a, e % (self.q - 1))
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._exp is not None:
-            return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        return self._pow_slow(a, self.q - 2)
+        return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
     def trace(self, a):
         """Absolute trace down to the prime field, as an int in [0, p)."""
@@ -469,196 +465,37 @@ def field(p: int, k: int = 1) -> FiniteField:
 
 
 # ---------------------------------------------------------------------------
-# model parameter binding
-
-
-def _bind(value, fld, base=None):
-    """Resolve an integer model parameter to an element of `fld`.
-
-    Values below p are prime-subfield residues; values in [p, q) are
-    base-p encodings relative to the field the model was defined over
-    (`base`, defaulting to `fld` itself) and are lifted along the
-    subfield embedding.
-    """
-    if not isinstance(value, int):
-        raise PreconditionViolated(
-            f"symbolic parameter {value!r} cannot be evaluated in a field")
-    if value < fld.p:
-        return value % fld.p
-    src = base if base is not None else fld
-    if value < src.q:
-        return fld.lift_from(value, src)
-    raise PreconditionViolated(
-        f"parameter {value} outside field of size {src.q}")
-
-
-def _require(cond, msg):
-    if not cond:
-        raise PreconditionViolated(msg)
-
-
-# ---------------------------------------------------------------------------
 # place counting
 
 
-def _kummer_corrections(model, fld):
-    """Rational places over x = 0, 1, infinity of y^n = x^r (1-x)^s.
-
-    Over each branch point the places correspond to the roots in F_q of
-    z^d = u where d is gcd(n, ord) and u is the value of the local unit
-    part; u is 1 over x = 0 and (-1)^s over x = 1 and infinity.
-    """
-    pair = model.pair
-    minus_one_s = fld.neg(1) if pair.s % 2 else 1
-    return (fld.num_nth_roots(1, gcd(pair.n, pair.r))
-            + fld.num_nth_roots(minus_one_s, gcd(pair.n, pair.s))
-            + fld.num_nth_roots(minus_one_s, gcd(pair.n, pair.r + pair.s)))
-
-
-def _check_model_field(model, fld, base=None):
-    """Validate preconditions; return bound concrete parameters."""
-    if fld.k >= 2 and fld.q > TABLE_LIMIT:
-        # without discrete-log tables a bulk count would crawl for hours
-        raise FieldTooLarge(
-            f"extension field of size {fld.q} exceeds the supported "
-            f"counting ceiling 2^22")
-    if isinstance(model, Kummer):
-        _require((fld.q - 1) % model.pair.n == 0,
-                 f"n={model.pair.n} does not divide q-1={fld.q - 1}")
-        return ()
-    if isinstance(model, Hyperelliptic):
-        lam = _bind(model.lam, fld, base)
-        _require(lam not in (0, 1), f"lambda={model.lam} is 0 or 1 in field")
-        _require((model.g + 1) % fld.p != 0,
-                 f"p={fld.p} divides g+1; family is singular here")
-        return (lam,)
-    if isinstance(model, ASPower):
-        _require(fld.p == model.p,
-                 f"curve lives in characteristic {model.p}, field has {fld.p}")
-        _require((fld.q - 1) % model.m == 0,
-                 f"m={model.m} does not divide q-1={fld.q - 1}")
-        a = _bind(model.a, fld, base)
-        b = _bind(model.b, fld, base)
-        _require(a != 0, "coefficient a vanishes in field")
-        return (a, b)
-    if isinstance(model, ASRational):
-        _require(fld.p == model.p,
-                 f"curve lives in characteristic {model.p}, field has {fld.p}")
-        a = _bind(model.a, fld, base)
-        b = _bind(model.b, fld, base)
-        c = _bind(model.c, fld, base)
-        _require(a != 0 and b != 0 and c != 0, "coefficient vanishes in field")
-        return (a, b, c)
-    if isinstance(model, Homma):
-        _require(fld.p == model.p,
-                 f"curve lives in characteristic {model.p}, field has {fld.p}")
-        return ()
-    raise TypeError(f"unknown model {model!r}")
-
-
 def count_places(model: CurveModel, fld: FiniteField, base=None) -> int:
-    """Exact number of rational places of the smooth model over `fld`."""
-    params = _check_model_field(model, fld, base)
-    if isinstance(model, Kummer):
-        n, r, s = model.pair.n, model.pair.r, model.pair.s
-        total = 0
-        for x in fld.elements():
-            if x == 0 or x == 1:
-                continue
-            fx = fld.mul(fld.pow(x, r), fld.pow(fld.sub(1, x), s))
-            total += fld.num_nth_roots(fx, n)
-        return total + _kummer_corrections(model, fld)
-    if isinstance(model, Hyperelliptic):
-        (lam,) = params
-        e = model.g + 1
-        total = 0
-        for x in fld.elements():
-            xe = fld.pow(x, e)
-            v = fld.mul(fld.sub(xe, 1), fld.sub(xe, lam))
-            total += fld.num_nth_roots(v, 2)
-        return total + 2
-    if isinstance(model, ASPower):
-        a, b = params
-        total = 0
-        for x in fld.elements():
-            c = fld.mul(a, fld.sub(fld.pow(x, model.m), b))
-            if fld.trace(c) == 0:
-                total += fld.p
-        return total + 1
-    if isinstance(model, ASRational):
-        a, b, c = params
-        image_count = {}
-        for y in fld.elements():
-            v = fld.add(fld.mul(b, fld.pow(y, model.p)), fld.mul(c, y))
-            image_count[v] = image_count.get(v, 0) + 1
-        total = 0
-        for x in fld.elements():
-            if x == 0:
-                continue
-            v = fld.add(fld.mul(a, x), fld.inv(x))
-            total += image_count.get(v, 0)
-        return total + 2
-    if isinstance(model, Homma):
-        total = 0
-        for x in fld.elements():
-            if fld.trace(fld.mul(x, x)) == 0:
-                total += fld.p
-        return total + 1
-    raise TypeError(f"unknown model {model!r}")
+    """Exact number of rational places of the smooth model over `fld`.
+
+    Each x contributes the size of the fibre of the left side over
+    rhs(x): in closed form for y^n and y^p - y, and from a histogram of
+    the left side over all y otherwise.
+    """
+    eq = model.equation(fld, base)
+    rhs, fibre = eq.rhs, eq.fibre
+    if fibre is None:
+        fibre = Counter(map(eq.lhs, fld.elements())).__getitem__
+    total = 0
+    for x in eq.counted_xs():
+        total += fibre(rhs(x))
+    return total + eq.extra
 
 
 def count_places_naive(model: CurveModel, fld: FiniteField) -> int:
-    """Brute-force oracle: affine double loop plus the same place
-    corrections as the fast path."""
-    params = _check_model_field(model, fld)
+    """Brute-force oracle: every (x, y) tested against the equation,
+    plus the same place corrections as the fast path."""
+    eq = model.equation(fld)
     total = 0
-    if isinstance(model, Kummer):
-        n, r, s = model.pair.n, model.pair.r, model.pair.s
-        for x in fld.elements():
-            if x == 0 or x == 1:
-                continue
-            fx = fld.mul(fld.pow(x, r), fld.pow(fld.sub(1, x), s))
-            for y in fld.elements():
-                if fld.pow(y, n) == fx:
-                    total += 1
-        return total + _kummer_corrections(model, fld)
-    if isinstance(model, Hyperelliptic):
-        (lam,) = params
-        e = model.g + 1
-        for x in fld.elements():
-            xe = fld.pow(x, e)
-            v = fld.mul(fld.sub(xe, 1), fld.sub(xe, lam))
-            for y in fld.elements():
-                if fld.mul(y, y) == v:
-                    total += 1
-        return total + 2
-    if isinstance(model, ASPower):
-        a, b = params
-        for x in fld.elements():
-            v = fld.mul(a, fld.sub(fld.pow(x, model.m), b))
-            for y in fld.elements():
-                if fld.sub(fld.pow(y, model.p), y) == v:
-                    total += 1
-        return total + 1
-    if isinstance(model, ASRational):
-        a, b, c = params
-        for x in fld.elements():
-            if x == 0:
-                continue
-            v = fld.add(fld.mul(a, x), fld.inv(x))
-            for y in fld.elements():
-                if fld.add(fld.mul(b, fld.pow(y, model.p)),
-                           fld.mul(c, y)) == v:
-                    total += 1
-        return total + 2
-    if isinstance(model, Homma):
-        for x in fld.elements():
-            v = fld.mul(x, x)
-            for y in fld.elements():
-                if fld.sub(fld.pow(y, model.p), y) == v:
-                    total += 1
-        return total + 1
-    raise TypeError(f"unknown model {model!r}")
+    for x in eq.counted_xs():
+        v = eq.rhs(x)
+        for y in fld.elements():
+            if eq.lhs(y) == v:
+                total += 1
+    return total + eq.extra
 
 
 @dataclass(frozen=True)
@@ -768,84 +605,25 @@ def _power_sums(e, deg, m):
 
 def affine_points(model: CurveModel, fld: FiniteField) -> frozenset:
     """Rational points of the affine plane model, as (x, y) encodings."""
-    _check_model_field(model, fld)
+    eq = model.equation(fld)
     bucket = {}
-    if isinstance(model, Kummer):
-        n, r, s = model.pair.n, model.pair.r, model.pair.s
-        for y in fld.elements():
-            bucket.setdefault(fld.pow(y, n), []).append(y)
-        def rhs(x):
-            return fld.mul(fld.pow(x, r), fld.pow(fld.sub(1, x), s))
-        xs = fld.elements()
-    elif isinstance(model, Hyperelliptic):
-        lam = _bind(model.lam, fld)
-        e = model.g + 1
-        for y in fld.elements():
-            bucket.setdefault(fld.mul(y, y), []).append(y)
-        def rhs(x):
-            xe = fld.pow(x, e)
-            return fld.mul(fld.sub(xe, 1), fld.sub(xe, lam))
-        xs = fld.elements()
-    elif isinstance(model, ASPower):
-        a, b = _bind(model.a, fld), _bind(model.b, fld)
-        for y in fld.elements():
-            bucket.setdefault(fld.sub(fld.pow(y, model.p), y), []).append(y)
-        def rhs(x):
-            return fld.mul(a, fld.sub(fld.pow(x, model.m), b))
-        xs = fld.elements()
-    elif isinstance(model, ASRational):
-        a, b, c = _bind(model.a, fld), _bind(model.b, fld), _bind(model.c, fld)
-        for y in fld.elements():
-            v = fld.add(fld.mul(b, fld.pow(y, model.p)), fld.mul(c, y))
-            bucket.setdefault(v, []).append(y)
-        def rhs(x):
-            return fld.add(fld.mul(a, x), fld.inv(x))
-        xs = [x for x in fld.elements() if x != 0]
-    elif isinstance(model, Homma):
-        for y in fld.elements():
-            bucket.setdefault(fld.sub(fld.pow(y, model.p), y), []).append(y)
-        def rhs(x):
-            return fld.mul(x, x)
-        xs = fld.elements()
-    else:
-        raise TypeError(f"unknown model {model!r}")
-    return frozenset((x, y) for x in xs for y in bucket.get(rhs(x), ()))
-
-
-def _least_additive_root(fld, b, c, p):
-    """Least nonzero gamma with b*gamma^p + c*gamma = 0."""
-    for y in range(1, fld.q):
-        if fld.add(fld.mul(b, fld.pow(y, p)), fld.mul(c, y)) == 0:
-            return y
-    return None
+    for y in fld.elements():
+        bucket.setdefault(eq.lhs(y), []).append(y)
+    return frozenset((x, y) for x in eq.affine_xs()
+                     for y in bucket.get(eq.rhs(x), ()))
 
 
 def _point_map(model, fld, descriptor):
     if descriptor.order == 1:
         return lambda pt: pt
+    zeta = None
     if descriptor.zeta_order is not None:
         if (fld.q - 1) % descriptor.zeta_order:
             raise PreconditionViolated(
                 f"no root of unity of order {descriptor.zeta_order} "
                 f"in field of size {fld.q}")
         zeta = fld.element_of_order(descriptor.zeta_order)
-    if isinstance(model, Kummer):
-        return lambda pt: (pt[0], fld.mul(zeta, pt[1]))
-    if isinstance(model, Hyperelliptic):
-        return lambda pt: (fld.mul(zeta, pt[0]), fld.neg(pt[1]))
-    if isinstance(model, ASPower):
-        return lambda pt: (fld.mul(zeta, pt[0]), fld.add(pt[1], 1))
-    if isinstance(model, ASRational):
-        a = _bind(model.a, fld)
-        gamma = _least_additive_root(fld, _bind(model.b, fld),
-                                     _bind(model.c, fld), model.p)
-        if gamma is None:
-            raise PreconditionViolated(
-                "additive polynomial b*Y^p + c*Y has no nonzero root in field")
-        return lambda pt: (fld.inv(fld.mul(a, pt[0])), fld.add(pt[1], gamma))
-    if isinstance(model, Homma):
-        return lambda pt: (pt[0], fld.add(pt[1], 1))
-    raise TypeError(f"unknown model {model!r}")
+    return model.point_map(model.equation(fld), zeta)
 
 
 @dataclass(frozen=True)
@@ -861,9 +639,7 @@ class OrbitReport:
 
 def expected_affine_fixed(model: CurveModel) -> tuple:
     """Affine fixed points forced by the family's generator."""
-    if isinstance(model, Kummer):
-        return ((0, 0), (1, 0))
-    return ()
+    return model.affine_fixed
 
 
 def verify_automorphism(model: CurveModel, fld: FiniteField,

@@ -3,7 +3,13 @@ import json
 import pytest
 
 from cycliccurves.cli import main, model_to_spec, parse_model_spec
-from cycliccurves.families import ASPower, Hyperelliptic, Kummer
+from cycliccurves.families import (
+    ASPower,
+    ASRational,
+    Homma,
+    Hyperelliptic,
+    Kummer,
+)
 
 
 def run(capsys, *argv):
@@ -187,7 +193,7 @@ def test_missing_required_flag_exits_two(capsys):
 
 def test_model_spec_round_trip():
     for model in (Kummer.of(5, 1, 1), Hyperelliptic(2, 3),
-                  ASPower(5, 2, 1, 0)):
+                  ASPower(5, 2, 1, 0), ASRational(5, 1, 2, 4), Homma(5)):
         assert parse_model_spec(model_to_spec(model), 5) == model
 
 

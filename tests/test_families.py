@@ -11,9 +11,6 @@ from cycliccurves.families import (
     Kummer,
     NotPrimitive,
     PrimitivePair,
-    cyclic_order,
-    generator,
-    genus,
     identity_descriptor,
     kummer_genus,
     kummer_signature,
@@ -91,15 +88,15 @@ def test_signature_and_genus_formula_agree_exhaustively():
 
 
 def test_model_genus_examples():
-    assert genus(ASPower(5, 2, 1, 0)) == 2
-    assert cyclic_order(ASPower(5, 2, 1, 0)) == 10
-    assert genus(Homma(5)) == 2
-    assert cyclic_order(Homma(5)) == 5
-    assert genus(Hyperelliptic(2, 2)) == 2
-    assert cyclic_order(Hyperelliptic(2, 2)) == 6
-    assert genus(ASRational(5, 1, 1, -1)) == 4
-    assert cyclic_order(ASRational(5, 1, 1, -1)) == 10
-    assert genus(Kummer.of(5, 1, 1)) == 2
+    assert ASPower(5, 2, 1, 0).genus() == 2
+    assert ASPower(5, 2, 1, 0).cyclic_order() == 10
+    assert Homma(5).genus() == 2
+    assert Homma(5).cyclic_order() == 5
+    assert Hyperelliptic(2, 2).genus() == 2
+    assert Hyperelliptic(2, 2).cyclic_order() == 6
+    assert ASRational(5, 1, 1, -1).genus() == 4
+    assert ASRational(5, 1, 1, -1).cyclic_order() == 10
+    assert Kummer.of(5, 1, 1).genus() == 2
 
 
 def test_degenerate_models_rejected():
@@ -124,8 +121,8 @@ def test_degenerate_models_rejected():
 
 
 def test_symbolic_parameters_allowed():
-    assert genus(Hyperelliptic(4, "lambda")) == 4
-    assert genus(ASPower(7, 3, "a", "b")) == 6
+    assert Hyperelliptic(4, "lambda").genus() == 4
+    assert ASPower(7, 3, "a", "b").genus() == 6
     assert not ASPower(7, 3, "a", "b").is_concrete()
     assert ASPower(7, 3, 1, 0).is_concrete()
 
@@ -134,40 +131,40 @@ def test_symbolic_parameters_allowed():
 def test_aspower_order_strictly_exceeds_bound(p, m):
     assume(gcd(p, m) == 1)
     model = ASPower(p, m, 1, 0)
-    assert 2 * genus(model) + 1 < cyclic_order(model)
+    assert 2 * model.genus() + 1 < model.cyclic_order()
 
 
 @given(st.sampled_from([5, 7, 11, 13, 17]))
 def test_homma_attains_bound_exactly(p):
     model = Homma(p)
-    assert 2 * genus(model) + 1 == cyclic_order(model)
+    assert 2 * model.genus() + 1 == model.cyclic_order()
 
 
 @given(st.integers(1, 15), st.integers(2, 40))
 def test_hyperelliptic_genus_is_parameter_free(half_g, lam):
     g = 2 * half_g
     assume(lam not in (0, 1))
-    assert genus(Hyperelliptic(g, lam)) == g
-    assert cyclic_order(Hyperelliptic(g, lam)) == 2 * g + 2
+    assert Hyperelliptic(g, lam).genus() == g
+    assert Hyperelliptic(g, lam).cyclic_order() == 2 * g + 2
 
 
 # --- generators --------------------------------------------------------------
 
 
 def test_generator_descriptors():
-    d = generator(Kummer.of(5, 1, 1))
+    d = Kummer.of(5, 1, 1).generator()
     assert d.order == 5 and d.zeta_order == 5
 
-    d = generator(Hyperelliptic(2, 3))
+    d = Hyperelliptic(2, 3).generator()
     assert d.order == 6 and d.zeta_order == 3
 
-    d = generator(ASPower(5, 2, 1, 0))
+    d = ASPower(5, 2, 1, 0).generator()
     assert d.order == 10 and d.zeta_order == 2
 
-    d = generator(ASRational(5, 1, 1, -1))
+    d = ASRational(5, 1, 1, -1).generator()
     assert d.order == 10 and d.zeta_order is None
 
-    d = generator(Homma(7))
+    d = Homma(7).generator()
     assert d.order == 7 and d.zeta_order is None
 
     assert identity_descriptor().order == 1
@@ -177,4 +174,4 @@ def test_generator_order_matches_cyclic_order():
     models = [Kummer.of(7, 1, 2), Hyperelliptic(4, 5), ASPower(7, 2, 3, 1),
               ASRational(7, 2, 1, -1), Homma(11)]
     for model in models:
-        assert generator(model).order == cyclic_order(model)
+        assert model.generator().order == model.cyclic_order()
