@@ -38,6 +38,7 @@ from .families import (
 )
 from .classify import (
     BadGenus,
+    BadOrder,
     ClassificationEntry,
     ClassifyQuery,
     SasakiReport,

@@ -68,6 +68,10 @@ class BadGenus(ValueError):
     """The requested genus is below 2."""
 
 
+class BadOrder(ValueError):
+    """The requested group order is not an integer >= 3."""
+
+
 @dataclass(frozen=True)
 class ClassifyQuery:
     """A (characteristic, genus) classification request."""
@@ -80,6 +84,11 @@ class ClassifyQuery:
         _check_characteristic(self.p)
         if self.g < 2:
             raise BadGenus(f"genus must be >= 2, got {self.g}")
+        n = self.n
+        if n is not None and (isinstance(n, bool) or not isinstance(n, int)
+                              or n < 3):
+            raise BadOrder(f"group order must be None or an int >= 3, "
+                           f"got {n!r}")
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,9 @@ def parse_model_spec(spec, p):
 def _parse_prime_power(q):
     if q < 3:
         raise ValueError(f"q must be an odd prime power >= 3, got {q}")
+    if q > fforacle.Q_CAP:
+        # checked before factoring, which is trial division
+        raise fforacle.FieldTooLarge(f"q = {q} exceeds 2^31")
     p = prime_factors(q)[0]
     k = 0
     rest = q

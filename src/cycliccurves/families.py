@@ -30,9 +30,10 @@ Constructors reject parameter choices that degenerate to genus < 2.
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import filterfalse
 from math import gcd
 from typing import Any, ClassVar
+
+import numpy as np
 
 from .intmath import is_prime
 from .ramification import Signature
@@ -168,38 +169,41 @@ def _artin_schreier_lhs(fld):
     elements, so v has p preimages when Tr(v) = 0 and none otherwise."""
     p = fld.p
     return ((lambda y: fld.sub(fld.pow(y, p), y)),
-            (lambda v: 0 if fld.trace(v) else p))
+            (lambda v: np.where(fld.trace(v) == 0, p, 0)))
 
 
 @dataclass(frozen=True)
 class Equation:
     """A family's affine model lhs(y) = rhs(x), bound to one field.
 
-    `fibre(v)` is the number of y with lhs(y) = v in closed form, or
-    None where only a histogram of lhs over y gives it.  `extra` is the
-    number of rational places of the smooth model that the x values in
-    `counted_xs` do not account for: the places at infinity, over
-    `missing_x` (x values outside the affine model) and over
-    `separate_x` (x values whose places come from the ramification data
-    instead).
+    `lhs`, `rhs` and `fibre` take numpy arrays of field elements and
+    evaluate every element in one call.  `fibre(v)` is the number of y
+    with lhs(y) = v in closed form, or None where only a histogram of
+    lhs over y gives it.  `extra` is the number of rational places of
+    the smooth model that the x values in `counted_xs` do not account
+    for: the places at infinity, over `missing_x` (x values outside the
+    affine model) and over `separate_x` (x values whose places come from
+    the ramification data instead).
     """
 
     fld: Any
-    lhs: Callable[[int], int]
-    fibre: Callable[[int], int] | None
-    rhs: Callable[[int], int]
+    lhs: Callable[[np.ndarray], np.ndarray]
+    fibre: Callable[[np.ndarray], np.ndarray] | None
+    rhs: Callable[[np.ndarray], np.ndarray]
     extra: int
     missing_x: tuple = ()
     separate_x: tuple = ()
 
+    # field elements are enumerated by encoding, so x sits at index x
+
     def affine_xs(self):
-        """The x values of the affine model."""
-        return filterfalse(self.missing_x.__contains__, self.fld.elements())
+        """The x values of the affine model, as an array."""
+        return np.delete(self.fld.elements(), self.missing_x)
 
     def counted_xs(self):
         """The x values whose places are counted through the equation."""
-        skip = self.missing_x + self.separate_x
-        return filterfalse(skip.__contains__, self.fld.elements())
+        return np.delete(self.fld.elements(),
+                         self.missing_x + self.separate_x)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +296,9 @@ class Kummer(CurveModel):
         # the value of the local unit part: 1 over x = 0 and (-1)^s over
         # x = 1 and infinity.
         minus_one_s = fld.neg(1) if s % 2 else 1
-        extra = (fld.num_nth_roots(1, gcd(n, r))
-                 + fld.num_nth_roots(minus_one_s, gcd(n, s))
-                 + fld.num_nth_roots(minus_one_s, gcd(n, r + s)))
+        extra = int(fld.num_nth_roots(1, gcd(n, r))
+                    + fld.num_nth_roots(minus_one_s, gcd(n, s))
+                    + fld.num_nth_roots(minus_one_s, gcd(n, r + s)))
         return Equation(
             fld, *_power_lhs(fld, n),
             rhs=lambda x: fld.mul(fld.pow(x, r), fld.pow(fld.sub(1, x), s)),
@@ -459,11 +463,12 @@ class ASRational(CurveModel):
         fld = eq.fld
         a = _bind(self.a, fld)
         # lhs is additive, so y -> y + gamma preserves it when
-        # lhs(gamma) = 0
-        gamma = next((y for y in range(1, fld.q) if eq.lhs(y) == 0), None)
-        if gamma is None:
+        # lhs(gamma) = 0; gamma is the least nonzero such y
+        roots = np.flatnonzero(eq.lhs(fld.elements()) == 0)
+        if len(roots) < 2:
             raise PreconditionViolated(
                 "additive polynomial b*Y^p + c*Y has no nonzero root in field")
+        gamma = int(roots[1])
         return lambda pt: (fld.inv(fld.mul(a, pt[0])), fld.add(pt[1], gamma))
 
     def is_concrete(self):

@@ -6,7 +6,10 @@ the curve families by exact computation over small finite fields:
   * `FiniteField` implements F_{p^k} with elements encoded as integers
     in [0, p^k) (base-p digit vectors).  The modulus is the least
     irreducible monic polynomial of degree k, chosen deterministically
-    so counts are reproducible across runs.
+    so counts are reproducible across runs.  Its operations are
+    array-at-a-time: they take numpy integer arrays and evaluate every
+    element in one call, on int64 modular arithmetic for prime fields
+    and int32 exp/log/Zech tables for extension fields.
   * `count_places` returns the exact number of rational places of the
     smooth model of a curve over a field, combining fibre counts on the
     affine part with exact place counts over the branch and infinite
@@ -29,14 +32,20 @@ below p denote prime-subfield elements; values in [p, q) are read as
 the base-p encoding of an element of the concrete field in use (and are
 lifted along subfield embeddings when counting over extensions).
 
+Counting evaluates each side of the equation once over the whole
+field, as an array: the fast count sums the fibre sizes of rhs over all
+x (`fibre(rhs(xs)).sum()`, or a histogram of lhs over all y indexed by
+rhs), the naive count compares lhs over all y with each rhs value, and
+the automorphism check maps every affine point in one call, leaving
+only the orbit walk as a Python loop.  Memory beyond the field tables is
+a few int64 vectors of length q, so whole-field evaluation stops at
+`TABLE_LIMIT` elements, the same ceiling as the extension-field tables.
+
 Everything is a pure function of its inputs; fields cache their own
-multiplication tables but are immutable once constructed, so all
-operations are safe for unrestricted concurrent use.  Counting loops
-could be partitioned over x-ranges; this implementation keeps them
-sequential, which is ample at the supported field sizes.
+tables but are immutable once constructed, so all operations are safe
+for unrestricted concurrent use.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -52,7 +61,7 @@ from .families import (
 )
 
 Q_CAP = 2**31
-TABLE_LIMIT = 1 << 22  # largest extension field (it needs exp/log tables)
+TABLE_LIMIT = 1 << 22  # largest tabulated or enumerated field
 
 
 class FieldTooLarge(ValueError):
@@ -172,11 +181,31 @@ def _least_irreducible(p, k):
 # ---------------------------------------------------------------------------
 
 
+def _int64(a):
+    # prime-field residues below 2^31 multiply in int64; an int32 operand
+    # (or under numpy 1's value-based casting a 0-d one) would keep the
+    # product in int32
+    return np.asarray(a, dtype=np.int64)
+
+
 class FiniteField:
     """F_{p^k}: elements are ints in [0, p^k), base-p digit encoded.
 
+    Every operation takes numpy integer arrays (or plain ints) and
+    evaluates all of their elements in one call; a scalar argument gives
+    a numpy scalar back.  Prime fields use int64 modular arithmetic
+    (q < 2^31, so every product fits).  Extension fields hold three
+    int32 tables over a primitive element g: `_exp[i] = g^i`,
+    `_log[a]` (with -1 at a = 0) and the Zech logarithm
+    `_zech[n] = log(1 + g^n)` (-1 where 1 + g^n = 0), 12 bytes per
+    element in all.  A product is an exp lookup of the summed logs, and
+    a sum one Zech lookup more, g^i + g^j = g^(i + Z(j - i)) (K. Huber,
+    "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory 36,
+    1990).  Index arithmetic on logarithms is int64, because
+    log * exponent overflows int32.
+
     Use the cached factory `field(p, k)` rather than the constructor
-    when possible so multiplication tables are shared.
+    when possible so the tables are shared.
     """
 
     def __init__(self, p, k=1, modulus=None):
@@ -205,9 +234,9 @@ class FiniteField:
         self.k = k
         self.q = q
         self.modulus = modulus
-        # x^(k+i) mod f, encoded, for reducing products
-        self._xk = self._encode(_pmod((0,) * k + (1,), modulus, p))
-        self._exp = self._log = None
+        # x^k mod f, as digits, for reducing products
+        self._xk = list(_pmod((0,) * k + (1,), modulus, p)) + [0] * k
+        self._exp = self._log = self._zech = None
         self._basis_traces = None
         self._lift_roots = {}
         if k >= 2:
@@ -232,9 +261,19 @@ class FiniteField:
         return out
 
     def elements(self):
-        return range(self.q)
+        """Every element, as an int64 array indexed by its encoding.
 
-    # -- slow (table-free) arithmetic, always available
+        Whole-field evaluation holds a few such vectors, so it stops at
+        the table ceiling like the extension-field tables do.
+        """
+        if self.q > TABLE_LIMIT:
+            raise FieldTooLarge(
+                f"enumerating a field of size {self.q} exceeds the "
+                f"ceiling 2^22")
+        return np.arange(self.q, dtype=np.int64)
+
+    # -- table-free arithmetic on single ints: the table build and the
+    #    reference the tests compare the array arithmetic with
 
     def _mul_slow(self, a, b):
         prod = _pmulmod(tuple(self._digits(a)), tuple(self._digits(b)),
@@ -250,15 +289,19 @@ class FiniteField:
             e >>= 1
         return out
 
-    def _mul_by_x(self, a):
-        digits = self._digits(a)
-        carry = digits[-1]
-        shifted = self._encode([0] + digits[:-1])
-        if not carry:
-            return shifted
-        return self.add(shifted, self.scale(carry, self._xk))
+    # -- exp/log/Zech tables (baby-step giant-step, vectorized)
 
-    # -- exp/log tables (baby-step giant-step, vectorized)
+    def _mul_matrix(self, c):
+        """The k x k matrix M over F_p with digits(a) @ M = digits(a * c):
+        row i holds the digits of c * x^i."""
+        p, k = self.p, self.k
+        # multiplication by x: shift up one digit, reducing x^k mod f
+        shift = np.eye(k, k, 1, dtype=np.int64)
+        shift[-1] = self._xk[:k]
+        rows = [np.array(self._digits(c), dtype=np.int64)]
+        for _ in range(k - 1):
+            rows.append(rows[-1] @ shift % p)
+        return np.array(rows)
 
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
@@ -266,109 +309,91 @@ class FiniteField:
         g = p  # constants have order dividing p - 1 < q - 1
         while any(self._pow_slow(g, (q - 1) // ell) == 1 for ell in fac):
             g += 1
+        # digits of the baby steps g^0, ..., g^(t-1), doubling the block
         t = isqrt(q - 1) + 1
-        baby = [1] * t
-        for i in range(1, t):
-            baby[i] = self._mul_slow(baby[i - 1], g)
-        arr = np.array(baby, dtype=np.int64)
-        baby_digits = np.empty((t, k), dtype=np.int64)
-        for i in range(k):
-            baby_digits[:, i] = arr % p
-            arr //= p
+        baby = np.zeros((1, k), dtype=np.int64)
+        baby[0, 0] = 1
+        step = self._mul_matrix(g)
+        while len(baby) < t:
+            baby = np.concatenate((baby, baby @ step % p))
+            step = step @ step % p
+        baby = baby[:t]
+        # giant steps: block b holds g^(b*t + i) = g^i * g^(b*t)
         pvec = p ** np.arange(k, dtype=np.int64)
-        giant = self._pow_slow(g, t)
-        exp = np.empty(q - 1, dtype=np.int64)
-        cur = 1
-        for b in range((q - 2) // t + 1):
-            rows = []
-            elem = cur
-            for _ in range(k):
-                rows.append(self._digits(elem))
-                elem = self._mul_by_x(elem)
-            block = (baby_digits @ np.array(rows, dtype=np.int64)) % p
-            vals = block @ pvec
-            lo = b * t
+        giant = self._mul_matrix(self._pow_slow(g, t))
+        cur = np.eye(k, dtype=np.int64)
+        exp = np.empty(q - 1, dtype=np.int32)
+        for lo in range(0, q - 1, t):
             hi = min(lo + t, q - 1)
-            exp[lo:hi] = vals[:hi - lo]
-            cur = self._mul_slow(cur, giant)
-        log = np.full(q, -1, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
+            exp[lo:hi] = (baby[:hi - lo] @ cur % p) @ pvec
+            cur = cur @ giant % p
+        log = np.full(q, -1, dtype=np.int32)
+        log[exp] = np.arange(q - 1, dtype=np.int32)
         if log[1] != 0 or (log[1:] < 0).any():
             raise RuntimeError("discrete log table construction failed")
-        self._exp = exp.tolist()
-        self._log = log.tolist()
+        # 1 + g^n changes only the lowest digit, which wraps from p - 1
+        # to 0; log[0] = -1 marks the n where 1 + g^n = 0
+        one_plus = exp + 1
+        one_plus[exp % p == p - 1] -= p
+        self._exp, self._log, self._zech = exp, log, log[one_plus]
+
+    def _logs(self, a):
+        """Discrete logs of a, int64 (-1 at zero)."""
+        return self._log[a].astype(np.int64)
 
     # -- field operations
 
     def add(self, a, b):
-        p = self.p
         if self.k == 1:
-            return (a + b) % p
-        out = 0
-        shift = 1
-        while a or b:
-            out += (a % p + b % p) % p * shift
-            a //= p
-            b //= p
-            shift *= p
-        return out
+            return (_int64(a) + _int64(b)) % self.p
+        n = self.q - 1
+        la, lb = self._logs(a), self._logs(b)
+        z = self._zech[(lb - la) % n]
+        out = np.where(z < 0, 0, self._exp[(la + z) % n])
+        return np.where(a == 0, b, np.where(b == 0, a, out))
 
     def neg(self, a):
-        p = self.p
-        if self.k == 1:
-            return (p - a) % p
-        out = 0
-        shift = 1
-        while a:
-            out += (p - a % p) % p * shift
-            a //= p
-            shift *= p
-        return out
+        return self.scale(-1, a)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def scale(self, c, a):
         """Multiply by a prime-subfield scalar c."""
-        p = self.p
-        c %= p
-        if self.k == 1:
-            return c * a % p
-        out = 0
-        shift = 1
-        while a:
-            out += a % p * c % p * shift
-            a //= p
-            shift *= p
-        return out
+        return self.mul(np.asarray(c) % self.p, a)
 
     def mul(self, a, b):
         if self.k == 1:
-            return a * b % self.p
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+            return _int64(a) * _int64(b) % self.p
+        n = self.q - 1
+        out = self._exp[(self._logs(a) + self._logs(b)) % n]
+        return np.where((a == 0) | (b == 0), 0, out)
 
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
-        if a == 0:
-            return 0 if e else 1
-        if self.k == 1:
-            return pow(a, e, self.p)
-        return self._exp[self._log[a] * e % (self.q - 1)]
+        n = self.q - 1
+        if self.k >= 2:
+            return np.where(a == 0, int(e == 0),
+                            self._exp[self._logs(a) * (e % n) % n])
+        # square and multiply; e taken into [1, q - 1] keeps 0^e = 0
+        a = _int64(a)
+        out = np.ones_like(a)
+        e = (e - 1) % n + 1 if e else 0
+        while e:
+            if e & 1:
+                out = out * a % self.p
+            a = a * a % self.p
+            e >>= 1
+        return out
 
     def inv(self, a):
-        if a == 0:
+        if (np.asarray(a) == 0).any():
             raise ZeroDivisionError("inverse of zero")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
+        return self.pow(a, self.q - 2)
 
     def trace(self, a):
-        """Absolute trace down to the prime field, as an int in [0, p)."""
-        if self.k == 1:
-            return a
+        """Absolute trace down to the prime field, as ints in [0, p)."""
         if self._basis_traces is None:
             traces = []
             for i in range(self.k):
@@ -380,21 +405,20 @@ class FiniteField:
                     acc = self.add(acc, t)
                 if acc >= self.p:
                     raise RuntimeError("basis trace not in prime field")
-                traces.append(acc)
+                traces.append(int(acc))
             self._basis_traces = traces
+        # Tr is F_p-linear: sum the digits against the traces of the
+        # basis, one digit at a time
+        a = _int64(a)
         total = 0
-        i = 0
-        while a:
-            total += a % self.p * self._basis_traces[i]
-            a //= self.p
-            i += 1
+        for t in self._basis_traces:
+            total = total + a % self.p * t
+            a = a // self.p
         return total % self.p
 
     def element_order(self, a):
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative order")
-        if self._log is not None:
-            return (self.q - 1) // gcd(self._log[a], self.q - 1)
         order = self.q - 1
         for ell in prime_factors(self.q - 1):
             while order % ell == 0 and self.pow(a, order // ell) == 1:
@@ -402,23 +426,23 @@ class FiniteField:
         return order
 
     def element_of_order(self, n):
-        """Least element (by encoding) of multiplicative order exactly n."""
+        """Least element (by encoding) of multiplicative order exactly n:
+        the least a with a^n = 1 and a^(n/l) != 1 for each prime l | n."""
         if n < 1 or (self.q - 1) % n:
             raise PreconditionViolated(
                 f"no element of order {n} in field of size {self.q}")
-        for a in range(1, self.q):
-            if self.element_order(a) == n:
-                return a
-        raise RuntimeError("unreachable: cyclic group has all divisor orders")
+        xs = self.elements()
+        hit = self.pow(xs, n) == 1
+        for ell in prime_factors(n):
+            hit &= self.pow(xs, n // ell) != 1
+        return int(xs[hit.argmax()])
 
     def num_nth_roots(self, c, n):
-        """Number of y with y^n = c."""
-        if c == 0:
-            return 1
+        """Number of y with y^n = c: gcd(n, q-1) for a nonzero n-th
+        power, 0 for a nonzero non-power, 1 for zero."""
         d = gcd(n, self.q - 1)
-        if self._log is not None:
-            return d if self._log[c] % d == 0 else 0
-        return d if self.pow(c, (self.q - 1) // d) == 1 else 0
+        is_power = self.pow(c, (self.q - 1) // d) == 1
+        return np.where(c == 0, 1, np.where(is_power, d, 0))
 
     def lift_from(self, value, src):
         """Image of a src-encoded element under the embedding src -> self.
@@ -430,6 +454,7 @@ class FiniteField:
         if src.p != self.p or self.k % src.k:
             raise PreconditionViolated(
                 f"no embedding of F_{src.p}^{src.k} into F_{self.p}^{self.k}")
+        value = int(value)
         if value < self.p:
             return value
         if src.k == self.k and src.modulus == self.modulus:
@@ -437,17 +462,14 @@ class FiniteField:
         key = src.modulus
         root = self._lift_roots.get(key)
         if root is None:
-            coeffs = list(src.modulus)
-            for z in range(self.p, self.q):
-                acc = 0
-                for c in reversed(coeffs):
-                    acc = self.add(self.mul(acc, z), c)
-                if acc == 0:
-                    root = z
-                    break
-            else:
+            zs = self.elements()
+            acc = 0
+            for c in reversed(src.modulus):
+                acc = self.add(self.mul(acc, zs), c)
+            roots = np.flatnonzero(acc[self.p:] == 0)
+            if not len(roots):
                 raise RuntimeError("modulus has no root in extension")
-            self._lift_roots[key] = root
+            root = self._lift_roots[key] = int(roots[0]) + self.p
         out = 0
         power = 1
         v = value
@@ -455,12 +477,15 @@ class FiniteField:
             out = self.add(out, self.scale(v % src.p, power))
             power = self.mul(power, root)
             v //= src.p
-        return out
+        return int(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def field(p: int, k: int = 1) -> FiniteField:
-    """Cached field factory with the deterministic least modulus."""
+    """Cached field factory with the deterministic least modulus.
+
+    Bounded, so a long-lived process does not pin the tables of every
+    field it ever touched."""
     return FiniteField(p, k)
 
 
@@ -476,25 +501,22 @@ def count_places(model: CurveModel, fld: FiniteField, base=None) -> int:
     the left side over all y otherwise.
     """
     eq = model.equation(fld, base)
-    rhs, fibre = eq.rhs, eq.fibre
-    if fibre is None:
-        fibre = Counter(map(eq.lhs, fld.elements())).__getitem__
-    total = 0
-    for x in eq.counted_xs():
-        total += fibre(rhs(x))
-    return total + eq.extra
+    values = eq.rhs(eq.counted_xs())
+    if eq.fibre is None:
+        sizes = np.bincount(eq.lhs(fld.elements()), minlength=fld.q)[values]
+    else:
+        sizes = eq.fibre(values)
+    return int(sizes.sum()) + eq.extra
 
 
 def count_places_naive(model: CurveModel, fld: FiniteField) -> int:
     """Brute-force oracle: every (x, y) tested against the equation,
     plus the same place corrections as the fast path."""
     eq = model.equation(fld)
+    lhs = eq.lhs(fld.elements())
     total = 0
-    for x in eq.counted_xs():
-        v = eq.rhs(x)
-        for y in fld.elements():
-            if eq.lhs(y) == v:
-                total += 1
+    for v in eq.rhs(eq.counted_xs()).tolist():
+        total += int(np.count_nonzero(lhs == v))
     return total + eq.extra
 
 
@@ -603,27 +625,40 @@ def _power_sums(e, deg, m):
 # automorphism verification
 
 
+def _affine_point_arrays(eq):
+    """The rational points of eq's affine model as two arrays (x, y),
+    sorted by x and then y: the join of rhs over x with lhs over y."""
+    xs = eq.affine_xs()
+    lhs = eq.lhs(eq.fld.elements())
+    ys = np.argsort(lhs, kind="stable")  # y = index, ascending per value
+    lhs = lhs[ys]
+    rhs = eq.rhs(xs)
+    lo = np.searchsorted(lhs, rhs, side="left")
+    sizes = np.searchsorted(lhs, rhs, side="right") - lo
+    # the i-th x pairs with ys[lo[i]], ..., ys[lo[i] + sizes[i] - 1],
+    # which land at starts[i], ... in the output
+    starts = np.cumsum(sizes) - sizes
+    at = np.arange(int(sizes.sum())) + np.repeat(lo - starts, sizes)
+    return np.repeat(xs, sizes), ys[at]
+
+
 def affine_points(model: CurveModel, fld: FiniteField) -> frozenset:
     """Rational points of the affine plane model, as (x, y) encodings."""
-    eq = model.equation(fld)
-    bucket = {}
-    for y in fld.elements():
-        bucket.setdefault(eq.lhs(y), []).append(y)
-    return frozenset((x, y) for x in eq.affine_xs()
-                     for y in bucket.get(eq.rhs(x), ()))
+    xs, ys = _affine_point_arrays(model.equation(fld))
+    return frozenset(zip(xs.tolist(), ys.tolist()))
 
 
-def _point_map(model, fld, descriptor):
+def _point_map(model, eq, descriptor):
     if descriptor.order == 1:
         return lambda pt: pt
     zeta = None
     if descriptor.zeta_order is not None:
-        if (fld.q - 1) % descriptor.zeta_order:
+        if (eq.fld.q - 1) % descriptor.zeta_order:
             raise PreconditionViolated(
                 f"no root of unity of order {descriptor.zeta_order} "
-                f"in field of size {fld.q}")
-        zeta = fld.element_of_order(descriptor.zeta_order)
-    return model.point_map(model.equation(fld), zeta)
+                f"in field of size {eq.fld.q}")
+        zeta = eq.fld.element_of_order(descriptor.zeta_order)
+    return model.point_map(eq, zeta)
 
 
 @dataclass(frozen=True)
@@ -649,38 +684,43 @@ def verify_automorphism(model: CurveModel, fld: FiniteField,
     with exactly the claimed order, and report the orbit structure."""
     if descriptor is None:
         descriptor = model.generator()
-    pts = affine_points(model, fld)
-    apply_map = _point_map(model, fld, descriptor)
-    images = {}
-    for pt in pts:
-        ipt = apply_map(pt)
-        if ipt not in pts:
-            raise NotAnAutomorphism(
-                f"image {ipt} of {pt} is not on the curve")
-        images[pt] = ipt
+    eq = model.equation(fld)
+    xs, ys = _affine_point_arrays(eq)
+    image_xs, image_ys = _point_map(model, eq, descriptor)((xs, ys))
+    # points as x * q + y, sorted: the image of point i is point[index[i]]
+    keys = xs * fld.q + ys
+    image_keys = _int64(image_xs) * fld.q + image_ys
+    index = np.searchsorted(keys, image_keys).clip(max=max(len(keys) - 1, 0))
+    off_curve = np.flatnonzero(keys[index] != image_keys)
+    if len(off_curve):
+        i = off_curve[0]
+        raise NotAnAutomorphism(
+            f"image {(int(image_xs[i]), int(image_ys[i]))} of "
+            f"{(int(xs[i]), int(ys[i]))} is not on the curve")
+    images = index.tolist()
     sizes = {}
     fixed = []
-    seen = set()
-    for start in pts:
-        if start in seen:
+    seen = bytearray(len(images))
+    for start in range(len(images)):
+        if seen[start]:
             continue
         size = 0
         cur = start
-        while cur not in seen:
-            seen.add(cur)
+        while not seen[cur]:
+            seen[cur] = 1
             cur = images[cur]
             size += 1
         sizes[size] = sizes.get(size, 0) + 1
         if size == 1:
-            fixed.append(start)
+            fixed.append((int(xs[start]), int(ys[start])))
     order = lcm(*sizes) if sizes else 1
     if order != descriptor.order:
         raise OrderMismatch(
             f"permutation has order {order}, descriptor claims "
             f"{descriptor.order}")
-    assert sum(size * mult for size, mult in sizes.items()) == len(pts)
+    assert sum(size * mult for size, mult in sizes.items()) == len(images)
     assert all(order % size == 0 for size in sizes)
     return OrbitReport(
-        q=fld.q, point_count=len(pts), order=order,
+        q=fld.q, point_count=len(images), order=order,
         fixed_points=tuple(sorted(fixed)),
         orbit_sizes=tuple(sorted(sizes.items())))

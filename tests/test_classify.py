@@ -6,7 +6,9 @@ from hypothesis import assume, given, strategies as st
 
 from cycliccurves.classify import (
     BadGenus,
+    BadOrder,
     ClassificationEntry,
+    ClassifyQuery,
     UnsupportedCharacteristic,
     canonical_pair,
     classify,
@@ -196,6 +198,20 @@ def test_classify_n_filter():
     entries = classify(5, 2, n=6)
     assert {e.n for e in entries} == {6}
     assert len(entries) == 2
+
+
+@pytest.mark.parametrize("n", ["x", -7, 0, 2, 6.0, True])
+def test_classify_query_rejects_bad_order(n):
+    with pytest.raises(BadOrder):
+        ClassifyQuery(5, 4, n)
+    with pytest.raises(ValueError):
+        classify(5, 4, n=n)
+
+
+def test_classify_query_accepts_orders_from_three():
+    assert ClassifyQuery(5, 4).n is None
+    assert ClassifyQuery(5, 4, 3).n == 3
+    assert classify(5, 2, n=3) == []
 
 
 def test_entries_are_self_consistent():

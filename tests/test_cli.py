@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -58,6 +59,14 @@ def test_classify_characteristic_two_rejected(capsys):
 def test_classify_bad_genus(capsys):
     code, _, err = run(capsys, "classify", "--p", "5", "--genus", "1")
     assert code == 2 and "genus" in err
+
+
+def test_classify_bad_order(capsys):
+    code, out, err = run(capsys, "classify", "--p", "5", "--genus", "4",
+                         "--n", "-7")
+    assert code == 2
+    assert out == ""
+    assert "group order" in err
 
 
 def test_classify_characteristic_zero(capsys):
@@ -173,6 +182,17 @@ def test_verify_malformed_specs(capsys):
 def test_verify_non_prime_power_q(capsys):
     code, _, err = run(capsys, "verify", "--model", "homma:5", "--q", "10")
     assert code == 2 and "prime power" in err
+
+
+def test_verify_oversized_q_fails_fast(capsys):
+    # q is prime but far beyond 2^31: refused before any factoring
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--model", "homma:5",
+                         "--q", "1000000000000000003")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "exceeds 2^31" in err
 
 
 def test_verify_extension_field_parameter(capsys):

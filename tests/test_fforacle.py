@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from cycliccurves.families import (
@@ -12,6 +13,7 @@ from cycliccurves.families import (
     identity_descriptor,
 )
 from cycliccurves.fforacle import (
+    TABLE_LIMIT,
     FieldTooLarge,
     FiniteField,
     HasseWeilViolation,
@@ -115,6 +117,116 @@ def test_lift_is_a_field_embedding():
     assert big.lift_from(2, small) == 2  # prime subfield is untouched
 
 
+# --- array arithmetic against the table-free references ---------------------
+
+ARRAY_FIELDS = [(3, 2), (3, 3), (3, 5), (5, 3), (7, 2), (11, 1), (13, 1)]
+
+
+def _ref_add(fld, a, b):
+    return fld._encode([(x + y) % fld.p
+                        for x, y in zip(fld._digits(a), fld._digits(b))])
+
+
+def _ref_mul(fld, a, b):
+    return a * b % fld.p if fld.k == 1 else fld._mul_slow(a, b)
+
+
+def _ref_pow(fld, a, e):
+    if fld.k == 1:
+        return pow(a, e, fld.p)
+    if e < 0:
+        return fld._pow_slow(fld._pow_slow(a, fld.q - 2), -e)
+    return fld._pow_slow(a, e)
+
+
+def _ref_trace(fld, a):
+    acc, conj = 0, a
+    for _ in range(fld.k):
+        acc = _ref_add(fld, acc, conj)
+        conj = _ref_pow(fld, conj, fld.p)
+    assert acc < fld.p
+    return acc
+
+
+def _operands(fld):
+    """Every pair when q <= 125, otherwise every a with one partner."""
+    xs = fld.elements()
+    if fld.q <= 125:
+        return np.repeat(xs, fld.q), np.tile(xs, fld.q)
+    return xs, (7 * xs + 3) % fld.q
+
+
+@pytest.mark.parametrize("p,k", ARRAY_FIELDS)
+def test_array_add_and_mul_match_references(p, k):
+    fld = field(p, k)
+    a, b = _operands(fld)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert fld.add(a, b).tolist() == [_ref_add(fld, x, y) for x, y in pairs]
+    assert fld.mul(a, b).tolist() == [_ref_mul(fld, x, y) for x, y in pairs]
+    assert fld.sub(fld.add(a, b), b).tolist() == a.tolist()
+    assert fld.add(a, fld.neg(a)).tolist() == [0] * len(a)
+    assert fld.scale(p - 2, a).tolist() == [
+        _ref_mul(fld, p - 2, x) for x in a.tolist()]
+
+
+@pytest.mark.parametrize("p,k", ARRAY_FIELDS)
+def test_array_pow_inv_trace_match_references(p, k):
+    fld = field(p, k)
+    xs = fld.elements()
+    q = fld.q
+    for e in (0, 1, 2, p, q - 2, q - 1, q, 3 * q + 5):
+        assert fld.pow(xs, e).tolist() == [
+            _ref_pow(fld, x, e) for x in range(q)], e
+    units = xs[1:]
+    assert fld.inv(units).tolist() == [
+        _ref_pow(fld, x, q - 2) for x in range(1, q)]
+    if k == 1:
+        assert fld.inv(units).tolist() == [pow(x, -1, p) for x in range(1, q)]
+    assert fld.pow(units, -3).tolist() == [
+        _ref_pow(fld, x, -3) for x in range(1, q)]
+    assert fld.trace(xs).tolist() == [_ref_trace(fld, x) for x in range(q)]
+    with pytest.raises(ZeroDivisionError):
+        fld.inv(xs)
+
+
+@pytest.mark.parametrize("p,k", [f for f in ARRAY_FIELDS if f[1] >= 2])
+def test_zech_table_adds_one(p, k):
+    # exp[Z[n]] = 1 + g^n, and Z[n] = -1 exactly where 1 + g^n = 0
+    fld = field(p, k)
+    for n, (gn, z) in enumerate(zip(fld._exp.tolist(), fld._zech.tolist())):
+        one_plus = _ref_add(fld, gn, 1)
+        if z < 0:
+            assert one_plus == 0 and 2 * n == fld.q - 1
+        else:
+            assert fld._exp[z] == one_plus, n
+
+
+@pytest.mark.parametrize("p,k", ARRAY_FIELDS)
+def test_scalar_arguments_follow_array_rules(p, k):
+    fld = field(p, k)
+    rng = random.Random(p * k)
+    for _ in range(30):
+        a, b = rng.randrange(fld.q), rng.randrange(1, fld.q)
+        assert fld.mul(a, b) == fld.mul(np.array([a]), b)[0]
+        assert fld.add(a, b) == fld.add(a, np.array([b]))[0]
+        assert fld.num_nth_roots(a, 4) == fld.num_nth_roots(np.array([a]), 4)
+
+
+def test_extension_tables_are_int32():
+    fld = field(3, 5)
+    for table in (fld._exp, fld._log, fld._zech):
+        assert table.dtype == np.int32
+    assert len(fld._exp) == len(fld._zech) == fld.q - 1
+    assert len(fld._log) == fld.q
+
+
+def test_largest_table_memory():
+    # about 1.6M elements; the three int32 tables stay under 20 MB
+    fld = FiniteField(3, 13)
+    assert fld._exp.nbytes + fld._log.nbytes + fld._zech.nbytes < 20 * 10**6
+    assert fld.mul(fld.inv(12345), 12345) == 1
+
+
 # --- place counting -----------------------------------------------------------
 
 
@@ -181,6 +293,32 @@ def test_count_series_and_caps():
     assert series.q == 5
     with pytest.raises(FieldTooLarge):
         count_series(Homma(5), field(5, 1), 4, max_field_size=100)
+
+
+BIG_PRIME = 4194319  # the least prime above TABLE_LIMIT = 2^22
+
+
+@pytest.mark.parametrize("p", [241, 281])
+def test_fast_count_equals_naive_on_prime_fields(p):
+    fld = field(p, 1)
+    models = [Kummer.of(5, 1, 1), Kummer.of(8, 1, 3), Hyperelliptic(2, 3),
+              Hyperelliptic(4, 5), ASPower(p, 2, 2, 5), ASPower(p, 4, 3, 1),
+              ASRational(p, 2, 3, 5), ASRational(p, 1, 1, p - 1), Homma(p)]
+    for model in models:
+        assert count_places(model, fld) == count_places_naive(model, fld), \
+            model
+
+
+def test_histogram_count_refuses_fields_beyond_table_limit():
+    assert BIG_PRIME > TABLE_LIMIT
+    fld = FiniteField(BIG_PRIME, 1)
+    with pytest.raises(FieldTooLarge):
+        count_places(ASRational(BIG_PRIME, 1, 1, BIG_PRIME - 1), fld)
+    # every whole-field evaluation stops at the same ceiling
+    with pytest.raises(FieldTooLarge):
+        count_places(Homma(BIG_PRIME), fld)
+    with pytest.raises(FieldTooLarge):
+        affine_points(Homma(BIG_PRIME), fld)
 
 
 def test_counting_refuses_untabulated_extension_fields():
