@@ -3,20 +3,19 @@
 `classify(p, g)` lists, for a characteristic p (0 or an odd prime) and
 a genus g >= 2, every family of curves of genus g admitting a cyclic
 automorphism group of order N >= 2g + 1, together with its N, its
-ramification data, and a model template:
+ramification data, and a model template.  The families are the classes
+of `families.FAMILIES`: each states its branch (I tame; II and III
+wild), its ramification data and, for all but Kummer, its models of
+genus g in characteristic p (`of_genus`).  `classify` searches the
+Kummer pairs itself, asks every other family for its models and builds
+each entry from its model alone, so adding a family means adding one
+class to `FAMILIES`.
 
-  * branch I   (tame, p does not divide N): Kummer curves and, for even
-    g, the hyperelliptic family at N = 2g + 2;
-  * branch II  (wild, p >= 5): y^p - y = a(x^m - b) at N = p*m when
-    g = (p-1)(m-1)/2, and b*y^p + c*y = a*x + 1/x at N = 2p when
-    g = p - 1;
-  * branch III (wild): y^p - y = x^2 at N = p when g = (p-1)/2.
-
-The search over N is bounded by the abelian ceiling 4g + 4 (4g + 2 in
-characteristic 0), which guarantees termination and completeness.
-Everything here is pure and deterministic: results are canonically
-sorted before return, so enumeration may be partitioned across workers
-and merged order-independently.
+The Kummer search over N is bounded by the abelian ceiling 4g + 4
+(4g + 2 in characteristic 0), which guarantees termination and
+completeness.  Everything here is pure and deterministic: results are
+canonically sorted before return, so enumeration may be partitioned
+across workers and merged order-independently.
 
 `enumerate_signatures(n, g)` lists every tame ramification type
 (g0; e_1..e_k) that a degree-n cyclic cover of genus g can have,
@@ -28,36 +27,18 @@ n >= 2g + 1 (g0 = 0 and three branch points, up to one exception) are
 asserted by the test suite, not imposed here.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
 
 from .intmath import divisors, is_prime
-from .families import (
-    ASPower,
-    ASRational,
-    CurveModel,
-    Homma,
-    Hyperelliptic,
-    Kummer,
-    PrimitivePair,
-)
-from .ramification import (
-    FiltrationProfile,
-    OrbitDatum,
-    Signature,
-    rh_genus_tame,
-    rh_genus_wild,
-)
+from .families import FAMILIES, CurveModel, Kummer, PrimitivePair
+from .ramification import OrbitDatum, Signature, rh_genus_tame, rh_genus_wild
 
-BRANCH_KUMMER = "I-Kummer"
-BRANCH_HYPERELLIPTIC = "I-Hyperelliptic"
-BRANCH_AS_POWER = "II-ASPower"
-BRANCH_AS_RATIONAL = "II-ASRational"
-BRANCH_HOMMA = "III-Homma"
-
-_WILD_BRANCHES = (BRANCH_AS_POWER, BRANCH_AS_RATIONAL, BRANCH_HOMMA)
-_BRANCHES = (BRANCH_KUMMER, BRANCH_HYPERELLIPTIC) + _WILD_BRANCHES
+# Entries kept by each pair cache: classify(p, g) reads the pair tables
+# of N <= 4g + 4 and at most 2g + 4 orbit decompositions, so 256 holds
+# one genus's working set up to g = 50 and all of verify_sasaki_bound(200).
+_CACHE_SIZE = 256
 
 
 class UnsupportedCharacteristic(ValueError):
@@ -93,54 +74,36 @@ class ClassifyQuery:
 
 @dataclass(frozen=True)
 class ClassificationEntry:
-    """One family in the classification: self-validating record.
+    """One family in the classification, built from its model alone.
 
-    For tame branches `signature` holds the ramification type and
-    `orbits` is None; for wild branches `orbits` holds the filtration
-    data of every short orbit and `signature` is None.
+    `signature` holds a tame branch's ramification type, `orbits` a wild
+    branch's filtration data of every short orbit; the other is None.
+    Construction checks N >= 2g + 1 and the genus by Riemann-Hurwitz.
     """
 
-    n: int
-    branch: str
+    n: int = field(init=False)
+    branch: str = field(init=False)
     model: CurveModel
-    genus: int
-    signature: Signature | None = None
-    orbits: tuple[OrbitDatum, ...] | None = None
-    wild: bool = False
+    genus: int = field(init=False)
+    signature: Signature | None = field(init=False)
+    orbits: tuple[OrbitDatum, ...] | None = field(init=False)
+    wild: bool = field(init=False)
 
     def __post_init__(self):
-        if self.branch not in _BRANCHES:
-            raise ValueError(f"unknown branch {self.branch!r}")
-        if self.wild != (self.branch in _WILD_BRANCHES):
-            raise ValueError(f"wild flag disagrees with branch {self.branch}")
-        if self.n < 2 * self.genus + 1:
-            raise ValueError(
-                f"N={self.n} below 2g+1={2 * self.genus + 1}")
-        if self.model.genus() != self.genus:
-            raise ValueError(
-                f"model genus {self.model.genus()} != {self.genus}")
-        if self.wild:
-            if self.signature is not None or self.orbits is None:
-                raise ValueError("wild entry must carry orbits, not signature")
-            if rh_genus_wild(self.n, 0, self.orbits) != self.genus:
-                raise ValueError("orbit data inconsistent with genus")
+        model = self.model
+        n, g, ram = model.cyclic_order(), model.genus(), model.ramification()
+        if n < 2 * g + 1:
+            raise ValueError(f"N={n} below 2g+1={2 * g + 1}")
+        if model.wild:
+            signature, orbits, rh = None, ram, rh_genus_wild(n, 0, ram)
         else:
-            if self.orbits is not None or self.signature is None:
-                raise ValueError("tame entry must carry a signature")
-            if rh_genus_tame(self.n, self.signature.g0,
-                             self.signature) != self.genus:
-                raise ValueError("signature inconsistent with genus")
-            if isinstance(self.model, Kummer):
-                expected = self.model.pair.signature
-                if self.signature != expected:
-                    raise ValueError(
-                        f"signature {self.signature} is not the model's "
-                        f"ramification type {expected}")
-            else:
-                g = self.genus
-                if self.signature != Signature(0, (2, 2, g + 1, g + 1)):
-                    raise ValueError(
-                        "hyperelliptic entry has the wrong signature")
+            signature, orbits, rh = ram, None, rh_genus_tame(n, ram.g0, ram)
+        if rh != g:
+            raise ValueError(
+                f"ramification data of {model} gives genus {rh}, not {g}")
+        # frozen: the derived fields go into the instance dict directly
+        self.__dict__.update(n=n, branch=model.branch, genus=g, wild=model.wild,
+                             signature=signature, orbits=orbits)
 
 
 def _check_characteristic(p):
@@ -164,7 +127,7 @@ def primitive_pairs(n: int):
                 yield PrimitivePair(n, r, s)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _pairs_by_genus(n):
     out: dict[int, list[tuple[int, int]]] = {}
     for pair in primitive_pairs(n):
@@ -204,7 +167,7 @@ def canonical_pair(n: int, r: int, s: int) -> PrimitivePair:
     return PrimitivePair(n, best[0], best[1])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _canonical_genus_models(n, g):
     # Decompose the genus-g pairs at order n into symmetry orbits once;
     # genus is orbit-invariant, so orbits never straddle genus classes.
@@ -280,24 +243,6 @@ def _signature_ok(n, g0, indices):
     return True
 
 
-def _wild_orbits(branch, p, g):
-    if branch == BRANCH_HOMMA:
-        return (OrbitDatum(FiltrationProfile(p, (p, p, p)), 1),)
-    if branch == BRANCH_AS_RATIONAL:
-        return (
-            OrbitDatum(FiltrationProfile(p, (p, p)), 2),
-            OrbitDatum(FiltrationProfile(p, (2,)), p),
-            OrbitDatum(FiltrationProfile(p, (2,)), p),
-        )
-    if branch == BRANCH_AS_POWER:
-        m = 2 * g // (p - 1) + 1
-        return (
-            OrbitDatum(FiltrationProfile(p, (p * m,) + (p,) * m), 1),
-            OrbitDatum(FiltrationProfile(p, (m,)), p),
-        )
-    raise ValueError(branch)
-
-
 def classify(p: int, g: int, *, raw_pairs: bool = False,
              n: int | None = None) -> list[ClassificationEntry]:
     """All families of genus-g curves with a cyclic group of order
@@ -320,36 +265,9 @@ def classify(p: int, g: int, *, raw_pairs: bool = False,
                       for r, s in _pairs_by_genus(big_n).get(g, ())]
         else:
             models = _canonical_genus_models(big_n, g)
-        for model in models:
-            entries.append(ClassificationEntry(
-                n=big_n, branch=BRANCH_KUMMER, model=model, genus=g,
-                signature=model.pair.signature))
-
-    if g % 2 == 0:
-        big_n = 2 * g + 2
-        if p == 0 or big_n % p:
-            entries.append(ClassificationEntry(
-                n=big_n, branch=BRANCH_HYPERELLIPTIC,
-                model=Hyperelliptic(g, "lambda"), genus=g,
-                signature=Signature(0, (2, 2, g + 1, g + 1))))
-
-    if p >= 5:
-        if 2 * g % (p - 1) == 0:
-            m = 2 * g // (p - 1) + 1
-            if m > 1 and m % p:
-                entries.append(ClassificationEntry(
-                    n=p * m, branch=BRANCH_AS_POWER,
-                    model=ASPower(p, m, "a", "b"), genus=g,
-                    orbits=_wild_orbits(BRANCH_AS_POWER, p, g), wild=True))
-        if g == p - 1:
-            entries.append(ClassificationEntry(
-                n=2 * p, branch=BRANCH_AS_RATIONAL,
-                model=ASRational(p, "a", "b", "c"), genus=g,
-                orbits=_wild_orbits(BRANCH_AS_RATIONAL, p, g), wild=True))
-    if p == 2 * g + 1:
-        entries.append(ClassificationEntry(
-            n=p, branch=BRANCH_HOMMA, model=Homma(p), genus=g,
-            orbits=_wild_orbits(BRANCH_HOMMA, p, g), wild=True))
+        entries += map(ClassificationEntry, models)
+    for family in FAMILIES[1:]:
+        entries += map(ClassificationEntry, family.of_genus(p, g))
 
     entries.sort(key=_entry_key)
     if n_filter is not None:
@@ -358,9 +276,10 @@ def classify(p: int, g: int, *, raw_pairs: bool = False,
 
 
 def _entry_key(entry):
-    pair = entry.model.pair if isinstance(entry.model, Kummer) else None
-    return (entry.n, _BRANCHES.index(entry.branch),
-            (pair.r, pair.s) if pair else ())
+    # a family lists at most one model per N, except Kummer, whose
+    # models at one N differ in (r, s)
+    model = entry.model
+    return (entry.n, FAMILIES.index(type(model)), model.spec_values())
 
 
 @dataclass(frozen=True)

@@ -174,25 +174,21 @@ def _cmd_classify(args):
 
 
 def _cmd_pairs(args):
-    pairs = list(primitive_pairs(args.n))
-    rows = [(pair, pair.genus) for pair in pairs]
+    rows = [(pair, pair.genus) for pair in primitive_pairs(args.n)]
     if args.genus is not None:
         rows = [(pair, g) for pair, g in rows if g == args.genus]
+    rows = [(pair, g, canonical_pair(pair.n, pair.r, pair.s))
+            for pair, g in rows]
     if args.canonical:
-        chosen = {}
-        for pair, g in rows:
-            rep = canonical_pair(pair.n, pair.r, pair.s)
-            chosen[(rep.r, rep.s)] = (rep, g)
+        chosen = {(rep.r, rep.s): (rep, g, rep) for _, g, rep in rows}
         rows = [chosen[key] for key in sorted(chosen)]
     records = [_record("pairs", {
         "n": pair.n,
         "r": pair.r,
         "s": pair.s,
         "genus": g,
-        "canonical": list(
-            (lambda c: (c.r, c.s))(
-                canonical_pair(pair.n, pair.r, pair.s))),
-    }) for pair, g in rows]
+        "canonical": [rep.r, rep.s],
+    }) for pair, g, rep in rows]
     _emit(records, args.format)
     return 0
 

@@ -11,13 +11,15 @@ cyclic automorphism group of order N >= 2g + 1:
 
 Each family is one frozen dataclass, the one place its equation is
 stated: invariants and symbolic generator (`genus`, `cyclic_order`,
-`generator`); the curve as lhs(y) = rhs(x) over a finite field, with
-preconditions, x-domain and the places an x-by-x count does not see
-(`equation`); the generator on affine points (`point_map`,
-`affine_fixed`); and the command-line spec `name:field,...` (`name`,
-`spec_fields`).  Counting, automorphism checks (`fforacle`) and spec
-parsing (`cli`) are generic over these, so adding a family means
-adding one class to `FAMILIES`.
+`generator`); its branch of the classification (`branch`, `wild`),
+`ramification` data and, but for Kummer, its models of genus g in
+characteristic p (`of_genus`); the curve as lhs(y) = rhs(x) over a
+finite field, with preconditions, x-domain and the places an x-by-x
+count does not see (`equation`); the generator on affine points
+(`point_map`, `affine_fixed`); and the command-line spec
+`name:field,...` (`name`, `spec_fields`).  Classification, counting,
+automorphism checks (`fforacle`) and spec parsing (`cli`) are generic
+over these, so adding a family means adding one class to `FAMILIES`.
 
 Models are field-agnostic value objects: parameters are either plain
 integers (read in the prime subfield) or strings standing for symbolic
@@ -36,7 +38,7 @@ from typing import Any, ClassVar
 import numpy as np
 
 from .intmath import is_prime
-from .ramification import Signature
+from .ramification import FiltrationProfile, OrbitDatum, Signature
 
 Param = int | str
 
@@ -214,6 +216,8 @@ class CurveModel:
     """Base class for the tagged union of curve families."""
 
     name: ClassVar[str]  # spec keyword
+    branch: ClassVar[str]  # classification branch
+    wild: ClassVar[bool] = False  # p divides the group order
     spec_fields: ClassVar[tuple[str, ...]]  # spec parameters, in order
     coefficients: ClassVar[int] = 0  # trailing spec fields: field elements
     affine_fixed: ClassVar[tuple] = ()  # affine points the generator fixes
@@ -233,6 +237,17 @@ class CurveModel:
         raise NotImplementedError
 
     def generator(self) -> AutomorphismDescriptor:
+        raise NotImplementedError
+
+    def ramification(self) -> Signature | tuple[OrbitDatum, ...]:
+        """The tame signature, or the filtration data of every short
+        orbit of a wild group."""
+        raise NotImplementedError
+
+    @classmethod
+    def of_genus(cls, p: int, g: int):
+        """Yield the symbolic models of genus g in characteristic p (0 or
+        an odd prime); Kummer's are found by classify's pair search."""
         raise NotImplementedError
 
     def equation(self, fld, base=None) -> Equation:
@@ -260,6 +275,7 @@ class Kummer(CurveModel):
     """y^n = x^r (1-x)^s with (r, s) a primitive pair."""
 
     name = "kummer"
+    branch = "I-Kummer"
     spec_fields = ("n", "r", "s")
     affine_fixed = ((0, 0), (1, 0))
 
@@ -286,6 +302,9 @@ class Kummer(CurveModel):
     def generator(self):
         return AutomorphismDescriptor(
             self.pair.n, "(x, y) -> (x, zeta*y)", zeta_order=self.pair.n)
+
+    def ramification(self):
+        return self.pair.signature
 
     def equation(self, fld, base=None):
         n, r, s = self.pair.n, self.pair.r, self.pair.s
@@ -314,6 +333,7 @@ class Hyperelliptic(CurveModel):
     """y^2 = (x^(g+1) - 1)(x^(g+1) - lam), g even, lam outside {0, 1}."""
 
     name = "hyper"
+    branch = "I-Hyperelliptic"
     spec_fields = ("g", "lam")
     coefficients = 1
 
@@ -335,6 +355,18 @@ class Hyperelliptic(CurveModel):
     def generator(self):
         return AutomorphismDescriptor(
             2 * self.g + 2, "(x, y) -> (zeta*x, -y)", zeta_order=self.g + 1)
+
+    def ramification(self):
+        # stabilisers: 2 at the roots of each factor of the right side,
+        # g + 1 at the places over x = 0 and over infinity
+        g = self.g
+        return Signature(0, (2, 2, g + 1, g + 1))
+
+    @classmethod
+    def of_genus(cls, p, g):
+        # the group order 2g + 2 must be prime to p
+        if g % 2 == 0 and (p == 0 or (2 * g + 2) % p):
+            yield cls(g, "lambda")
 
     def equation(self, fld, base=None):
         lam = _bind(self.lam, fld, base)
@@ -364,6 +396,8 @@ class ASPower(CurveModel):
     """y^p - y = a(x^m - b) with m > 1 coprime to p and a nonzero."""
 
     name = "aspower"
+    branch = "II-ASPower"
+    wild = True
     spec_fields = ("p", "m", "a", "b")
     coefficients = 2
 
@@ -391,6 +425,22 @@ class ASPower(CurveModel):
         return AutomorphismDescriptor(
             self.p * self.m, "(x, y) -> (zeta*x, y + 1)", zeta_order=self.m)
 
+    def ramification(self):
+        # infinity is fixed; the p places over x = 0 have stabiliser m
+        p, m = self.p, self.m
+        return (
+            OrbitDatum(FiltrationProfile(p, (p * m,) + (p,) * m), 1),
+            OrbitDatum(FiltrationProfile(p, (m,)), p),
+        )
+
+    @classmethod
+    def of_genus(cls, p, g):
+        # g = (p-1)(m-1)/2 solved for m
+        if p >= 5 and 2 * g % (p - 1) == 0:
+            m = 2 * g // (p - 1) + 1
+            if m > 1 and m % p:
+                yield cls(p, m, "a", "b")
+
     def equation(self, fld, base=None):
         _require_characteristic(self.p, fld)
         _require((fld.q - 1) % self.m == 0,
@@ -417,6 +467,8 @@ class ASRational(CurveModel):
     """b*y^p + c*y = a*x + 1/x with a, b, c nonzero."""
 
     name = "asrational"
+    branch = "II-ASRational"
+    wild = True
     spec_fields = ("p", "a", "b", "c")
     coefficients = 3
 
@@ -441,6 +493,21 @@ class ASRational(CurveModel):
     def generator(self):
         return AutomorphismDescriptor(
             2 * self.p, "(x, y) -> (1/(a*x), y + gamma)", zeta_order=None)
+
+    def ramification(self):
+        # x = 0 and infinity swap; over each fixed x of x -> 1/(a*x) lie
+        # p places with stabiliser 2
+        p = self.p
+        return (
+            OrbitDatum(FiltrationProfile(p, (p, p)), 2),
+            OrbitDatum(FiltrationProfile(p, (2,)), p),
+            OrbitDatum(FiltrationProfile(p, (2,)), p),
+        )
+
+    @classmethod
+    def of_genus(cls, p, g):
+        if p >= 5 and g == p - 1:
+            yield cls(p, "a", "b", "c")
 
     def equation(self, fld, base=None):
         _require_characteristic(self.p, fld)
@@ -480,6 +547,8 @@ class Homma(CurveModel):
     """y^p - y = x^2, carrying a cyclic group of order exactly p."""
 
     name = "homma"
+    branch = "III-Homma"
+    wild = True
     spec_fields = ("p",)
 
     p: int
@@ -499,6 +568,16 @@ class Homma(CurveModel):
     def generator(self):
         return AutomorphismDescriptor(
             self.p, "(x, y) -> (x, y + 1)", zeta_order=None)
+
+    def ramification(self):
+        # one place, at infinity, totally ramified
+        p = self.p
+        return (OrbitDatum(FiltrationProfile(p, (p, p, p)), 1),)
+
+    @classmethod
+    def of_genus(cls, p, g):
+        if p == 2 * g + 1:
+            yield cls(p)
 
     def equation(self, fld, base=None):
         _require_characteristic(self.p, fld)

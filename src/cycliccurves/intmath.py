@@ -9,6 +9,8 @@ from functools import lru_cache
 # Witnesses making Miller-Rabin deterministic for n < 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+_CACHE_SIZE = 1024  # arguments kept by each factoring cache below
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n < 3.3e24."""
@@ -35,7 +37,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime divisors of n, ascending."""
     if n < 1:
@@ -53,7 +55,7 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, ascending."""
     if n < 1:

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from math import gcd, lcm
 
 import pytest
@@ -16,11 +17,14 @@ from cycliccurves.classify import (
     primitive_pairs,
     verify_sasaki_bound,
 )
-from cycliccurves.families import Kummer, kummer_genus
+from cycliccurves import intmath
+from cycliccurves.families import Homma, Kummer, kummer_genus
 from cycliccurves.intmath import divisors
 from cycliccurves.ramification import (
+    FiltrationProfile,
     Inconsistent,
     NotADivisor,
+    OrbitDatum,
     Signature,
     rh_genus_tame,
 )
@@ -235,15 +239,66 @@ def test_kummer_entry_signatures_are_enumerable():
                 assert e.signature in enumerate_signatures(e.n, g)
 
 
+def test_entry_fields_are_the_models():
+    for p in (0, 3, 5, 7, 11, 13):
+        for g in range(2, 16):
+            for raw in (False, True):
+                for e in classify(p, g, raw_pairs=raw):
+                    assert e.n == e.model.cyclic_order()
+                    assert e.genus == e.model.genus() == g
+                    assert e.branch == type(e.model).branch
+                    assert e.wild == type(e.model).wild
+
+
 def test_entry_validation_rejects_inconsistencies():
-    with pytest.raises(ValueError):
-        ClassificationEntry(
-            n=5, branch="I-Kummer", model=Kummer.of(5, 1, 1), genus=3,
-            signature=Signature(0, (5, 5, 5)))
-    with pytest.raises(ValueError):
-        ClassificationEntry(
-            n=6, branch="I-Kummer", model=Kummer.of(6, 1, 1), genus=2,
-            signature=Signature(0, (2, 2, 3, 3)))  # wrong signature
+    class WrongSignature(Kummer):
+        def ramification(self):
+            return Signature(0, (7, 7, 7, 7))  # genus 6
+
+    class WrongOrder(Kummer):
+        def cyclic_order(self):
+            return 5
+
+    class WrongOrbits(Homma):
+        def ramification(self):
+            return (OrbitDatum(FiltrationProfile(self.p, (self.p, self.p)),
+                               1),)  # genus 0
+
+    entry = ClassificationEntry(Kummer.of(7, 1, 1))
+    assert (entry.n, entry.genus, entry.signature) == (
+        7, 3, Signature(0, (7, 7, 7)))
+    with pytest.raises(ValueError, match="gives genus 6, not 3"):
+        ClassificationEntry(WrongSignature(Kummer.of(7, 1, 1).pair))
+    with pytest.raises(ValueError, match="below 2g"):
+        ClassificationEntry(WrongOrder(Kummer.of(7, 1, 1).pair))
+    assert ClassificationEntry(Homma(5)).orbits is not None
+    with pytest.raises(ValueError, match="gives genus 0, not 2"):
+        ClassificationEntry(WrongOrbits(5))
+
+
+def test_caches_are_bounded(monkeypatch):
+    # _pairs_by_genus(n) enumerates about n^2/2 pairs, which over more
+    # distinct n than its bound takes seconds, so the enumeration is
+    # stubbed out here and the two classify caches emptied afterwards.
+    # the package binds the name cycliccurves.classify to the function
+    module = sys.modules["cycliccurves.classify"]
+    monkeypatch.setattr(module, "primitive_pairs", lambda n: ())
+    arguments = {
+        intmath.prime_factors: lambda i: (i + 1,),
+        intmath.divisors: lambda i: (i + 1,),
+        module._pairs_by_genus: lambda i: (i + 3,),
+        module._canonical_genus_models: lambda i: (5, i),
+    }
+    try:
+        for cache, args in arguments.items():
+            bound = cache.cache_info().maxsize
+            assert bound is not None
+            for i in range(bound + 10):
+                cache(*args(i))
+            assert cache.cache_info().currsize <= bound
+    finally:
+        module._pairs_by_genus.cache_clear()
+        module._canonical_genus_models.cache_clear()
 
 
 # --- bound verification --------------------------------------------------------

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import assume, given, strategies as st
-from math import gcd
+from math import gcd, lcm
 
 from cycliccurves.families import (
+    FAMILIES,
     ASPower,
     ASRational,
     DegenerateModel,
@@ -15,7 +16,8 @@ from cycliccurves.families import (
     kummer_genus,
     kummer_signature,
 )
-from cycliccurves.ramification import rh_genus_tame
+from cycliccurves.intmath import is_prime
+from cycliccurves.ramification import Signature, rh_genus_tame, rh_genus_wild
 
 
 @st.composite
@@ -146,6 +148,81 @@ def test_hyperelliptic_genus_is_parameter_free(half_g, lam):
     assume(lam not in (0, 1))
     assert Hyperelliptic(g, lam).genus() == g
     assert Hyperelliptic(g, lam).cyclic_order() == 2 * g + 2
+
+
+# --- place in the classification --------------------------------------------
+
+CHARACTERISTICS = [0] + [p for p in range(3, 32) if is_prime(p)]
+WILD_PRIMES = [p for p in CHARACTERISTICS if p >= 5]
+
+
+def _sweep_models():
+    from cycliccurves.classify import primitive_pairs
+
+    for n in range(3, 41):
+        for pair in primitive_pairs(n):
+            if pair.genus >= 2:
+                yield Kummer(pair)
+    for g in range(2, 41, 2):
+        yield Hyperelliptic(g, "lambda")
+    for p in WILD_PRIMES:
+        for m in range(2, 13):
+            if m % p:
+                yield ASPower(p, m, "a", "b")
+        yield ASRational(p, "a", "b", "c")
+        yield Homma(p)
+
+
+def test_ramification_gives_the_genus():
+    seen = set()
+    for model in _sweep_models():
+        seen.add(type(model))
+        n, ram = model.cyclic_order(), model.ramification()
+        if model.wild:
+            assert n % model.p == 0
+            assert rh_genus_wild(n, 0, ram) == model.genus(), model
+        else:
+            assert isinstance(ram, Signature) and lcm(*ram.indices) == n
+            assert rh_genus_tame(n, ram.g0, ram) == model.genus(), model
+    assert seen == set(FAMILIES)
+
+
+def _accepted(family, *params):
+    """[the model], or [] where the constructor rejects the parameters."""
+    try:
+        return [family(*params)]
+    except DegenerateModel:
+        return []
+
+
+def _accepted_models(p):
+    """Every symbolic non-Kummer model a constructor accepts in
+    characteristic p (the hyperelliptic one only where p does not divide
+    its order 2g + 2), for genus up to 40."""
+    return {
+        Hyperelliptic: [model for h in range(41)
+                        for model in _accepted(Hyperelliptic, h, "lambda")
+                        if p == 0 or (2 * h + 2) % p],
+        ASPower: [model for m in range(82)
+                  for model in _accepted(ASPower, p, m, "a", "b")],
+        ASRational: _accepted(ASRational, p, "a", "b", "c"),
+        Homma: _accepted(Homma, p),
+    }
+
+
+@pytest.mark.parametrize("p", CHARACTERISTICS)
+def test_of_genus_matches_brute_force(p):
+    accepted = _accepted_models(p)
+    assert set(accepted) == set(FAMILIES[1:])
+    for g in range(2, 41):
+        for family, models in accepted.items():
+            found = list(family.of_genus(p, g))
+            for model in found:
+                assert type(model) is family
+                assert model.genus() == g
+                assert model.cyclic_order() >= 2 * g + 1
+            assert found == [m for m in models if m.genus() == g], (
+                family, p, g)
 
 
 # --- generators --------------------------------------------------------------
