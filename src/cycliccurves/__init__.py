@@ -41,6 +41,7 @@ from .classify import (
     BadOrder,
     ClassificationEntry,
     ClassifyQuery,
+    OrderTooLarge,
     SasakiReport,
     UnsupportedCharacteristic,
     canonical_pair,

@@ -13,9 +13,15 @@ class to `FAMILIES`.
 
 The Kummer search over N is bounded by the abelian ceiling 4g + 4
 (4g + 2 in characteristic 0), which guarantees termination and
-completeness.  Everything here is pure and deterministic: results are
-canonically sorted before return, so enumeration may be partitioned
-across workers and merged order-independently.
+completeness.  It reads one table per order N: every primitive pair
+with its genus, as int16 arrays sorted by genus, built in one numpy
+pass, so the pairs of one genus are one slice.  `verify_sasaki_bound`
+counts from the same tables; `primitive_pairs` and `kummer_genus` work
+one pair at a time and are the independent check of them.  Orders stop
+at 2897, where a table would pass `TABLE_LIMIT` pairs.  Everything here
+is pure and deterministic: results are canonically sorted before
+return, so enumeration may be partitioned across workers and merged
+order-independently.
 
 `enumerate_signatures(n, g)` lists every tame ramification type
 (g0; e_1..e_k) that a degree-n cyclic cover of genus g can have,
@@ -27,18 +33,26 @@ n >= 2g + 1 (g0 = 0 and three branch points, up to one exception) are
 asserted by the test suite, not imposed here.
 """
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
-from .intmath import divisors, is_prime
+import numpy as np
+
+from .intmath import TABLE_LIMIT, divisors, is_prime
 from .families import FAMILIES, CurveModel, Kummer, PrimitivePair
 from .ramification import OrbitDatum, Signature, rh_genus_tame, rh_genus_wild
 
-# Entries kept by each pair cache: classify(p, g) reads the pair tables
-# of N <= 4g + 4 and at most 2g + 4 orbit decompositions, so 256 holds
-# one genus's working set up to g = 50 and all of verify_sasaki_bound(200).
+# Orbit decompositions kept: classify(p, g) reads at most 2g + 4 of them,
+# so 256 holds one genus's working set up to g = 50.
 _CACHE_SIZE = 256
+# Pair-table bytes kept between calls: the tables of every order <= 204
+# (all that verify_sasaki_bound(200) and classify(p, g <= 50) read) take
+# 6.7 MiB together; the largest table, of order 2897, takes 24 MiB.
+_TABLE_BYTES = 32 << 20
 
 
 class UnsupportedCharacteristic(ValueError):
@@ -51,6 +65,23 @@ class BadGenus(ValueError):
 
 class BadOrder(ValueError):
     """The requested group order is not an integer >= 3."""
+
+
+class OrderTooLarge(ValueError):
+    """An order has more exponent pairs than a pair table holds."""
+
+
+# Largest order whose pair table, one slot for every (r, s) with
+# r + s <= n - 1, stays within TABLE_LIMIT slots: 2897.
+_MAX_ORDER = (isqrt(8 * TABLE_LIMIT + 1) + 3) // 2
+
+
+def _check_order(n, context=""):
+    if n > _MAX_ORDER:
+        raise OrderTooLarge(
+            f"{context}order {n} has {(n - 1) * (n - 2) // 2} exponent "
+            f"pairs, above the {TABLE_LIMIT} of a pair table; orders up "
+            f"to {_MAX_ORDER} are supported")
 
 
 @dataclass(frozen=True)
@@ -70,6 +101,8 @@ class ClassifyQuery:
                               or n < 3):
             raise BadOrder(f"group order must be None or an int >= 3, "
                            f"got {n!r}")
+        ceiling = 4 * self.g + 4  # the Kummer search's largest order
+        _check_order(ceiling, f"genus {self.g} reaches order {ceiling}; ")
 
 
 @dataclass(frozen=True)
@@ -118,21 +151,86 @@ def _check_characteristic(p):
 
 def primitive_pairs(n: int):
     """Yield every primitive pair (r, s) for exponent n, in
-    lexicographic order."""
+    lexicographic order.  One object at a time: the independent check of
+    the pair tables that classify and verify_sasaki_bound read."""
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
+    _check_order(n)
     for r in range(1, n - 1):
         for s in range(1, n - r):
             if gcd(gcd(r, s), n) == 1:
                 yield PrimitivePair(n, r, s)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _pairs_by_genus(n):
-    out: dict[int, list[tuple[int, int]]] = {}
-    for pair in primitive_pairs(n):
-        out.setdefault(pair.genus, []).append((pair.r, pair.s))
-    return {g: tuple(pairs) for g, pairs in out.items()}
+class _PairTable(NamedTuple):
+    """The primitive pairs of one order n, sorted by genus and within a
+    genus in lexicographic order: pair i is (r[i], s[i]) of genus
+    genus[i].  int16 columns, 6 bytes a pair (n <= 2897)."""
+
+    genus: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
+
+    @property
+    def nbytes(self):
+        return self.genus.nbytes + self.r.nbytes + self.s.nbytes
+
+    def of_genus(self, g):
+        """The pairs of genus g, as (r, s) tuples in lexicographic order."""
+        lo, hi = np.searchsorted(self.genus, (g, g + 1))
+        return zip(self.r[lo:hi].tolist(), self.s[lo:hi].tolist())
+
+
+def _build_pair_table(n):
+    # The triangle r, s >= 1, r + s <= n - 1 row by row: row r holds
+    # s = 1 .. n - 1 - r, so s steps up by 1 and drops back to 1 at each
+    # new row.  Every value stays below n, so int16 holds it throughout.
+    lengths = np.arange(n - 2, 0, -1)
+    r = np.repeat(np.arange(1, n - 1, dtype=np.int16), lengths)
+    steps = np.ones(r.size, dtype=np.int16)
+    steps[np.cumsum(lengths[:-1])] = 1 - lengths[:-1]
+    s = np.cumsum(steps, dtype=np.int16)
+    gcds = np.gcd(np.arange(n, dtype=np.int16), np.int16(n))
+    a, b = gcds[r], gcds[s]
+    keep = np.gcd(a, b) == 1  # gcd(gcd(n, r), gcd(n, s)) = gcd(r, s, n)
+    r, s = r[keep], s[keep]
+    genus = (n + 2 - a[keep] - b[keep] - gcds[r + s]) // 2
+    order = np.argsort(genus, kind="stable")
+    return _PairTable(genus[order], r[order], s[order])
+
+
+class _TableCache:
+    """Least recently used pair tables by order, kept to `max_bytes` in
+    all; the table just asked for is kept even when it alone is larger."""
+
+    def __init__(self, build, max_bytes):
+        self.build, self.max_bytes = build, max_bytes
+        self.nbytes = 0
+        self._tables = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __call__(self, n):
+        with self._lock:
+            table = self._tables.get(n)
+            if table is not None:
+                self._tables.move_to_end(n)
+                return table
+        table = self.build(n)
+        with self._lock:
+            if n not in self._tables:
+                self._tables[n] = table
+                self.nbytes += table.nbytes
+            while self.nbytes > self.max_bytes and len(self._tables) > 1:
+                self.nbytes -= self._tables.popitem(last=False)[1].nbytes
+        return table
+
+    def clear(self):
+        with self._lock:
+            self._tables.clear()
+            self.nbytes = 0
+
+
+_pair_table = _TableCache(_build_pair_table, _TABLE_BYTES)
 
 
 def _pair_orbit(n, r, s):
@@ -175,7 +273,7 @@ def _canonical_genus_models(n, g):
     # with them each pair's signature, computed once.
     seen = set()
     reps = []
-    for rs in _pairs_by_genus(n).get(g, ()):
+    for rs in _pair_table(n).of_genus(g):
         if rs in seen:
             continue
         orbit = _pair_orbit(n, *rs)
@@ -262,7 +360,7 @@ def classify(p: int, g: int, *, raw_pairs: bool = False,
             continue
         if raw_pairs:
             models = [Kummer.of(big_n, r, s)
-                      for r, s in _pairs_by_genus(big_n).get(g, ())]
+                      for r, s in _pair_table(big_n).of_genus(g)]
         else:
             models = _canonical_genus_models(big_n, g)
         entries += map(ClassificationEntry, models)
@@ -296,14 +394,18 @@ def verify_sasaki_bound(n_max: int) -> SasakiReport:
     """Check N >= 2*genus + 1 over every primitive pair with N <= n_max."""
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
+    _check_order(n_max)
     checked = tight = 0
     violations = []
     for n in range(3, n_max + 1):
-        for g, pairs in _pairs_by_genus(n).items():
-            for r, s in pairs:
-                checked += 1
-                if n < 2 * g + 1:
-                    violations.append((n, r, s, g))
-                elif n == 2 * g + 1:
-                    tight += 1
+        table = _pair_table(n)
+        # genus is sorted: the pairs before hi have 2g + 1 <= n, those
+        # in [lo, hi) 2g + 1 = n (for odd n), the rest break the bound
+        lo, hi = np.searchsorted(table.genus, ((n - 1) // 2, (n + 1) // 2))
+        checked += table.genus.size
+        if n % 2:
+            tight += int(hi - lo)
+        for r, s, g in zip(table.r[hi:].tolist(), table.s[hi:].tolist(),
+                           table.genus[hi:].tolist()):
+            violations.append((n, r, s, g))
     return SasakiReport(n_max, checked, tight, tuple(violations))

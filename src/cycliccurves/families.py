@@ -30,7 +30,7 @@ Constructors reject parameter choices that degenerate to genus < 2.
 """
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 from typing import Any, ClassVar
@@ -41,6 +41,10 @@ from .intmath import is_prime
 from .ramification import FiltrationProfile, OrbitDatum, Signature
 
 Param = int | str
+
+# Least characteristic in which the two Artin-Schreier families are
+# listed: at p = 3 the wild branch is not settled here.
+_AS_MIN_P = 5
 
 
 class NotPrimitive(ValueError):
@@ -59,12 +63,18 @@ class PreconditionViolated(ValueError):
 class PrimitivePair:
     """Exponent pair (r, s) for y^n = x^r (1-x)^s.
 
-    Requires r, s >= 1, r + s <= n - 1 and gcd(r, s, n) = 1.
+    Requires r, s >= 1, r + s <= n - 1 and gcd(r, s, n) = 1.  `genus`
+    is (n + 2 - gcd(n,r) - gcd(n,s) - gcd(n,r+s)) / 2, worked out once
+    at construction from the same gcd triple that checks primitivity.
     """
 
     n: int
     r: int
     s: int
+    genus: int = field(init=False, repr=False, compare=False)
+    # ramification indices n/gcd over x = 0, 1 and infinity
+    _indices: tuple[int, int, int] = field(init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         n, r, s = self.n, self.r, self.s
@@ -72,25 +82,20 @@ class PrimitivePair:
             raise NotPrimitive(f"n must be >= 2, got {n}")
         if r < 1 or s < 1 or r + s > n - 1:
             raise NotPrimitive(f"(r, s)=({r}, {s}) outside range for n={n}")
-        if gcd(gcd(r, s), n) != 1:
+        a, b, c = gcd(n, r), gcd(n, s), gcd(n, r + s)
+        if gcd(a, b) != 1:
             raise NotPrimitive(f"gcd(r, s, n) != 1 for ({r}, {s}) mod {n}")
-
-    @property
-    def genus(self) -> int:
-        """Genus of y^n = x^r (1-x)^s:
-        (n + 2 - gcd(n,r) - gcd(n,s) - gcd(n,r+s)) / 2."""
-        n, r, s = self.n, self.r, self.s
-        total = n + 2 - gcd(n, r) - gcd(n, s) - gcd(n, r + s)
+        total = n + 2 - a - b - c
         assert total % 2 == 0, (n, r, s)
-        return total // 2
+        # frozen: the derived fields go into the instance dict directly
+        self.__dict__.update(genus=total // 2,
+                             _indices=(n // a, n // b, n // c))
 
     @cached_property
     def signature(self) -> Signature:
         """Ramification signature of y^n = x^r (1-x)^s: genus-0 quotient,
         branched over x = 0, 1, infinity with indices n/gcd."""
-        n, r, s = self.n, self.r, self.s
-        return Signature(
-            0, (n // gcd(n, r), n // gcd(n, s), n // gcd(n, r + s)))
+        return Signature(0, self._indices)
 
 
 def kummer_genus(n: int, r: int, s: int) -> int:
@@ -407,11 +412,14 @@ class ASPower(CurveModel):
     b: Param
 
     def __post_init__(self):
-        if self.p < 5 or not is_prime(self.p):
+        if self.p < _AS_MIN_P or not is_prime(self.p):
             raise DegenerateModel(f"odd prime p != 3 required, got {self.p}")
         if self.m < 2 or gcd(self.m, self.p) != 1:
             raise DegenerateModel(
                 f"m={self.m} must be > 1 and coprime to p={self.p}")
+        if self.genus() < 2:
+            raise DegenerateModel(
+                f"p={self.p}, m={self.m} gives genus {self.genus()} < 2")
         if isinstance(self.a, int) and self.a % self.p == 0:
             raise DegenerateModel("coefficient a must be nonzero")
 
@@ -436,7 +444,7 @@ class ASPower(CurveModel):
     @classmethod
     def of_genus(cls, p, g):
         # g = (p-1)(m-1)/2 solved for m
-        if p >= 5 and 2 * g % (p - 1) == 0:
+        if p >= _AS_MIN_P and 2 * g % (p - 1) == 0:
             m = 2 * g // (p - 1) + 1
             if m > 1 and m % p:
                 yield cls(p, m, "a", "b")
@@ -478,7 +486,7 @@ class ASRational(CurveModel):
     c: Param
 
     def __post_init__(self):
-        if self.p < 5 or not is_prime(self.p):
+        if self.p < _AS_MIN_P or not is_prime(self.p):
             raise DegenerateModel(f"odd prime p != 3 required, got {self.p}")
         for name, v in (("a", self.a), ("b", self.b), ("c", self.c)):
             if isinstance(v, int) and v % self.p == 0:
@@ -506,7 +514,7 @@ class ASRational(CurveModel):
 
     @classmethod
     def of_genus(cls, p, g):
-        if p >= 5 and g == p - 1:
+        if p >= _AS_MIN_P and g == p - 1:
             yield cls(p, "a", "b", "c")
 
     def equation(self, fld, base=None):

@@ -53,7 +53,7 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from .intmath import is_prime, prime_factors
+from .intmath import TABLE_LIMIT, is_prime, prime_factors
 from .families import (
     AutomorphismDescriptor,
     CurveModel,
@@ -61,7 +61,6 @@ from .families import (
 )
 
 Q_CAP = 2**31
-TABLE_LIMIT = 1 << 22  # largest tabulated or enumerated field
 
 
 class FieldTooLarge(ValueError):

@@ -11,6 +11,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _CACHE_SIZE = 1024  # arguments kept by each factoring cache below
 
+# Largest array the package enumerates: a tabulated or whole-field
+# evaluated finite field (`fforacle`) or the exponent pairs of one Kummer
+# order (`classify`).
+TABLE_LIMIT = 1 << 22
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n < 3.3e24."""

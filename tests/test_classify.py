@@ -1,7 +1,11 @@
 import itertools
 import sys
+import threading
+import time
 from math import gcd, lcm
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -10,6 +14,7 @@ from cycliccurves.classify import (
     BadOrder,
     ClassificationEntry,
     ClassifyQuery,
+    OrderTooLarge,
     UnsupportedCharacteristic,
     canonical_pair,
     classify,
@@ -277,17 +282,20 @@ def test_entry_validation_rejects_inconsistencies():
 
 
 def test_caches_are_bounded(monkeypatch):
-    # _pairs_by_genus(n) enumerates about n^2/2 pairs, which over more
-    # distinct n than its bound takes seconds, so the enumeration is
-    # stubbed out here and the two classify caches emptied afterwards.
+    # Overfilling the caches with real pair tables would take seconds, so
+    # the table build is stubbed out: each stub table holds just over a
+    # tenth of the table cache's byte budget and no pairs.  The two
+    # classify caches are emptied afterwards.
     # the package binds the name cycliccurves.classify to the function
     module = sys.modules["cycliccurves.classify"]
-    monkeypatch.setattr(module, "primitive_pairs", lambda n: ())
+    tables = module._pair_table
+    budget = tables.max_bytes
+    stub = SimpleNamespace(nbytes=budget // 10 + 1, of_genus=lambda g: ())
+    monkeypatch.setattr(tables, "build", lambda n: stub)
     arguments = {
         intmath.prime_factors: lambda i: (i + 1,),
         intmath.divisors: lambda i: (i + 1,),
-        module._pairs_by_genus: lambda i: (i + 3,),
-        module._canonical_genus_models: lambda i: (5, i),
+        module._canonical_genus_models: lambda i: (5 + i, 2),
     }
     try:
         for cache, args in arguments.items():
@@ -296,9 +304,86 @@ def test_caches_are_bounded(monkeypatch):
             for i in range(bound + 10):
                 cache(*args(i))
             assert cache.cache_info().currsize <= bound
+        assert 0 < tables.nbytes <= budget
+        # a table larger than the whole budget is kept, alone
+        huge = SimpleNamespace(nbytes=2 * budget, of_genus=lambda g: ())
+        monkeypatch.setattr(tables, "build", lambda n: huge)
+        assert tables(1000) is huge and tables.nbytes == huge.nbytes
     finally:
-        module._pairs_by_genus.cache_clear()
+        tables.clear()
         module._canonical_genus_models.cache_clear()
+
+
+def test_table_cache_keeps_its_byte_count_under_threads():
+    # eight threads on two cores, switching as often as the interpreter
+    # allows: a lost update would leave nbytes off the tables it holds
+    module = sys.modules["cycliccurves.classify"]
+    cache = module._TableCache(
+        lambda n: SimpleNamespace(n=n, nbytes=n), max_bytes=100)
+    errors = []
+
+    def worker(seed):
+        try:
+            for i in range(2000):
+                n = (seed * 7919 + i * 104729) % 40 + 1
+                assert cache(n).n == n
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert cache.nbytes == sum(table.nbytes
+                               for table in cache._tables.values())
+    assert cache.nbytes <= cache.max_bytes
+
+
+# --- pair tables ---------------------------------------------------------------
+
+
+def test_pair_tables_group_primitive_pairs_by_genus():
+    # the array tables against the one-object-at-a-time enumeration
+    module = sys.modules["cycliccurves.classify"]
+    for n in range(3, 121):
+        by_genus = {}
+        for pair in primitive_pairs(n):
+            by_genus.setdefault(pair.genus, []).append((pair.r, pair.s))
+        table = module._build_pair_table(n)
+        assert table.genus.size == sum(map(len, by_genus.values()))
+        for g in range(n):
+            assert list(table.of_genus(g)) == by_genus.get(g, []), (n, g)
+
+
+def test_pair_table_is_compact():
+    table = sys.modules["cycliccurves.classify"]._build_pair_table(1000)
+    assert {table.genus.dtype, table.r.dtype, table.s.dtype} == {
+        np.dtype(np.int16)}
+    assert table.nbytes < 5_000_000
+
+
+def test_oversized_orders_fail_fast():
+    start = time.perf_counter()
+    with pytest.raises(OrderTooLarge, match="order 3204"):
+        classify(0, 800)
+    with pytest.raises(OrderTooLarge):
+        verify_sasaki_bound(2898)
+    with pytest.raises(OrderTooLarge):
+        next(primitive_pairs(100_000))
+    assert time.perf_counter() - start < 1
+    # the largest genus reaches order 4 * 723 + 4 = 2896 <= 2897
+    ClassifyQuery(0, 723)
+    with pytest.raises(OrderTooLarge):
+        ClassifyQuery(0, 724)
 
 
 # --- bound verification --------------------------------------------------------
@@ -311,6 +396,31 @@ def test_sasaki_bound_report():
     assert report.tight_pairs > 0
     # equality attained at n = 5, (1, 1): genus 2
     assert kummer_genus(5, 1, 1) == 2 and 5 == 2 * 2 + 1
+
+
+def test_sasaki_bound_totals():
+    # the brute-force totals over every primitive pair with N <= 200
+    report = verify_sasaki_bound(200)
+    assert (report.pairs_checked, report.tight_pairs) == (1_098_601, 397_351)
+    assert report.violations == ()
+
+
+def test_sasaki_bound_names_the_violating_pair(monkeypatch):
+    module = sys.modules["cycliccurves.classify"]
+    honest = verify_sasaki_bound(10)
+    real = module._build_pair_table(9)
+    # the last pair has the largest genus, 4 = (9 - 1) / 2; claim 5
+    genus = real.genus.copy()
+    genus[-1] = 5
+    tables = {n: module._build_pair_table(n) for n in range(3, 11)}
+    tables[9] = real._replace(genus=genus)
+    monkeypatch.setattr(module, "_pair_table", tables.__getitem__)
+    report = verify_sasaki_bound(10)
+    r, s = int(real.r[-1]), int(real.s[-1])
+    assert kummer_genus(9, r, s) == 4
+    assert report.violations == ((9, r, s, 5),)
+    assert report.tight_pairs == honest.tight_pairs - 1
+    assert report.pairs_checked == honest.pairs_checked
 
 
 def test_sasaki_bound_small():

@@ -111,6 +111,16 @@ def test_pairs_rejects_small_n(capsys):
     assert code == 2 and err
 
 
+def test_oversized_orders_fail_fast(capsys):
+    # refused before any pair is enumerated
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pairs", "--n", "100000")
+    assert (code, out) == (2, "") and "orders up to 2897" in err
+    code, out, err = run(capsys, "classify", "--p", "0", "--genus", "800")
+    assert (code, out) == (2, "") and "orders up to 2897" in err
+    assert time.perf_counter() - start < 1
+
+
 # --- signatures ------------------------------------------------------------------
 
 

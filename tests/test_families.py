@@ -2,6 +2,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from math import gcd, lcm
 
+from cycliccurves import families
 from cycliccurves.families import (
     FAMILIES,
     ASPower,
@@ -40,6 +41,15 @@ def test_primitive_pair_validation():
         PrimitivePair(5, 0, 1)
     with pytest.raises(NotPrimitive):
         PrimitivePair(5, 3, 2)  # r + s = n
+
+
+def test_primitive_pair_derived_fields_stay_out_of_identity():
+    pair = PrimitivePair(7, 1, 2)
+    assert pair.genus == 3
+    assert pair.signature == Signature(0, (7, 7, 7))
+    assert repr(pair) == "PrimitivePair(n=7, r=1, s=2)"
+    assert pair == PrimitivePair(7, 1, 2)
+    assert hash(pair) == hash(PrimitivePair(7, 1, 2))
 
 
 def test_kummer_genus_examples():
@@ -120,6 +130,15 @@ def test_degenerate_models_rejected():
         ASRational(5, 1, 0, 1)
     with pytest.raises(DegenerateModel):
         ASRational(7, 1, 1, -7)  # c is zero mod p
+
+
+def test_aspower_checks_its_genus(monkeypatch):
+    # with the characteristic guard opened to p = 3, the genus check
+    # alone refuses y^3 - y = x^2, of genus 1
+    monkeypatch.setattr(families, "_AS_MIN_P", 3)
+    with pytest.raises(DegenerateModel, match="genus 1 < 2"):
+        ASPower(3, 2, 1, 0)
+    assert ASPower(3, 4, 1, 0).genus() == 3
 
 
 def test_symbolic_parameters_allowed():
