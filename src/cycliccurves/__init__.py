@@ -43,6 +43,7 @@ from .classify import (
     ClassifyQuery,
     OrderTooLarge,
     SasakiReport,
+    TooManyIndices,
     UnsupportedCharacteristic,
     canonical_pair,
     classify,
@@ -64,7 +65,6 @@ from .fforacle import (
     count_places,
     count_places_naive,
     count_series,
-    expected_affine_fixed,
     field,
     verify_automorphism,
     zeta_genus,

@@ -13,46 +13,49 @@ class to `FAMILIES`.
 
 The Kummer search over N is bounded by the abelian ceiling 4g + 4
 (4g + 2 in characteristic 0), which guarantees termination and
-completeness.  It reads one table per order N: every primitive pair
-with its genus, as int16 arrays sorted by genus, built in one numpy
-pass, so the pairs of one genus are one slice.  `verify_sasaki_bound`
-counts from the same tables; `primitive_pairs` and `kummer_genus` work
-one pair at a time and are the independent check of them.  Orders stop
-at 2897, where a table would pass `TABLE_LIMIT` pairs.  Everything here
-is pure and deterministic: results are canonically sorted before
-return, so enumeration may be partitioned across workers and merged
-order-independently.
+completeness.  It finds the least member of each symmetry orbit of
+pairs directly: a unit scales each entry of the exponent triple
+(r, s, -(r+s)) down to its gcd with N and no lower, the genus fixes the
+sum of the three gcds, and so the least members come from the divisor
+triples of N alone.  The raw listing is the union of their orbits.
+`verify_sasaki_bound` stays exhaustive, one order at a time as int16
+arrays.  `primitive_pairs`, `canonical_pair` and `kummer_genus` work one
+pair at a time and are the independent check of both.  Orders stop at
+2897, where the pairs of one order would pass `TABLE_LIMIT`.
+Everything here is pure and deterministic: results are canonically
+sorted before return, so enumeration may be partitioned across workers
+and merged order-independently.
 
 `enumerate_signatures(n, g)` lists every tame ramification type
 (g0; e_1..e_k) that a degree-n cyclic cover of genus g can have,
 subject to the arithmetic constraints: all e_i divide n, at least two
 (three when g0 = 0) branch points, lcm of the indices equal to n when
-g0 = 0, and the lcm unchanged by deleting any single index.  The
-enumerator accepts any n >= 2; the structural consequences peculiar to
-n >= 2g + 1 (g0 = 0 and three branch points, up to one exception) are
-asserted by the test suite, not imposed here.
+g0 = 0, and the lcm unchanged by deleting any single index.  It accepts
+any n from 2 to 2**32 at which no signature of genus g could have more
+than 256 indices; the structural consequences peculiar to n >= 2g + 1
+(g0 = 0 and three branch points, up to one exception) are asserted by
+the test suite, not imposed here.
 """
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from typing import NamedTuple
 
 import numpy as np
 
 from .intmath import TABLE_LIMIT, divisors, is_prime
 from .families import FAMILIES, CurveModel, Kummer, PrimitivePair
-from .ramification import OrbitDatum, Signature, rh_genus_tame, rh_genus_wild
+from .ramification import (N_CAP, OrbitDatum, Signature, rh_genus_tame,
+                           rh_genus_wild)
 
 # Orbit decompositions kept: classify(p, g) reads at most 2g + 4 of them,
 # so 256 holds one genus's working set up to g = 50.
 _CACHE_SIZE = 256
-# Pair-table bytes kept between calls: the tables of every order <= 204
-# (all that verify_sasaki_bound(200) and classify(p, g <= 50) read) take
-# 6.7 MiB together; the largest table, of order 2897, takes 24 MiB.
-_TABLE_BYTES = 32 << 20
+# Most ramification indices a signature may have room for.  The
+# enumerator recurses once per index, and 256 stays far below the
+# interpreter's recursion limit; for n >= 2g + 1 a signature has three
+# or four.
+_MAX_INDICES = 256
 
 
 class UnsupportedCharacteristic(ValueError):
@@ -68,11 +71,17 @@ class BadOrder(ValueError):
 
 
 class OrderTooLarge(ValueError):
-    """An order has more exponent pairs than a pair table holds."""
+    """An order is beyond the supported range: more exponent pairs than
+    `TABLE_LIMIT`, or a signature order above `N_CAP`."""
 
 
-# Largest order whose pair table, one slot for every (r, s) with
-# r + s <= n - 1, stays within TABLE_LIMIT slots: 2897.
+class TooManyIndices(ValueError):
+    """A signature could have more ramification indices than the
+    enumerator lists."""
+
+
+# Largest order whose exponent pairs, one for every (r, s) with
+# r + s <= n - 1, stay within TABLE_LIMIT: 2897.
 _MAX_ORDER = (isqrt(8 * TABLE_LIMIT + 1) + 3) // 2
 
 
@@ -152,7 +161,7 @@ def _check_characteristic(p):
 def primitive_pairs(n: int):
     """Yield every primitive pair (r, s) for exponent n, in
     lexicographic order.  One object at a time: the independent check of
-    the pair tables that classify and verify_sasaki_bound read."""
+    classify's pair search and verify_sasaki_bound's triangles."""
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     _check_order(n)
@@ -162,26 +171,9 @@ def primitive_pairs(n: int):
                 yield PrimitivePair(n, r, s)
 
 
-class _PairTable(NamedTuple):
-    """The primitive pairs of one order n, sorted by genus and within a
-    genus in lexicographic order: pair i is (r[i], s[i]) of genus
-    genus[i].  int16 columns, 6 bytes a pair (n <= 2897)."""
-
-    genus: np.ndarray
-    r: np.ndarray
-    s: np.ndarray
-
-    @property
-    def nbytes(self):
-        return self.genus.nbytes + self.r.nbytes + self.s.nbytes
-
-    def of_genus(self, g):
-        """The pairs of genus g, as (r, s) tuples in lexicographic order."""
-        lo, hi = np.searchsorted(self.genus, (g, g + 1))
-        return zip(self.r[lo:hi].tolist(), self.s[lo:hi].tolist())
-
-
-def _build_pair_table(n):
+def _pair_triangle(n):
+    """Every primitive pair (r, s) of order n in lexicographic order,
+    with its genus, as the int16 columns genus, r, s."""
     # The triangle r, s >= 1, r + s <= n - 1 row by row: row r holds
     # s = 1 .. n - 1 - r, so s steps up by 1 and drops back to 1 at each
     # new row.  Every value stays below n, so int16 holds it throughout.
@@ -194,43 +186,7 @@ def _build_pair_table(n):
     a, b = gcds[r], gcds[s]
     keep = np.gcd(a, b) == 1  # gcd(gcd(n, r), gcd(n, s)) = gcd(r, s, n)
     r, s = r[keep], s[keep]
-    genus = (n + 2 - a[keep] - b[keep] - gcds[r + s]) // 2
-    order = np.argsort(genus, kind="stable")
-    return _PairTable(genus[order], r[order], s[order])
-
-
-class _TableCache:
-    """Least recently used pair tables by order, kept to `max_bytes` in
-    all; the table just asked for is kept even when it alone is larger."""
-
-    def __init__(self, build, max_bytes):
-        self.build, self.max_bytes = build, max_bytes
-        self.nbytes = 0
-        self._tables = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __call__(self, n):
-        with self._lock:
-            table = self._tables.get(n)
-            if table is not None:
-                self._tables.move_to_end(n)
-                return table
-        table = self.build(n)
-        with self._lock:
-            if n not in self._tables:
-                self._tables[n] = table
-                self.nbytes += table.nbytes
-            while self.nbytes > self.max_bytes and len(self._tables) > 1:
-                self.nbytes -= self._tables.popitem(last=False)[1].nbytes
-        return table
-
-    def clear(self):
-        with self._lock:
-            self._tables.clear()
-            self.nbytes = 0
-
-
-_pair_table = _TableCache(_build_pair_table, _TABLE_BYTES)
+    return (n + 2 - a[keep] - b[keep] - gcds[r + s]) // 2, r, s
 
 
 def _pair_orbit(n, r, s):
@@ -265,21 +221,60 @@ def canonical_pair(n: int, r: int, s: int) -> PrimitivePair:
     return PrimitivePair(n, best[0], best[1])
 
 
+def _orbit_minima(n, g):
+    """The least in-range member of every symmetry orbit of primitive
+    pairs of genus g at order n, in lexicographic order."""
+    # A unit scales each coordinate of the triple (r, s, t), t = n - r - s,
+    # down to its gcd with n and no lower; those gcds a, b, c are
+    # pairwise coprime, and the genus fixes a + b + c = n + 2 - 2g.  So
+    # an orbit's least member is (m, s) with m the least gcd, b = gcd(n, s)
+    # and c = gcd(n, m + s) the other two.
+    ds = divisors(n)
+    out = []
+    for m in ds:
+        for b in ds:
+            c = n + 2 - 2 * g - m - b
+            if c < m:
+                break
+            if b < m or gcd(m, b) != 1 or n % c:
+                continue
+            out += [(m, s) for s in range(b, n - m, b)
+                    if gcd(n, s) == b and gcd(n, m + s) == c
+                    and _least_in_orbit(n, m, s)]
+    return sorted(out)
+
+
+def _least_in_orbit(n, m, s):
+    # The members of (m, s)'s orbit that start with m come from the units
+    # u = (x/m)^-1 (mod n/m), at most m of them, that send a coordinate x
+    # of gcd m to m; (m, s) is least unless one has a smaller second
+    # coordinate.  A scaled triple is in range when it sums to n.
+    triple = (m, s, n - m - s)
+    k = n // m
+    for i, x in enumerate(triple):
+        if gcd(n, x) != m:
+            continue
+        y, w = triple[:i] + triple[i + 1:]
+        for u in range(pow(x // m, -1, k), n, k):
+            if gcd(u, n) == 1:
+                uy, uw = u * y % n, u * w % n
+                if m + uy + uw == n and min(uy, uw) < s:
+                    return False
+    return True
+
+
+def _genus_pairs(n, g):
+    """Every primitive pair of genus g at order n, in lexicographic
+    order: the union of the orbits of `_orbit_minima(n, g)`."""
+    return sorted(set().union(*(_pair_orbit(n, r, s)
+                                for r, s in _orbit_minima(n, g))))
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _canonical_genus_models(n, g):
-    # Decompose the genus-g pairs at order n into symmetry orbits once;
-    # genus is orbit-invariant, so orbits never straddle genus classes.
     # The models are shared by every classify call that lists them, and
     # with them each pair's signature, computed once.
-    seen = set()
-    reps = []
-    for rs in _pair_table(n).of_genus(g):
-        if rs in seen:
-            continue
-        orbit = _pair_orbit(n, *rs)
-        seen |= orbit
-        reps.append(min(orbit))
-    return tuple(Kummer.of(n, r, s) for r, s in sorted(reps))
+    return tuple(Kummer.of(n, r, s) for r, s in _orbit_minima(n, g))
 
 
 def enumerate_signatures(n: int, g: int) -> list[Signature]:
@@ -289,6 +284,14 @@ def enumerate_signatures(n: int, g: int) -> list[Signature]:
         raise ValueError(f"n must be >= 2, got {n}")
     if g < 2:
         raise BadGenus(f"genus must be >= 2, got {g}")
+    if n > N_CAP:
+        raise OrderTooLarge(f"order {n} is above the cap of 2**32")
+    # each index contributes at least n/2 to the largest target, at g0 = 0
+    most = (2 * g - 2 + 2 * n) // ((n + 1) // 2)
+    if most > _MAX_INDICES:
+        raise TooManyIndices(
+            f"order {n} and genus {g} leave room for {most} ramification "
+            f"indices, above the {_MAX_INDICES} the enumerator lists")
     ds = [e for e in divisors(n) if e >= 2]
     terms = {e: (n // e) * (e - 1) for e in ds}
     found = []
@@ -351,26 +354,23 @@ def classify(p: int, g: int, *, raw_pairs: bool = False,
     optional n restricts the output to that group order.
     """
     query = ClassifyQuery(p, g, n)
-    p, g, n_filter = query.p, query.g, query.n
-    ceiling = 4 * g + 4 if p else 4 * g + 2
-    entries = []
-
-    for big_n in range(2 * g + 1, ceiling + 1):
+    p, g, n = query.p, query.g, query.n
+    orders = range(2 * g + 1, (4 * g + 4 if p else 4 * g + 2) + 1)
+    if n is not None:
+        orders = [n] if n in orders else []
+    models = []
+    for big_n in orders:
         if p and big_n % p == 0:
             continue
         if raw_pairs:
-            models = [Kummer.of(big_n, r, s)
-                      for r, s in _pair_table(big_n).of_genus(g)]
+            models += [Kummer.of(big_n, r, s)
+                       for r, s in _genus_pairs(big_n, g)]
         else:
-            models = _canonical_genus_models(big_n, g)
-        entries += map(ClassificationEntry, models)
+            models += _canonical_genus_models(big_n, g)
     for family in FAMILIES[1:]:
-        entries += map(ClassificationEntry, family.of_genus(p, g))
-
-    entries.sort(key=_entry_key)
-    if n_filter is not None:
-        entries = [e for e in entries if e.n == n_filter]
-    return entries
+        models += [model for model in family.of_genus(p, g)
+                   if n is None or model.cyclic_order() == n]
+    return sorted(map(ClassificationEntry, models), key=_entry_key)
 
 
 def _entry_key(entry):
@@ -398,14 +398,12 @@ def verify_sasaki_bound(n_max: int) -> SasakiReport:
     checked = tight = 0
     violations = []
     for n in range(3, n_max + 1):
-        table = _pair_table(n)
-        # genus is sorted: the pairs before hi have 2g + 1 <= n, those
-        # in [lo, hi) 2g + 1 = n (for odd n), the rest break the bound
-        lo, hi = np.searchsorted(table.genus, ((n - 1) // 2, (n + 1) // 2))
-        checked += table.genus.size
+        genus, r, s = _pair_triangle(n)
+        # N >= 2g + 1 is g <= (n - 1) // 2, attained exactly for odd n
+        top = (n - 1) // 2
+        checked += genus.size
         if n % 2:
-            tight += int(hi - lo)
-        for r, s, g in zip(table.r[hi:].tolist(), table.s[hi:].tolist(),
-                           table.genus[hi:].tolist()):
-            violations.append((n, r, s, g))
+            tight += int(np.count_nonzero(genus == top))
+        for i in np.flatnonzero(genus > top).tolist():
+            violations.append((n, int(r[i]), int(s[i]), int(genus[i])))
     return SasakiReport(n_max, checked, tight, tuple(violations))

@@ -223,8 +223,7 @@ def _cmd_verify(args):
     descriptor = model.generator()
     try:
         report = fforacle.verify_automorphism(model, fld, descriptor)
-        fixed_ok = (report.fixed_points
-                    == fforacle.expected_affine_fixed(model))
+        fixed_ok = report.fixed_points == model.affine_fixed
         ok &= fixed_ok
         records.append(_record("verify", {
             "check": "automorphism", "model": args.model, "q": args.q,

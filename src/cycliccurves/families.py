@@ -113,18 +113,17 @@ class AutomorphismDescriptor:
     """Symbolic description of a cyclic generator on a curve model.
 
     `order` is the order of the automorphism; `zeta_order` records the
-    multiplicative order that the root-of-unity symbol in the action
-    must have once bound to a field (None when no root of unity is
-    involved).
+    multiplicative order that the root of unity in the generator's
+    `point_map` must have once bound to a field (None when no root of
+    unity is involved).
     """
 
     order: int
-    action: str
     zeta_order: int | None = None
 
 
 def identity_descriptor() -> AutomorphismDescriptor:
-    return AutomorphismDescriptor(1, "(x, y) -> (x, y)", None)
+    return AutomorphismDescriptor(1)
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +265,6 @@ class CurveModel:
         to `zeta` (None when it has none)."""
         raise NotImplementedError
 
-    def is_concrete(self) -> bool:
-        """True when every parameter is a plain integer."""
-        return True
-
-
-def _concrete(*params) -> bool:
-    return all(isinstance(v, int) for v in params)
-
 
 @dataclass(frozen=True)
 class Kummer(CurveModel):
@@ -305,8 +296,7 @@ class Kummer(CurveModel):
         return self.pair.n
 
     def generator(self):
-        return AutomorphismDescriptor(
-            self.pair.n, "(x, y) -> (x, zeta*y)", zeta_order=self.pair.n)
+        return AutomorphismDescriptor(self.pair.n, zeta_order=self.pair.n)
 
     def ramification(self):
         return self.pair.signature
@@ -358,8 +348,7 @@ class Hyperelliptic(CurveModel):
         return 2 * self.g + 2
 
     def generator(self):
-        return AutomorphismDescriptor(
-            2 * self.g + 2, "(x, y) -> (zeta*x, -y)", zeta_order=self.g + 1)
+        return AutomorphismDescriptor(2 * self.g + 2, zeta_order=self.g + 1)
 
     def ramification(self):
         # stabilisers: 2 at the roots of each factor of the right side,
@@ -391,9 +380,6 @@ class Hyperelliptic(CurveModel):
     def point_map(self, eq, zeta):
         fld = eq.fld
         return lambda pt: (fld.mul(zeta, pt[0]), fld.neg(pt[1]))
-
-    def is_concrete(self):
-        return _concrete(self.lam)
 
 
 @dataclass(frozen=True)
@@ -430,8 +416,7 @@ class ASPower(CurveModel):
         return self.p * self.m
 
     def generator(self):
-        return AutomorphismDescriptor(
-            self.p * self.m, "(x, y) -> (zeta*x, y + 1)", zeta_order=self.m)
+        return AutomorphismDescriptor(self.p * self.m, zeta_order=self.m)
 
     def ramification(self):
         # infinity is fixed; the p places over x = 0 have stabiliser m
@@ -466,9 +451,6 @@ class ASPower(CurveModel):
         fld = eq.fld
         return lambda pt: (fld.mul(zeta, pt[0]), fld.add(pt[1], 1))
 
-    def is_concrete(self):
-        return _concrete(self.a, self.b)
-
 
 @dataclass(frozen=True)
 class ASRational(CurveModel):
@@ -499,8 +481,7 @@ class ASRational(CurveModel):
         return 2 * self.p
 
     def generator(self):
-        return AutomorphismDescriptor(
-            2 * self.p, "(x, y) -> (1/(a*x), y + gamma)", zeta_order=None)
+        return AutomorphismDescriptor(2 * self.p)
 
     def ramification(self):
         # x = 0 and infinity swap; over each fixed x of x -> 1/(a*x) lie
@@ -546,9 +527,6 @@ class ASRational(CurveModel):
         gamma = int(roots[1])
         return lambda pt: (fld.inv(fld.mul(a, pt[0])), fld.add(pt[1], gamma))
 
-    def is_concrete(self):
-        return _concrete(self.a, self.b, self.c)
-
 
 @dataclass(frozen=True)
 class Homma(CurveModel):
@@ -574,8 +552,7 @@ class Homma(CurveModel):
         return self.p
 
     def generator(self):
-        return AutomorphismDescriptor(
-            self.p, "(x, y) -> (x, y + 1)", zeta_order=None)
+        return AutomorphismDescriptor(self.p)
 
     def ramification(self):
         # one place, at infinity, totally ramified

@@ -415,15 +415,6 @@ class FiniteField:
             a = a // self.p
         return total % self.p
 
-    def element_order(self, a):
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative order")
-        order = self.q - 1
-        for ell in prime_factors(self.q - 1):
-            while order % ell == 0 and self.pow(a, order // ell) == 1:
-                order //= ell
-        return order
-
     def element_of_order(self, n):
         """Least element (by encoding) of multiplicative order exactly n:
         the least a with a^n = 1 and a^(n/l) != 1 for each prime l | n."""
@@ -669,11 +660,6 @@ class OrbitReport:
     order: int
     fixed_points: tuple
     orbit_sizes: tuple  # ((size, multiplicity), ...) ascending
-
-
-def expected_affine_fixed(model: CurveModel) -> tuple:
-    """Affine fixed points forced by the family's generator."""
-    return model.affine_fixed
 
 
 def verify_automorphism(model: CurveModel, fld: FiniteField,

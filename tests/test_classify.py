@@ -1,9 +1,7 @@
 import itertools
 import sys
-import threading
 import time
 from math import gcd, lcm
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +13,7 @@ from cycliccurves.classify import (
     ClassificationEntry,
     ClassifyQuery,
     OrderTooLarge,
+    TooManyIndices,
     UnsupportedCharacteristic,
     canonical_pair,
     classify,
@@ -26,6 +25,7 @@ from cycliccurves import intmath
 from cycliccurves.families import Homma, Kummer, kummer_genus
 from cycliccurves.intmath import divisors
 from cycliccurves.ramification import (
+    N_CAP,
     FiltrationProfile,
     Inconsistent,
     NotADivisor,
@@ -132,6 +132,15 @@ def test_enumerated_signatures_recompute_to_genus():
         for g in range(2, (n - 1) // 2 + 1):
             for sig in enumerate_signatures(n, g):
                 assert rh_genus_tame(n, sig.g0, sig) == g
+
+
+def test_enumerator_refuses_orders_and_index_counts_out_of_range():
+    with pytest.raises(OrderTooLarge):
+        enumerate_signatures(N_CAP + 1, 2)
+    # n = 3: every index is 3 and adds 2 to 2g - 2 + 2n at g0 = 0
+    assert enumerate_signatures(3, 254)[0] == Signature(0, (3,) * 256)
+    with pytest.raises(TooManyIndices, match="257 ramification indices"):
+        enumerate_signatures(3, 255)
 
 
 def test_hyperelliptic_type_appears_exactly_for_even_genus():
@@ -281,17 +290,9 @@ def test_entry_validation_rejects_inconsistencies():
         ClassificationEntry(WrongOrbits(5))
 
 
-def test_caches_are_bounded(monkeypatch):
-    # Overfilling the caches with real pair tables would take seconds, so
-    # the table build is stubbed out: each stub table holds just over a
-    # tenth of the table cache's byte budget and no pairs.  The two
-    # classify caches are emptied afterwards.
+def test_caches_are_bounded():
     # the package binds the name cycliccurves.classify to the function
     module = sys.modules["cycliccurves.classify"]
-    tables = module._pair_table
-    budget = tables.max_bytes
-    stub = SimpleNamespace(nbytes=budget // 10 + 1, of_genus=lambda g: ())
-    monkeypatch.setattr(tables, "build", lambda n: stub)
     arguments = {
         intmath.prime_factors: lambda i: (i + 1,),
         intmath.divisors: lambda i: (i + 1,),
@@ -304,71 +305,67 @@ def test_caches_are_bounded(monkeypatch):
             for i in range(bound + 10):
                 cache(*args(i))
             assert cache.cache_info().currsize <= bound
-        assert 0 < tables.nbytes <= budget
-        # a table larger than the whole budget is kept, alone
-        huge = SimpleNamespace(nbytes=2 * budget, of_genus=lambda g: ())
-        monkeypatch.setattr(tables, "build", lambda n: huge)
-        assert tables(1000) is huge and tables.nbytes == huge.nbytes
     finally:
-        tables.clear()
         module._canonical_genus_models.cache_clear()
 
 
-def test_table_cache_keeps_its_byte_count_under_threads():
-    # eight threads on two cores, switching as often as the interpreter
-    # allows: a lost update would leave nbytes off the tables it holds
+# --- Kummer pair search ---------------------------------------------------------
+
+
+def test_orbit_minima_match_an_orbit_walk():
+    # the divisor-triple search against walking the orbit of every
+    # primitive pair, one pair at a time
     module = sys.modules["cycliccurves.classify"]
-    cache = module._TableCache(
-        lambda n: SimpleNamespace(n=n, nbytes=n), max_bytes=100)
-    errors = []
-
-    def worker(seed):
-        try:
-            for i in range(2000):
-                n = (seed * 7919 + i * 104729) % 40 + 1
-                assert cache(n).n == n
-        except AssertionError as exc:
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(k,))
-                   for k in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not any(thread.is_alive() for thread in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert errors == []
-    assert cache.nbytes == sum(table.nbytes
-                               for table in cache._tables.values())
-    assert cache.nbytes <= cache.max_bytes
+    for n in range(3, 131):
+        by_genus, minima, seen = {}, {}, set()
+        for pair in primitive_pairs(n):
+            rs = (pair.r, pair.s)
+            by_genus.setdefault(pair.genus, []).append(rs)
+            if rs not in seen:
+                orbit = module._pair_orbit(n, *rs)
+                seen |= orbit
+                minima.setdefault(pair.genus, []).append(min(orbit))
+        for g in range(n):
+            assert module._orbit_minima(n, g) == sorted(minima.get(g, [])), \
+                (n, g)
+            assert module._genus_pairs(n, g) == by_genus.get(g, []), (n, g)
 
 
-# --- pair tables ---------------------------------------------------------------
+def test_classify_at_one_order_is_the_filtered_listing():
+    for p in (0, 3, 5, 7):
+        for g in range(2, 13):
+            for raw in (False, True):
+                full = classify(p, g, raw_pairs=raw)
+                for n in range(2 * g, 4 * g + 6):
+                    assert classify(p, g, raw_pairs=raw, n=n) == [
+                        e for e in full if e.n == n], (p, g, raw, n)
+
+
+def test_large_genus_classifies_quickly():
+    start = time.perf_counter()
+    entries = classify(0, 723)
+    assert time.perf_counter() - start < 5
+    assert entries and all(e.genus == 723 for e in entries)
+
+
+# --- pair triangles ---------------------------------------------------------------
 
 
 def test_pair_tables_group_primitive_pairs_by_genus():
-    # the array tables against the one-object-at-a-time enumeration
+    # the array triangle against the one-object-at-a-time enumeration
     module = sys.modules["cycliccurves.classify"]
     for n in range(3, 121):
-        by_genus = {}
-        for pair in primitive_pairs(n):
-            by_genus.setdefault(pair.genus, []).append((pair.r, pair.s))
-        table = module._build_pair_table(n)
-        assert table.genus.size == sum(map(len, by_genus.values()))
-        for g in range(n):
-            assert list(table.of_genus(g)) == by_genus.get(g, []), (n, g)
+        genus, r, s = module._pair_triangle(n)
+        pairs = list(primitive_pairs(n))
+        assert list(zip(r.tolist(), s.tolist())) == [
+            (pair.r, pair.s) for pair in pairs], n
+        assert genus.tolist() == [pair.genus for pair in pairs], n
 
 
 def test_pair_table_is_compact():
-    table = sys.modules["cycliccurves.classify"]._build_pair_table(1000)
-    assert {table.genus.dtype, table.r.dtype, table.s.dtype} == {
-        np.dtype(np.int16)}
-    assert table.nbytes < 5_000_000
+    columns = sys.modules["cycliccurves.classify"]._pair_triangle(1000)
+    assert {column.dtype for column in columns} == {np.dtype(np.int16)}
+    assert sum(column.nbytes for column in columns) < 5_000_000
 
 
 def test_oversized_orders_fail_fast():
@@ -408,15 +405,15 @@ def test_sasaki_bound_totals():
 def test_sasaki_bound_names_the_violating_pair(monkeypatch):
     module = sys.modules["cycliccurves.classify"]
     honest = verify_sasaki_bound(10)
-    real = module._build_pair_table(9)
+    triangles = {n: module._pair_triangle(n) for n in range(3, 11)}
+    real_genus, r, s = triangles[9]
     # the last pair has the largest genus, 4 = (9 - 1) / 2; claim 5
-    genus = real.genus.copy()
+    genus = real_genus.copy()
     genus[-1] = 5
-    tables = {n: module._build_pair_table(n) for n in range(3, 11)}
-    tables[9] = real._replace(genus=genus)
-    monkeypatch.setattr(module, "_pair_table", tables.__getitem__)
+    triangles[9] = genus, r, s
+    monkeypatch.setattr(module, "_pair_triangle", triangles.__getitem__)
     report = verify_sasaki_bound(10)
-    r, s = int(real.r[-1]), int(real.s[-1])
+    r, s = int(r[-1]), int(s[-1])
     assert kummer_genus(9, r, s) == 4
     assert report.violations == ((9, r, s, 5),)
     assert report.tight_pairs == honest.tight_pairs - 1

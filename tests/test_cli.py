@@ -142,6 +142,17 @@ def test_signatures_below_bound_regime(capsys):
         (0, [2, 4, 8, 8]), (1, [2, 2])]
 
 
+def test_signatures_out_of_range_fail_fast(capsys):
+    # refused before n is factored or a multiset is enumerated
+    start = time.perf_counter()
+    code, out, err = run(capsys, "signatures", "--n", "2305843009213693951",
+                         "--genus", "2")
+    assert (code, out) == (2, "") and "2**32" in err
+    code, out, err = run(capsys, "signatures", "--n", "3", "--genus", "1000")
+    assert (code, out) == (2, "") and "1002 ramification indices" in err
+    assert time.perf_counter() - start < 1
+
+
 # --- verify --------------------------------------------------------------------
 
 

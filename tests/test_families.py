@@ -144,8 +144,6 @@ def test_aspower_checks_its_genus(monkeypatch):
 def test_symbolic_parameters_allowed():
     assert Hyperelliptic(4, "lambda").genus() == 4
     assert ASPower(7, 3, "a", "b").genus() == 6
-    assert not ASPower(7, 3, "a", "b").is_concrete()
-    assert ASPower(7, 3, 1, 0).is_concrete()
 
 
 @given(st.sampled_from([5, 7, 11, 13]), st.integers(2, 12))

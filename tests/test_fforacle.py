@@ -26,7 +26,6 @@ from cycliccurves.fforacle import (
     count_places,
     count_places_naive,
     count_series,
-    expected_affine_fixed,
     field,
     verify_automorphism,
     zeta_genus,
@@ -92,7 +91,7 @@ def test_element_of_order_matches_known_value():
     assert field(11, 1).element_of_order(5) == 3  # 3^5 = 1 mod 11
     fld = field(3, 2)
     z = fld.element_of_order(8)
-    assert fld.element_order(z) == 8
+    assert fld.pow(z, 8) == 1 and fld.pow(z, 4) != 1
     with pytest.raises(PreconditionViolated):
         field(7, 1).element_of_order(5)
 
@@ -382,7 +381,7 @@ def test_kummer_automorphism_report():
     report = verify_automorphism(model, field(11, 1))
     assert report.order == 5
     assert report.fixed_points == ((0, 0), (1, 0))
-    assert report.fixed_points == expected_affine_fixed(model)
+    assert report.fixed_points == model.affine_fixed
     assert report.point_count == 12
     assert report.orbit_sizes == ((1, 2), (5, 2))
 
@@ -415,7 +414,7 @@ def test_aspower_order_realized_in_larger_field():
 
 def test_not_an_automorphism_detected():
     # a root of unity of the wrong order does not preserve the curve
-    bogus = AutomorphismDescriptor(5, "(x, y) -> (x, zeta*y)", zeta_order=3)
+    bogus = AutomorphismDescriptor(5, zeta_order=3)
     with pytest.raises(NotAnAutomorphism):
         verify_automorphism(Kummer.of(5, 1, 1), field(31, 1), bogus)
 
@@ -423,7 +422,7 @@ def test_not_an_automorphism_detected():
 def test_zeta_instantiation_precondition():
     with pytest.raises(PreconditionViolated):
         # no 5th root of unity in F_13
-        bogus = AutomorphismDescriptor(5, "(x, y) -> (x, zeta*y)", zeta_order=5)
+        bogus = AutomorphismDescriptor(5, zeta_order=5)
         verify_automorphism(Kummer.of(6, 1, 1), field(13, 1), bogus)
 
 
