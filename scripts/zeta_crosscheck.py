@@ -36,11 +36,10 @@ BATTERY = [
 ]
 
 
-def check(model, count_field, orbit_field, max_field_size):
+def check(model, count_field, orbit_field):
     g = model.genus()
     t0 = time.perf_counter()
-    series = count_series(model, count_field, 2 * g,
-                          max_field_size=max_field_size)
+    series = count_series(model, count_field, 2 * g)
     inferred = zeta_genus(series, g)
     try:
         report = verify_automorphism(model, orbit_field)
@@ -59,7 +58,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--model", help="check a single model spec instead")
     ap.add_argument("--q", type=int, help="base field for --model")
-    ap.add_argument("--max-field-size", type=int, default=10**9)
     args = ap.parse_args()
 
     if args.model:
@@ -68,12 +66,12 @@ def main():
         p, k = _parse_prime_power(args.q)
         model = parse_model_spec(args.model, p)
         fld = field(p, k)
-        ok = check(model, fld, fld, args.max_field_size)
+        ok = check(model, fld, fld)
         return 0 if ok else 1
 
     ok = True
     for model, (p, k), (po, ko) in BATTERY:
-        ok &= check(model, field(p, k), field(po, ko), args.max_field_size)
+        ok &= check(model, field(p, k), field(po, ko))
     print("all checks passed" if ok else "FAILURES above")
     return 0 if ok else 1
 

@@ -15,8 +15,6 @@ from .ramification import (
     OrbitDatum,
     Signature,
     different_exponent,
-    kummer_branch_valid,
-    quotient_is_branched,
     rh_genus_tame,
     rh_genus_wild,
     validate_filtration,
@@ -24,7 +22,6 @@ from .ramification import (
 from .families import (
     ASPower,
     ASRational,
-    AutomorphismDescriptor,
     CurveModel,
     DegenerateModel,
     Homma,
@@ -32,7 +29,6 @@ from .families import (
     Kummer,
     NotPrimitive,
     PrimitivePair,
-    identity_descriptor,
     kummer_genus,
     kummer_signature,
 )
@@ -43,6 +39,7 @@ from .classify import (
     ClassifyQuery,
     OrderTooLarge,
     SasakiReport,
+    TooManyCandidates,
     TooManyIndices,
     UnsupportedCharacteristic,
     canonical_pair,

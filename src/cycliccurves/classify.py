@@ -32,11 +32,13 @@ subject to the arithmetic constraints: all e_i divide n, at least two
 (three when g0 = 0) branch points, lcm of the indices equal to n when
 g0 = 0, and the lcm unchanged by deleting any single index.  It accepts
 any n from 2 to 2**32 at which no signature of genus g could have more
-than 256 indices; the structural consequences peculiar to n >= 2g + 1
+than 256 indices and 2**17 candidate index multisets, which it counts
+before listing any; the structural consequences peculiar to n >= 2g + 1
 (g0 = 0 and three branch points, up to one exception) are asserted by
 the test suite, not imposed here.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -56,6 +58,7 @@ _CACHE_SIZE = 256
 # interpreter's recursion limit; for n >= 2g + 1 a signature has three
 # or four.
 _MAX_INDICES = 256
+_MAX_CANDIDATES = 1 << 17  # index multisets a signature search may test
 
 
 class UnsupportedCharacteristic(ValueError):
@@ -78,6 +81,10 @@ class OrderTooLarge(ValueError):
 class TooManyIndices(ValueError):
     """A signature could have more ramification indices than the
     enumerator lists."""
+
+
+class TooManyCandidates(ValueError):
+    """A signature search would test more multisets than its budget."""
 
 
 # Largest order whose exponent pairs, one for every (r, s) with
@@ -293,40 +300,52 @@ def enumerate_signatures(n: int, g: int) -> list[Signature]:
             f"order {n} and genus {g} leave room for {most} ramification "
             f"indices, above the {_MAX_INDICES} the enumerator lists")
     ds = [e for e in divisors(n) if e >= 2]
-    terms = {e: (n // e) * (e - 1) for e in ds}
-    found = []
-    g0 = 0
-    while True:
-        target = 2 * g - 2 - n * (2 * g0 - 2)
-        if target < n:  # cheapest admissible multiset is two indices of 2
-            break
-        for indices in _index_multisets(ds, terms, target):
-            if _signature_ok(n, g0, indices):
-                found.append(Signature(g0, indices))
-        g0 += 1
+    terms = [(n // e) * (e - 1) for e in ds]  # ascending with e
+    # the Hurwitz target of each g0, down to n: the sum of the cheapest
+    # admissible multiset, two indices of 2
+    targets = [2 * g - 2 - n * (2 * g0 - 2)
+               for g0 in range((2 * g - 2 + n) // (2 * n) + 1)]
+    count = _multiset_counter(terms)
+    candidates = sum(count(0, target) for target in targets)
+    if candidates > _MAX_CANDIDATES:
+        raise TooManyCandidates(
+            f"order {n} and genus {g} give {candidates} candidate index "
+            f"multisets, above the {_MAX_CANDIDATES} the enumerator tests")
+    found = [Signature(g0, indices) for g0, target in enumerate(targets)
+             for indices in _index_multisets(ds, terms, count, 0, target)
+             if _signature_ok(n, g0, indices)]
     return sorted(found, key=lambda sig: (sig.g0, sig.indices))
 
 
-def _index_multisets(ds, terms, target):
-    # Non-decreasing multisets of divisors whose Hurwitz contributions
-    # sum exactly to target.
-    out = []
+def _steps(terms, start, remaining):
+    # the next index i >= start of a non-decreasing multiset summing to
+    # remaining, and what is left after it, skipping dead ends: a
+    # nonzero rest below terms[i] cannot be completed from terms[i:]
+    for i in range(start, bisect_right(terms, remaining)):
+        rest = remaining - terms[i]
+        if rest == 0 or rest >= terms[i]:
+            yield i, rest
 
-    def extend(prefix, start, remaining):
-        if remaining == 0:
-            if len(prefix) >= 2:
-                out.append(tuple(prefix))
-            return
-        for i in range(start, len(ds)):
-            e = ds[i]
-            if terms[e] > remaining:
-                break
-            prefix.append(e)
-            extend(prefix, i, remaining - terms[e])
-            prefix.pop()
 
-    extend([], 0, target)
-    return out
+def _multiset_counter(terms):
+    """count(i, t): how many non-decreasing multisets of the ascending
+    terms[i:] sum to t.  Its cache lives for one search."""
+    @lru_cache(maxsize=None)
+    def count(start, remaining):
+        return 1 if remaining == 0 else sum(
+            count(i, rest) for i, rest in _steps(terms, start, remaining))
+    return count
+
+
+def _index_multisets(ds, terms, count, start, remaining):
+    # The multisets of ds[start:] whose Hurwitz terms sum to remaining,
+    # descending only where `count` finds one.
+    if remaining == 0:
+        yield ()
+    for i, rest in _steps(terms, start, remaining):
+        if count(i, rest):
+            for tail in _index_multisets(ds, terms, count, i, rest):
+                yield (ds[i],) + tail
 
 
 def _signature_ok(n, g0, indices):

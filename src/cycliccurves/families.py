@@ -9,17 +9,17 @@ cyclic automorphism group of order N >= 2g + 1:
   * ASRational    b*y^p + c*y = a*x + 1/x     N = 2p,  wild
   * Homma         y^p - y = x^2               N = p,   wild
 
-Each family is one frozen dataclass, the one place its equation is
-stated: invariants and symbolic generator (`genus`, `cyclic_order`,
-`generator`); its branch of the classification (`branch`, `wild`),
-`ramification` data and, but for Kummer, its models of genus g in
-characteristic p (`of_genus`); the curve as lhs(y) = rhs(x) over a
-finite field, with preconditions, x-domain and the places an x-by-x
-count does not see (`equation`); the generator on affine points
-(`point_map`, `affine_fixed`); and the command-line spec
-`name:field,...` (`name`, `spec_fields`).  Classification, counting,
-automorphism checks (`fforacle`) and spec parsing (`cli`) are generic
-over these, so adding a family means adding one class to `FAMILIES`.
+Each family is one frozen dataclass, the one place its equation and
+generator are stated: invariants (`genus`, `cyclic_order`); its branch
+of the classification (`branch`, `wild`), `ramification` data and, but
+for Kummer, its models of genus g in characteristic p (`of_genus`); the
+curve as lhs(y) = rhs(x) over a finite field, with preconditions,
+x-domain and the places an x-by-x count does not see (`equation`); the
+generator on affine points, which finds its root of unity in the field
+(`point_map`, `affine_fixed`); and the command-line spec `name:field,...`
+(`name`, `spec_fields`).  Classification, counting, automorphism checks
+(`fforacle`) and spec parsing (`cli`) are generic over these, so adding
+a family means adding one class to `FAMILIES`.
 
 Models are field-agnostic value objects: parameters are either plain
 integers (read in the prime subfield) or strings standing for symbolic
@@ -106,24 +106,6 @@ def kummer_genus(n: int, r: int, s: int) -> int:
 def kummer_signature(n: int, r: int, s: int) -> Signature:
     """Ramification signature of y^n = x^r (1-x)^s for a primitive pair."""
     return PrimitivePair(n, r, s).signature
-
-
-@dataclass(frozen=True)
-class AutomorphismDescriptor:
-    """Symbolic description of a cyclic generator on a curve model.
-
-    `order` is the order of the automorphism; `zeta_order` records the
-    multiplicative order that the root of unity in the generator's
-    `point_map` must have once bound to a field (None when no root of
-    unity is involved).
-    """
-
-    order: int
-    zeta_order: int | None = None
-
-
-def identity_descriptor() -> AutomorphismDescriptor:
-    return AutomorphismDescriptor(1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +222,6 @@ class CurveModel:
     def cyclic_order(self) -> int:
         raise NotImplementedError
 
-    def generator(self) -> AutomorphismDescriptor:
-        raise NotImplementedError
-
     def ramification(self) -> Signature | tuple[OrbitDatum, ...]:
         """The tame signature, or the filtration data of every short
         orbit of a wild group."""
@@ -260,9 +239,9 @@ class CurveModel:
         where the model is not defined or not smooth over `fld`."""
         raise NotImplementedError
 
-    def point_map(self, eq: Equation, zeta) -> Callable:
-        """The generator on affine points, with its root of unity bound
-        to `zeta` (None when it has none)."""
+    def point_map(self, eq: Equation) -> Callable:
+        """The generator, of order `cyclic_order()`, on affine points of
+        `eq`; PreconditionViolated if `eq.fld` lacks its root of unity."""
         raise NotImplementedError
 
 
@@ -295,9 +274,6 @@ class Kummer(CurveModel):
     def cyclic_order(self):
         return self.pair.n
 
-    def generator(self):
-        return AutomorphismDescriptor(self.pair.n, zeta_order=self.pair.n)
-
     def ramification(self):
         return self.pair.signature
 
@@ -318,8 +294,9 @@ class Kummer(CurveModel):
             rhs=lambda x: fld.mul(fld.pow(x, r), fld.pow(fld.sub(1, x), s)),
             extra=extra, separate_x=(0, 1))
 
-    def point_map(self, eq, zeta):
+    def point_map(self, eq):
         fld = eq.fld
+        zeta = fld.element_of_order(self.pair.n)
         return lambda pt: (pt[0], fld.mul(zeta, pt[1]))
 
 
@@ -346,9 +323,6 @@ class Hyperelliptic(CurveModel):
 
     def cyclic_order(self):
         return 2 * self.g + 2
-
-    def generator(self):
-        return AutomorphismDescriptor(2 * self.g + 2, zeta_order=self.g + 1)
 
     def ramification(self):
         # stabilisers: 2 at the roots of each factor of the right side,
@@ -377,8 +351,9 @@ class Hyperelliptic(CurveModel):
         # at infinity
         return Equation(fld, *_power_lhs(fld, 2), rhs=rhs, extra=2)
 
-    def point_map(self, eq, zeta):
+    def point_map(self, eq):
         fld = eq.fld
+        zeta = fld.element_of_order(self.g + 1)
         return lambda pt: (fld.mul(zeta, pt[0]), fld.neg(pt[1]))
 
 
@@ -415,9 +390,6 @@ class ASPower(CurveModel):
     def cyclic_order(self):
         return self.p * self.m
 
-    def generator(self):
-        return AutomorphismDescriptor(self.p * self.m, zeta_order=self.m)
-
     def ramification(self):
         # infinity is fixed; the p places over x = 0 have stabiliser m
         p, m = self.p, self.m
@@ -447,8 +419,9 @@ class ASPower(CurveModel):
             fld, *_artin_schreier_lhs(fld),
             rhs=lambda x: fld.mul(a, fld.sub(fld.pow(x, m), b)), extra=1)
 
-    def point_map(self, eq, zeta):
+    def point_map(self, eq):
         fld = eq.fld
+        zeta = fld.element_of_order(self.m)
         return lambda pt: (fld.mul(zeta, pt[0]), fld.add(pt[1], 1))
 
 
@@ -479,9 +452,6 @@ class ASRational(CurveModel):
 
     def cyclic_order(self):
         return 2 * self.p
-
-    def generator(self):
-        return AutomorphismDescriptor(2 * self.p)
 
     def ramification(self):
         # x = 0 and infinity swap; over each fixed x of x -> 1/(a*x) lie
@@ -515,7 +485,7 @@ class ASRational(CurveModel):
             rhs=lambda x: fld.add(fld.mul(a, x), fld.inv(x)),
             extra=2, missing_x=(0,))
 
-    def point_map(self, eq, zeta):
+    def point_map(self, eq):
         fld = eq.fld
         a = _bind(self.a, fld)
         # lhs is additive, so y -> y + gamma preserves it when
@@ -551,9 +521,6 @@ class Homma(CurveModel):
     def cyclic_order(self):
         return self.p
 
-    def generator(self):
-        return AutomorphismDescriptor(self.p)
-
     def ramification(self):
         # one place, at infinity, totally ramified
         p = self.p
@@ -570,7 +537,7 @@ class Homma(CurveModel):
         return Equation(fld, *_artin_schreier_lhs(fld),
                         rhs=lambda x: fld.mul(x, x), extra=1)
 
-    def point_map(self, eq, zeta):
+    def point_map(self, eq):
         fld = eq.fld
         return lambda pt: (pt[0], fld.add(pt[1], 1))
 

@@ -19,9 +19,9 @@ the curve families by exact computation over small finite fields:
   * `zeta_genus` infers the genus from a series of place counts by
     fitting a Weil polynomial via Newton's identities and the
     functional equation, demanding exact integer agreement.
-  * `verify_automorphism` instantiates a symbolic generator on the
-    rational points and checks that it is a permutation of the exact
-    claimed order, reporting orbit structure and fixed points.
+  * `verify_automorphism` runs the family's generator (`point_map`) on
+    the rational points and checks that it is a permutation of order
+    exactly `cyclic_order()`, reporting orbit structure and fixed points.
 
 Both counts, `affine_points` and `verify_automorphism` are generic: the
 equation, its x-domain, the extra places and the generator's action
@@ -37,9 +37,10 @@ field, as an array: the fast count sums the fibre sizes of rhs over all
 x (`fibre(rhs(xs)).sum()`, or a histogram of lhs over all y indexed by
 rhs), the naive count compares lhs over all y with each rhs value, and
 the automorphism check maps every affine point in one call, leaving
-only the orbit walk as a Python loop.  Memory beyond the field tables is
-a few int64 vectors of length q, so whole-field evaluation stops at
-`TABLE_LIMIT` elements, the same ceiling as the extension-field tables.
+only the orbit walk as a Python loop.  Every use of a field enumerates
+all of it, and memory beyond the field tables is a few int64 vectors of
+length q, so every field, prime or not, stops at `TABLE_LIMIT` elements
+(2^22), the ceiling of the extension-field tables.
 
 Everything is a pure function of its inputs; fields cache their own
 tables but are immutable once constructed, so all operations are safe
@@ -47,20 +48,13 @@ for unrestricted concurrent use.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 import numpy as np
 
 from .intmath import TABLE_LIMIT, is_prime, prime_factors
-from .families import (
-    AutomorphismDescriptor,
-    CurveModel,
-    PreconditionViolated,
-)
-
-Q_CAP = 2**31
+from .families import CurveModel, PreconditionViolated
 
 
 class FieldTooLarge(ValueError):
@@ -193,7 +187,7 @@ class FiniteField:
     Every operation takes numpy integer arrays (or plain ints) and
     evaluates all of their elements in one call; a scalar argument gives
     a numpy scalar back.  Prime fields use int64 modular arithmetic
-    (q < 2^31, so every product fits).  Extension fields hold three
+    (q <= 2^22, so every product fits).  Extension fields hold three
     int32 tables over a primitive element g: `_exp[i] = g^i`,
     `_log[a]` (with -1 at a = 0) and the Zech logarithm
     `_zech[n] = log(1 + g^n)` (-1 where 1 + g^n = 0), 12 bytes per
@@ -207,34 +201,18 @@ class FiniteField:
     when possible so the tables are shared.
     """
 
-    def __init__(self, p, k=1, modulus=None):
+    def __init__(self, p, k=1):
         if p < 3 or not is_prime(p):
             raise PreconditionViolated(f"odd prime expected, got p={p}")
         if k < 1:
             raise PreconditionViolated(f"extension degree must be >= 1: {k}")
         q = p**k
-        if q > Q_CAP:
-            raise FieldTooLarge(f"q = {p}^{k} exceeds 2^31")
-        if k >= 2 and q > TABLE_LIMIT:
-            # extension-field arithmetic runs on discrete-log tables,
-            # and building them beyond this size takes too long
-            raise FieldTooLarge(
-                f"extension field of size {q} exceeds the table ceiling 2^22")
-        if modulus is None:
-            modulus = _least_irreducible(p, k)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise PreconditionViolated(
-                    f"modulus must be monic of degree {k}")
-            if not _poly_is_irreducible(modulus, p):
-                raise PreconditionViolated(f"modulus {modulus} is reducible")
-        self.p = p
-        self.k = k
-        self.q = q
-        self.modulus = modulus
+        if q > TABLE_LIMIT:
+            raise FieldTooLarge(f"q = {p}^{k} exceeds the field ceiling 2^22")
+        self.p, self.k, self.q = p, k, q
+        self.modulus = _least_irreducible(p, k)
         # x^k mod f, as digits, for reducing products
-        self._xk = list(_pmod((0,) * k + (1,), modulus, p)) + [0] * k
+        self._xk = list(_pmod((0,) * k + (1,), self.modulus, p)) + [0] * k
         self._exp = self._log = self._zech = None
         self._basis_traces = None
         self._lift_roots = {}
@@ -260,15 +238,7 @@ class FiniteField:
         return out
 
     def elements(self):
-        """Every element, as an int64 array indexed by its encoding.
-
-        Whole-field evaluation holds a few such vectors, so it stops at
-        the table ceiling like the extension-field tables do.
-        """
-        if self.q > TABLE_LIMIT:
-            raise FieldTooLarge(
-                f"enumerating a field of size {self.q} exceeds the "
-                f"ceiling 2^22")
+        """Every element, as an int64 array indexed by its encoding."""
         return np.arange(self.q, dtype=np.int64)
 
     # -- table-free arithmetic on single ints: the table build and the
@@ -445,9 +415,7 @@ class FiniteField:
             raise PreconditionViolated(
                 f"no embedding of F_{src.p}^{src.k} into F_{self.p}^{self.k}")
         value = int(value)
-        if value < self.p:
-            return value
-        if src.k == self.k and src.modulus == self.modulus:
+        if value < self.p or src.k == self.k:  # one modulus per (p, k)
             return value
         key = src.modulus
         root = self._lift_roots.get(key)
@@ -533,16 +501,17 @@ class PlaceCountSeries:
                     f"N_{j}={nj} outside Hasse-Weil bound for genus {g}")
 
 
-def count_series(model: CurveModel, base_field: FiniteField, depth: int,
-                 max_field_size: int = 10**9) -> PlaceCountSeries:
+def count_series(model: CurveModel, base_field: FiniteField,
+                 depth: int) -> PlaceCountSeries:
     """Count rational places over the first `depth` extensions of
-    base_field.  Refuses fields beyond max_field_size."""
+    base_field.  Refuses, before counting, a tower that would pass the
+    field ceiling 2^22 (as any depth above 22 does, since q >= 3)."""
     q = base_field.q
+    if depth > 22 or q**max(depth, 0) > TABLE_LIMIT:
+        raise FieldTooLarge(
+            f"the tower to F_{q}^{depth} exceeds the field ceiling 2^22")
     counts = []
     for j in range(1, depth + 1):
-        if q**j > max_field_size:
-            raise FieldTooLarge(
-                f"q^{j} = {q**j} exceeds cap {max_field_size}")
         ext = field(base_field.p, base_field.k * j)
         counts.append(count_places(model, ext, base=base_field))
     return PlaceCountSeries(model, q, tuple(counts))
@@ -555,10 +524,12 @@ def count_series(model: CurveModel, base_field: FiniteField, depth: int,
 def zeta_genus(series: PlaceCountSeries, g_max: int) -> int | None:
     """Smallest g <= g_max whose Weil polynomial reproduces the series.
 
-    The candidate polynomial is built from the first g power sums by
-    Newton's identities, completed by the functional equation, and then
-    required to predict every further supplied count exactly.  Returns
-    None when no genus fits (an inconsistent series).
+    The candidate polynomial takes e_1..e_g from the power sums by
+    Newton's identities, is completed by the functional equation
+    e_{2g-i} = q^(g-i) e_i, and must then predict every supplied count
+    exactly.  A genus at or above the first e_k that is not an integer
+    cannot fit.  Returns None when no genus fits (an inconsistent
+    series).
     """
     if g_max < 0:
         raise ValueError("g_max must be >= 0")
@@ -567,47 +538,36 @@ def zeta_genus(series: PlaceCountSeries, g_max: int) -> int | None:
         raise InsufficientCounts(
             f"need counts over {2 * g_max} extensions, got {m}")
     q = series.q
-    s = [Fraction(q**j + 1 - series.counts[j - 1]) for j in range(1, m + 1)]
-    for g in range(g_max + 1):
-        e = _newton_elementary(s, g)
-        if e is None:
-            continue
-        # complete degree-2g coefficients via b_{2g-i} = q^(g-i) b_i
-        b = [(-1)**i * e[i] for i in range(g + 1)]
-        b += [Fraction(0)] * g
-        for i in range(g):
-            b[2 * g - i] = q**(g - i) * b[i]
-        e_full = [(-1)**i * b[i] for i in range(2 * g + 1)]
-        if _power_sums(e_full, 2 * g, m) == s:
+    s = [q**j + 1 - n for j, n in enumerate(series.counts, start=1)]
+    e = _newton_elementary(s, g_max)
+    for g in range(len(e)):
+        full = e[:g + 1] + [q**(g - i) * e[i] for i in reversed(range(g))]
+        if _power_sums(full, m) == s:
             return g
     return None
 
 
-def _newton_elementary(s, g):
-    """e_1..e_g from power sums; None when some e_k is not an integer."""
-    e = [Fraction(1)]
-    for k in range(1, g + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            acc += (-1)**(i - 1) * e[k - i] * s[i - 1]
-        ek = acc / k
-        if ek.denominator != 1:
-            return None
-        e.append(ek)
+def _newton_elementary(s, g_max):
+    """[e_0 = 1, e_1, ...] from the power sums s, up to e_{g_max} or up
+    to the first e_k that is not an integer, which it leaves out."""
+    e = [1]
+    for k in range(1, g_max + 1):
+        acc = sum((-1)**(i - 1) * e[k - i] * s[i - 1] for i in range(1, k + 1))
+        if acc % k:
+            break
+        e.append(acc // k)
     return e
 
 
-def _power_sums(e, deg, m):
+def _power_sums(e, m):
     """First m power sums of the multiset with elementary symmetric
     functions e[1..deg] (e[0] = 1)."""
+    deg = len(e) - 1
     s = []
     for k in range(1, m + 1):
-        acc = Fraction(0)
-        for i in range(1, min(k - 1, deg) + 1):
-            acc += (-1)**(i - 1) * e[i] * s[k - i - 1]
-        if k <= deg:
-            acc += (-1)**(k - 1) * k * e[k]
-        s.append(acc)
+        acc = sum((-1)**(i - 1) * e[i] * s[k - i - 1]
+                  for i in range(1, min(k - 1, deg) + 1))
+        s.append(acc + ((-1)**(k - 1) * k * e[k] if k <= deg else 0))
     return s
 
 
@@ -638,19 +598,6 @@ def affine_points(model: CurveModel, fld: FiniteField) -> frozenset:
     return frozenset(zip(xs.tolist(), ys.tolist()))
 
 
-def _point_map(model, eq, descriptor):
-    if descriptor.order == 1:
-        return lambda pt: pt
-    zeta = None
-    if descriptor.zeta_order is not None:
-        if (eq.fld.q - 1) % descriptor.zeta_order:
-            raise PreconditionViolated(
-                f"no root of unity of order {descriptor.zeta_order} "
-                f"in field of size {eq.fld.q}")
-        zeta = eq.fld.element_of_order(descriptor.zeta_order)
-    return model.point_map(eq, zeta)
-
-
 @dataclass(frozen=True)
 class OrbitReport:
     """Orbit structure of a verified automorphism on affine points."""
@@ -662,16 +609,13 @@ class OrbitReport:
     orbit_sizes: tuple  # ((size, multiplicity), ...) ascending
 
 
-def verify_automorphism(model: CurveModel, fld: FiniteField,
-                        descriptor: AutomorphismDescriptor | None = None
-                        ) -> OrbitReport:
+def verify_automorphism(model: CurveModel, fld: FiniteField) -> OrbitReport:
     """Check that the generator permutes the rational affine points
-    with exactly the claimed order, and report the orbit structure."""
-    if descriptor is None:
-        descriptor = model.generator()
+    with order exactly `model.cyclic_order()`, and report the orbit
+    structure."""
     eq = model.equation(fld)
     xs, ys = _affine_point_arrays(eq)
-    image_xs, image_ys = _point_map(model, eq, descriptor)((xs, ys))
+    image_xs, image_ys = model.point_map(eq)((xs, ys))
     # points as x * q + y, sorted: the image of point i is point[index[i]]
     keys = xs * fld.q + ys
     image_keys = _int64(image_xs) * fld.q + image_ys
@@ -699,10 +643,10 @@ def verify_automorphism(model: CurveModel, fld: FiniteField,
         if size == 1:
             fixed.append((int(xs[start]), int(ys[start])))
     order = lcm(*sizes) if sizes else 1
-    if order != descriptor.order:
+    claimed = model.cyclic_order()
+    if order != claimed:
         raise OrderMismatch(
-            f"permutation has order {order}, descriptor claims "
-            f"{descriptor.order}")
+            f"permutation has order {order}, descriptor claims {claimed}")
     assert sum(size * mult for size, mult in sizes.items()) == len(images)
     assert all(order % size == 0 for size in sizes)
     return OrbitReport(

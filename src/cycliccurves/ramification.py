@@ -210,31 +210,3 @@ def rh_genus_wild(group_order: int, g0: int, orbits) -> int:
                 f"{orbit.filtration.o0} != N={group_order}")
         rhs += orbit.orbit_size * different_exponent(orbit.filtration)
     return _solve_genus(rhs)
-
-
-def quotient_is_branched(e_p: int, d: int, group_order: int) -> bool:
-    """Whether the degree-N/d quotient cover is branched under a point
-    of ramification index e_p: true iff e_p does not divide d."""
-    _check_group_order(group_order)
-    for value, name in ((e_p, "e_p"), (d, "d")):
-        if value < 1 or group_order % value:
-            raise NotADivisor(f"{name}={value} does not divide N={group_order}")
-    return d % e_p != 0
-
-
-def kummer_branch_valid(n: int, orders_at_points) -> bool:
-    """Validity of order data for a degree-n Kummer extension.
-
-    `orders_at_points` maps point labels to integer orders of the
-    defining function (finitely many nonzero).  Valid iff the orders
-    sum to zero (a principal divisor) and the number of points where n
-    does not divide the order -- the branch points -- is not exactly 1.
-    """
-    _check_group_order(n)
-    if hasattr(orders_at_points, "values"):
-        ords = list(orders_at_points.values())
-    else:
-        ords = [v for _, v in orders_at_points]
-    if sum(ords) != 0:
-        return False
-    return sum(1 for v in ords if v % n) != 1

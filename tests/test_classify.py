@@ -13,6 +13,7 @@ from cycliccurves.classify import (
     ClassificationEntry,
     ClassifyQuery,
     OrderTooLarge,
+    TooManyCandidates,
     TooManyIndices,
     UnsupportedCharacteristic,
     canonical_pair,
@@ -20,6 +21,7 @@ from cycliccurves.classify import (
     enumerate_signatures,
     primitive_pairs,
     verify_sasaki_bound,
+    _multiset_counter,
 )
 from cycliccurves import intmath
 from cycliccurves.families import Homma, Kummer, kummer_genus
@@ -141,6 +143,30 @@ def test_enumerator_refuses_orders_and_index_counts_out_of_range():
     assert enumerate_signatures(3, 254)[0] == Signature(0, (3,) * 256)
     with pytest.raises(TooManyIndices, match="257 ramification indices"):
         enumerate_signatures(3, 255)
+
+
+@pytest.mark.parametrize("n", [6, 12, 30])
+def test_multiset_counter_matches_brute_force(n):
+    terms = [(n // e) * (e - 1) for e in divisors(n) if e >= 2]
+    count = _multiset_counter(terms)
+
+    def brute(ts, target):
+        return sum(1 for k in range(target // ts[0] + 1)
+                   for combo in itertools.combinations_with_replacement(ts, k)
+                   if sum(combo) == target)
+
+    for target in range(4 * n):
+        assert count(0, target) == brute(terms, target), target
+        assert count(1, target) == brute(terms[1:], target), target
+
+
+def test_enumerator_refuses_too_many_candidates():
+    # (60, 480) has 2,032,410 candidate multisets and (60, 240) 18,775
+    start = time.perf_counter()
+    with pytest.raises(TooManyCandidates, match="2032410 candidate"):
+        enumerate_signatures(60, 480)
+    assert time.perf_counter() - start < 1
+    assert len(enumerate_signatures(60, 240)) == 16342
 
 
 def test_hyperelliptic_type_appears_exactly_for_even_genus():

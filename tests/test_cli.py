@@ -150,6 +150,8 @@ def test_signatures_out_of_range_fail_fast(capsys):
     assert (code, out) == (2, "") and "2**32" in err
     code, out, err = run(capsys, "signatures", "--n", "3", "--genus", "1000")
     assert (code, out) == (2, "") and "1002 ramification indices" in err
+    code, out, err = run(capsys, "signatures", "--n", "60", "--genus", "480")
+    assert (code, out) == (2, "") and "2032410 candidate" in err
     assert time.perf_counter() - start < 1
 
 
@@ -206,14 +208,33 @@ def test_verify_non_prime_power_q(capsys):
 
 
 def test_verify_oversized_q_fails_fast(capsys):
-    # q is prime but far beyond 2^31: refused before any factoring
+    # q is prime but far beyond 2^22: refused before any factoring
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", "--model", "homma:5",
                          "--q", "1000000000000000003")
     assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
-    assert "exceeds 2^31" in err
+    assert "exceeds the field ceiling 2^22" in err
+    # the least prime above 2^22, a q above it that is no prime power
+    # (refused for its size, before factoring), and a zeta tower past it
+    for q in ("4194319", str(2**22 + 2)):
+        code, out, err = run(capsys, "verify", "--model", "homma:5",
+                             "--q", q)
+        assert (code, out) == (2, "") and f"q = {q} exceeds" in err
+    code, out, err = run(capsys, "verify", "--model", "homma:5", "--q", "5",
+                         "--zeta-depth", "10")
+    assert (code, out) == (2, "") and "ceiling 2^22" in err
+    assert time.perf_counter() - start < 1
+
+
+def test_verify_missing_root_of_unity_is_usage_error(capsys):
+    # hyper:2,3 is defined over F_11, but its generator needs a cube root
+    # of unity, and 3 does not divide 10
+    code, out, err = run(capsys, "verify", "--model", "hyper:2,3",
+                         "--q", "11")
+    assert (code, out) == (2, "")
+    assert "no element of order 3" in err
 
 
 def test_verify_extension_field_parameter(capsys):

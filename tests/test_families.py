@@ -13,10 +13,10 @@ from cycliccurves.families import (
     Kummer,
     NotPrimitive,
     PrimitivePair,
-    identity_descriptor,
     kummer_genus,
     kummer_signature,
 )
+from cycliccurves.fforacle import field, verify_automorphism
 from cycliccurves.intmath import is_prime
 from cycliccurves.ramification import Signature, rh_genus_tame, rh_genus_wild
 
@@ -245,27 +245,30 @@ def test_of_genus_matches_brute_force(p):
 # --- generators --------------------------------------------------------------
 
 
-def test_generator_descriptors():
-    d = Kummer.of(5, 1, 1).generator()
-    assert d.order == 5 and d.zeta_order == 5
+def test_point_map_roots_of_unity():
+    # the generator scales y (Kummer) or x by a root of unity of order
+    # n, g + 1 and m; the other two families need none
+    def image_of_one_one(model, p):
+        return model.point_map(model.equation(field(p, 1)))((1, 1))
 
-    d = Hyperelliptic(2, 3).generator()
-    assert d.order == 6 and d.zeta_order == 3
+    def order(z, p):
+        return next(k for k in range(1, p) if pow(int(z), k, p) == 1)
 
-    d = ASPower(5, 2, 1, 0).generator()
-    assert d.order == 10 and d.zeta_order == 2
-
-    d = ASRational(5, 1, 1, -1).generator()
-    assert d.order == 10 and d.zeta_order is None
-
-    d = Homma(7).generator()
-    assert d.order == 7 and d.zeta_order is None
-
-    assert identity_descriptor().order == 1
+    x, y = image_of_one_one(Kummer.of(5, 1, 1), 11)
+    assert x == 1 and order(y, 11) == 5
+    x, y = image_of_one_one(Hyperelliptic(2, 3), 7)
+    assert order(x, 7) == 3 and y == 6
+    x, y = image_of_one_one(ASPower(5, 2, 1, 0), 5)
+    assert order(x, 5) == 2 and y == 2
+    assert image_of_one_one(ASRational(5, 1, 1, -1), 5) == (1, 2)
+    assert image_of_one_one(Homma(7), 7) == (1, 2)
 
 
 def test_generator_order_matches_cyclic_order():
-    models = [Kummer.of(7, 1, 2), Hyperelliptic(4, 5), ASPower(7, 2, 3, 1),
-              ASRational(7, 2, 1, -1), Homma(11)]
-    for model in models:
-        assert model.generator().order == model.cyclic_order()
+    # the permutation of the affine points has order exactly
+    # cyclic_order(), or verify_automorphism raises
+    for model, p in [(Kummer.of(7, 1, 2), 29), (Hyperelliptic(4, 5), 11),
+                     (ASPower(7, 2, 3, 1), 7), (ASRational(5, 1, 1, 4), 5),
+                     (Homma(11), 11)]:
+        report = verify_automorphism(model, field(p, 1))
+        assert report.order == model.cyclic_order(), model

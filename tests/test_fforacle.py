@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -6,11 +7,9 @@ import pytest
 from cycliccurves.families import (
     ASPower,
     ASRational,
-    AutomorphismDescriptor,
     Homma,
     Hyperelliptic,
     Kummer,
-    identity_descriptor,
 )
 from cycliccurves.fforacle import (
     TABLE_LIMIT,
@@ -22,6 +21,8 @@ from cycliccurves.fforacle import (
     OrderMismatch,
     PlaceCountSeries,
     PreconditionViolated,
+    _newton_elementary,
+    _poly_is_irreducible,
     affine_points,
     count_places,
     count_places_naive,
@@ -43,10 +44,11 @@ def test_deterministic_modulus():
 
 
 def test_reducible_modulus_rejected():
-    with pytest.raises(PreconditionViolated):
-        FiniteField(3, 2, modulus=(0, 0, 1))  # x^2
-    with pytest.raises(PreconditionViolated):
-        FiniteField(3, 2, modulus=(2, 0, 1))  # x^2 - 1 splits
+    assert not _poly_is_irreducible((0, 0, 1), 3)  # x^2
+    assert not _poly_is_irreducible((2, 0, 1), 3)  # x^2 - 1 splits
+    assert not _poly_is_irreducible((1, 0, 2), 3)  # not monic
+    assert _poly_is_irreducible((1, 0, 1), 3)  # x^2 + 1
+    assert _poly_is_irreducible((2, 2, 0, 1), 3)  # x^3 + 2x + 2
 
 
 def test_field_caps_and_validation():
@@ -290,8 +292,14 @@ def test_count_series_and_caps():
     series = count_series(Homma(5), field(5, 1), 4)
     assert series.counts == (6, 6, 126, 526)
     assert series.q == 5
+    # 5^10 passes 2^22: the tower is refused before the first count,
+    # not when its last field fails to build
+    start = time.perf_counter()
+    with pytest.raises(FieldTooLarge, match="tower to F_5\\^10 exceeds"):
+        count_series(Homma(5), field(5, 1), 10)
     with pytest.raises(FieldTooLarge):
-        count_series(Homma(5), field(5, 1), 4, max_field_size=100)
+        count_series(Homma(5), field(5, 1), 10**9)
+    assert time.perf_counter() - start < 1
 
 
 BIG_PRIME = 4194319  # the least prime above TABLE_LIMIT = 2^22
@@ -309,20 +317,17 @@ def test_fast_count_equals_naive_on_prime_fields(p):
 
 
 def test_histogram_count_refuses_fields_beyond_table_limit():
+    # every use enumerates the whole field, so prime fields stop at the
+    # ceiling of the extension-field tables
     assert BIG_PRIME > TABLE_LIMIT
-    fld = FiniteField(BIG_PRIME, 1)
     with pytest.raises(FieldTooLarge):
-        count_places(ASRational(BIG_PRIME, 1, 1, BIG_PRIME - 1), fld)
-    # every whole-field evaluation stops at the same ceiling
-    with pytest.raises(FieldTooLarge):
-        count_places(Homma(BIG_PRIME), fld)
-    with pytest.raises(FieldTooLarge):
-        affine_points(Homma(BIG_PRIME), fld)
+        FiniteField(BIG_PRIME, 1)
+    assert FiniteField(4194301, 1).q == 4194301  # the largest prime below
 
 
 def test_counting_refuses_untabulated_extension_fields():
-    # 29^6 < 2^31, but extension-field arithmetic needs exp/log tables,
-    # which stop at 2^22, so the field is refused at construction
+    # 29^6 > 2^22, the ceiling of the exp/log tables, so the field is
+    # refused at construction
     with pytest.raises(FieldTooLarge):
         FiniteField(29, 6)
 
@@ -354,6 +359,17 @@ def test_zeta_genus_inconsistent_series():
     counts = (5 + 1 - 2, 25 + 1 + 7)  # breaks the functional equation
     series = PlaceCountSeries(Hyperelliptic(2, 2), 5, counts)
     assert zeta_genus(series, 1) is None
+
+
+def test_zeta_genus_non_integral_coefficient():
+    # S_1 = 1 and S_2 = 0 give 2 e_2 = S_1 e_1 - S_2 = 1: no integer
+    # Weil polynomial of degree 4 starts this way, and degrees 0 and 2
+    # do not fit, so no genus fits
+    s = [1, 0, 3, -7]
+    assert _newton_elementary(s, 2) == [1, 1]
+    counts = tuple(5**j + 1 - sj for j, sj in enumerate(s, start=1))
+    series = PlaceCountSeries(Homma(5), 5, counts)
+    assert zeta_genus(series, 2) is None
 
 
 def test_zeta_genus_insufficient_counts():
@@ -393,13 +409,6 @@ def test_homma_automorphism_no_affine_fixed_points():
     assert report.point_count == 5
 
 
-def test_identity_descriptor_fixes_everything():
-    model = Homma(5)
-    report = verify_automorphism(model, field(5, 1), identity_descriptor())
-    assert report.order == 1
-    assert len(report.fixed_points) == report.point_count
-
-
 def test_order_mismatch_detected():
     # over F_5 every affine point of this curve has x = 0, so the
     # order-10 generator only shows its order-5 part
@@ -412,18 +421,26 @@ def test_aspower_order_realized_in_larger_field():
     assert report.order == 10
 
 
+class CubeRootKummer(Kummer):
+    """y^5 = x(1-x) with y scaled by a cube root of unity instead."""
+
+    def point_map(self, eq):
+        zeta = eq.fld.element_of_order(3)
+        return lambda pt: (pt[0], eq.fld.mul(zeta, pt[1]))
+
+
 def test_not_an_automorphism_detected():
     # a root of unity of the wrong order does not preserve the curve
-    bogus = AutomorphismDescriptor(5, zeta_order=3)
-    with pytest.raises(NotAnAutomorphism):
-        verify_automorphism(Kummer.of(5, 1, 1), field(31, 1), bogus)
+    with pytest.raises(NotAnAutomorphism, match="is not on the curve"):
+        verify_automorphism(CubeRootKummer.of(5, 1, 1), field(31, 1))
 
 
 def test_zeta_instantiation_precondition():
-    with pytest.raises(PreconditionViolated):
-        # no 5th root of unity in F_13
-        bogus = AutomorphismDescriptor(5, zeta_order=5)
-        verify_automorphism(Kummer.of(6, 1, 1), field(13, 1), bogus)
+    # the curve is defined over F_11, but x -> zeta x needs a cube root
+    # of unity, and 3 does not divide 10
+    count_places(Hyperelliptic(2, 3), field(11, 1))
+    with pytest.raises(PreconditionViolated, match="order 3"):
+        verify_automorphism(Hyperelliptic(2, 3), field(11, 1))
 
 
 def test_asrational_orbit_structure():

@@ -10,8 +10,6 @@ from cycliccurves.ramification import (
     OrbitDatum,
     Signature,
     different_exponent,
-    kummer_branch_valid,
-    quotient_is_branched,
     rh_genus_tame,
     rh_genus_wild,
     validate_filtration,
@@ -197,31 +195,7 @@ def test_filtration_identity_for_p_squared_profiles():
         assert p * p == 2 * g + p
 
 
-# --- quotient branching ----------------------------------------------------
-
-
-def test_quotient_is_branched_examples():
-    assert quotient_is_branched(4, 2, 4) is True
-    assert quotient_is_branched(2, 6, 6) is False
-    assert quotient_is_branched(6, 15, 30) is True
-
-
-def test_quotient_is_branched_rejects_nondivisors():
-    with pytest.raises(NotADivisor):
-        quotient_is_branched(4, 5, 10)
-    with pytest.raises(NotADivisor):
-        quotient_is_branched(3, 2, 10)
-
-
 # --- Kummer branch-count lemma ---------------------------------------------
-
-
-def test_kummer_branch_valid_examples():
-    assert kummer_branch_valid(5, {0: 1, 1: 1, "inf": -2}) is True
-    assert kummer_branch_valid(5, {0: 5, "inf": -5}) is True
-    assert kummer_branch_valid(5, {0: 2, "P": -5, "Q": 3}) is True
-    assert kummer_branch_valid(5, {0: 1, "inf": -2}) is False  # sum != 0
-    assert kummer_branch_valid(3, [("a", 3), ("b", -3), ("c", 0)]) is True
 
 
 @given(st.integers(2, 12), st.lists(st.integers(-30, 30), max_size=6))
@@ -230,7 +204,6 @@ def test_no_principal_divisor_has_exactly_one_branch_point(n, orders):
     orders = orders + [-sum(orders)]
     branch_count = sum(1 for v in orders if v % n)
     assert branch_count != 1
-    assert kummer_branch_valid(n, enumerate(orders)) is True
 
 
 def test_single_branch_configurations_never_sum_to_zero():
