@@ -18,13 +18,13 @@ pairs directly: a unit scales each entry of the exponent triple
 (r, s, -(r+s)) down to its gcd with N and no lower, the genus fixes the
 sum of the three gcds, and so the least members come from the divisor
 triples of N alone.  The raw listing is the union of their orbits.
-`verify_sasaki_bound` stays exhaustive, one order at a time as int16
-arrays.  `primitive_pairs`, `canonical_pair` and `kummer_genus` work one
-pair at a time and are the independent check of both.  Orders stop at
-2897, where the pairs of one order would pass `TABLE_LIMIT`.
-Everything here is pure and deterministic: results are canonically
-sorted before return, so enumeration may be partitioned across workers
-and merged order-independently.
+Both listings build their entries from the pairs' gcd triples
+(`_kummer_entries`).  `verify_sasaki_bound` stays exhaustive, one order
+at a time as int16 arrays.  `primitive_pairs`, `canonical_pair` and
+`kummer_genus` work one pair at a time and are the independent check of
+both.  Orders stop at 2897, where the pairs of one order would pass
+`TABLE_LIMIT`.  Everything here is pure and deterministic: entries come
+out ordered by N, family and spec values, with no sort.
 
 `enumerate_signatures(n, g)` lists every tame ramification type
 (g0; e_1..e_k) that a degree-n cyclic cover of genus g can have,
@@ -33,9 +33,9 @@ subject to the arithmetic constraints: all e_i divide n, at least two
 g0 = 0, and the lcm unchanged by deleting any single index.  It accepts
 any n from 2 to 2**32 at which no signature of genus g could have more
 than 256 indices and 2**17 candidate index multisets, which it counts
-before listing any; the structural consequences peculiar to n >= 2g + 1
-(g0 = 0 and three branch points, up to one exception) are asserted by
-the test suite, not imposed here.
+in at most 2**21 steps before listing any; the structural consequences
+peculiar to n >= 2g + 1 (g0 = 0 and three branch points, up to one
+exception) are asserted by the test suite, not imposed here.
 """
 
 from bisect import bisect_right
@@ -46,7 +46,8 @@ from math import gcd, isqrt, lcm
 import numpy as np
 
 from .intmath import TABLE_LIMIT, divisors, is_prime
-from .families import FAMILIES, CurveModel, Kummer, PrimitivePair
+from .families import (FAMILIES, CurveModel, Kummer, NotPrimitive,
+                       PrimitivePair)
 from .ramification import (N_CAP, OrbitDatum, Signature, rh_genus_tame,
                            rh_genus_wild)
 
@@ -59,6 +60,7 @@ _CACHE_SIZE = 256
 # or four.
 _MAX_INDICES = 256
 _MAX_CANDIDATES = 1 << 17  # index multisets a signature search may test
+_MAX_COUNT_STEPS = 1 << 21  # (state, term) steps a count of them may take
 
 
 class UnsupportedCharacteristic(ValueError):
@@ -84,7 +86,7 @@ class TooManyIndices(ValueError):
 
 
 class TooManyCandidates(ValueError):
-    """A signature search would test more multisets than its budget."""
+    """A signature search would test, or count, past its budget."""
 
 
 # Largest order whose exponent pairs, one for every (r, s) with
@@ -277,11 +279,49 @@ def _genus_pairs(n, g):
                                 for r, s in _orbit_minima(n, g))))
 
 
+def _kummer_entries(n, g, pairs):
+    """`ClassificationEntry(Kummer.of(n, r, s))` for each pair (r, s) of
+    genus g: range, primitivity and genus are checked per pair, and
+    Riemann-Hurwitz once per signature type, which its pairs share."""
+    if g < 2 or n < 2 * g + 1:
+        raise ValueError(f"no Kummer entry of genus {g} at order {n}")
+    total = n + 2 - 2 * g  # gcd(n, r) + gcd(n, s) + gcd(n, r + s)
+    types, signatures, out = {}, {}, []
+    for r, s in pairs:
+        if r < 1 or s < 1 or r + s >= n:
+            raise NotPrimitive(f"(r, s)=({r}, {s}) outside range for n={n}")
+        a, b, c = abc = gcd(n, r), gcd(n, s), gcd(n, r + s)
+        if gcd(a, b) != 1:
+            raise NotPrimitive(f"gcd(r, s, n) != 1 for ({r}, {s}) mod {n}")
+        if a + b + c != total:
+            raise ValueError(f"Kummer pair ({r}, {s}) mod {n} has genus "
+                             f"{(n + 2 - a - b - c) // 2}, not {g}")
+        if abc not in types:
+            indices = (n // a, n // b, n // c)
+            sig = Signature(0, indices)
+            if signatures.setdefault(sig, sig) is sig:  # a new type
+                rh = rh_genus_tame(n, 0, sig)
+                if rh != g:
+                    raise ValueError(f"ramification data {sig} of ({r}, {s}) "
+                                     f"mod {n} gives genus {rh}, not {g}")
+            types[abc] = indices, signatures[sig]
+        indices, signature = types[abc]
+        # the constructors' fields in their order: instance dicts share keys
+        pair = object.__new__(PrimitivePair)
+        pair.__dict__.update(n=n, r=r, s=s, genus=g, _indices=indices)
+        model = object.__new__(Kummer)
+        model.__dict__["pair"] = pair
+        entry = object.__new__(ClassificationEntry)
+        entry.__dict__.update(model=model, n=n, branch=Kummer.branch, genus=g,
+                              wild=False, signature=signature, orbits=None)
+        out.append(entry)
+    return out
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
-def _canonical_genus_models(n, g):
-    # The models are shared by every classify call that lists them, and
-    # with them each pair's signature, computed once.
-    return tuple(Kummer.of(n, r, s) for r, s in _orbit_minima(n, g))
+def _canonical_genus_entries(n, g):
+    # The entries are shared by every classify call that lists them.
+    return tuple(_kummer_entries(n, g, _orbit_minima(n, g)))
 
 
 def enumerate_signatures(n: int, g: int) -> list[Signature]:
@@ -327,13 +367,19 @@ def _steps(terms, start, remaining):
             yield i, rest
 
 
-def _multiset_counter(terms):
+def _multiset_counter(terms, budget=_MAX_COUNT_STEPS):
     """count(i, t): how many non-decreasing multisets of the ascending
-    terms[i:] sum to t.  Its cache lives for one search."""
+    terms[i:] sum to t, for one search of at most `budget` steps."""
+    tried = [0]
     @lru_cache(maxsize=None)
     def count(start, remaining):
-        return 1 if remaining == 0 else sum(
-            count(i, rest) for i, rest in _steps(terms, start, remaining))
+        if remaining == 0:
+            return 1
+        tried[0] += bisect_right(terms, remaining) - start
+        if tried[0] > budget:
+            raise TooManyCandidates(f"candidate count over {budget} steps")
+        return sum(count(i, rest) for i, rest in _steps(terms, start,
+                                                        remaining))
     return count
 
 
@@ -377,26 +423,18 @@ def classify(p: int, g: int, *, raw_pairs: bool = False,
     orders = range(2 * g + 1, (4 * g + 4 if p else 4 * g + 2) + 1)
     if n is not None:
         orders = [n] if n in orders else []
-    models = []
+    # the other families' entries, at most one each, follow Kummer's at N
+    others = [ClassificationEntry(model) for family in FAMILIES[1:]
+              for model in family.of_genus(p, g)]
+    entries = []
     for big_n in orders:
-        if p and big_n % p == 0:
-            continue
-        if raw_pairs:
-            models += [Kummer.of(big_n, r, s)
-                       for r, s in _genus_pairs(big_n, g)]
-        else:
-            models += _canonical_genus_models(big_n, g)
-    for family in FAMILIES[1:]:
-        models += [model for model in family.of_genus(p, g)
-                   if n is None or model.cyclic_order() == n]
-    return sorted(map(ClassificationEntry, models), key=_entry_key)
-
-
-def _entry_key(entry):
-    # a family lists at most one model per N, except Kummer, whose
-    # models at one N differ in (r, s)
-    model = entry.model
-    return (entry.n, FAMILIES.index(type(model)), model.spec_values())
+        if not p or big_n % p:
+            if raw_pairs:
+                entries += _kummer_entries(big_n, g, _genus_pairs(big_n, g))
+            else:
+                entries += _canonical_genus_entries(big_n, g)
+        entries += [entry for entry in others if entry.n == big_n]
+    return entries
 
 
 @dataclass(frozen=True)

@@ -86,15 +86,11 @@ def _parse_prime_power(q):
     if q > TABLE_LIMIT:
         # checked before factoring, which is trial division
         raise fforacle.FieldTooLarge(f"q = {q} exceeds the field ceiling 2^22")
-    p = prime_factors(q)[0]
-    k = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        k += 1
-    if rest != 1:
+    factors = prime_factors(q)  # distinct
+    if len(factors) > 1:
         raise ValueError(f"q={q} is not a prime power")
-    return p, k
+    p = factors[0]
+    return p, next(k for k in range(1, q) if p**k == q)
 
 
 # ---------------------------------------------------------------------------

@@ -279,8 +279,6 @@ class Kummer(CurveModel):
 
     def equation(self, fld, base=None):
         n, r, s = self.pair.n, self.pair.r, self.pair.s
-        _require((fld.q - 1) % n == 0,
-                 f"n={n} does not divide q-1={fld.q - 1}")
         # Over x = 0, 1 and infinity the rational places correspond to
         # the roots in F_q of z^d = u, where d is gcd(n, ord) and u is
         # the value of the local unit part: 1 over x = 0 and (-1)^s over
@@ -408,8 +406,6 @@ class ASPower(CurveModel):
 
     def equation(self, fld, base=None):
         _require_characteristic(self.p, fld)
-        _require((fld.q - 1) % self.m == 0,
-                 f"m={self.m} does not divide q-1={fld.q - 1}")
         a = _bind(self.a, fld, base)
         b = _bind(self.b, fld, base)
         _require(a != 0, "coefficient a vanishes in field")

@@ -646,7 +646,7 @@ def verify_automorphism(model: CurveModel, fld: FiniteField) -> OrbitReport:
     claimed = model.cyclic_order()
     if order != claimed:
         raise OrderMismatch(
-            f"permutation has order {order}, descriptor claims {claimed}")
+            f"permutation has order {order}, cyclic_order is {claimed}")
     assert sum(size * mult for size, mult in sizes.items()) == len(images)
     assert all(order % size == 0 for size in sizes)
     return OrbitReport(

@@ -24,7 +24,7 @@ from cycliccurves.classify import (
     _multiset_counter,
 )
 from cycliccurves import intmath
-from cycliccurves.families import Homma, Kummer, kummer_genus
+from cycliccurves.families import FAMILIES, Homma, Kummer, kummer_genus
 from cycliccurves.intmath import divisors
 from cycliccurves.ramification import (
     N_CAP,
@@ -167,6 +167,23 @@ def test_enumerator_refuses_too_many_candidates():
         enumerate_signatures(60, 480)
     assert time.perf_counter() - start < 1
     assert len(enumerate_signatures(60, 240)) == 16342
+
+
+def test_enumerator_refuses_a_count_past_its_step_budget():
+    # 1,439 divisors above 1 and a genus far above n / 2: the count alone
+    # ran for minutes without a budget
+    start = time.perf_counter()
+    with pytest.raises(TooManyCandidates,
+                       match="candidate count over 2097152 steps"):
+        enumerate_signatures(3113510400, 10**10)
+    assert time.perf_counter() - start < 1
+    # the order with the most divisors up to 2**32 still counts at small
+    # genus, in 1,846,085 steps
+    assert enumerate_signatures(3491888400, 2) == []
+    # count(0, 3), count(0, 2) and count(0, 1) try 3 + 2 + 1 terms
+    assert _multiset_counter([1, 2, 3], budget=6)(0, 3) == 3
+    with pytest.raises(TooManyCandidates, match="over 5 steps"):
+        _multiset_counter([1, 2, 3], budget=5)(0, 3)
 
 
 def test_hyperelliptic_type_appears_exactly_for_even_genus():
@@ -322,7 +339,7 @@ def test_caches_are_bounded():
     arguments = {
         intmath.prime_factors: lambda i: (i + 1,),
         intmath.divisors: lambda i: (i + 1,),
-        module._canonical_genus_models: lambda i: (5 + i, 2),
+        module._canonical_genus_entries: lambda i: (5 + i, 2),
     }
     try:
         for cache, args in arguments.items():
@@ -332,7 +349,7 @@ def test_caches_are_bounded():
                 cache(*args(i))
             assert cache.cache_info().currsize <= bound
     finally:
-        module._canonical_genus_models.cache_clear()
+        module._canonical_genus_entries.cache_clear()
 
 
 # --- Kummer pair search ---------------------------------------------------------
@@ -355,6 +372,83 @@ def test_orbit_minima_match_an_orbit_walk():
             assert module._orbit_minima(n, g) == sorted(minima.get(g, [])), \
                 (n, g)
             assert module._genus_pairs(n, g) == by_genus.get(g, []), (n, g)
+
+
+def test_kummer_entries_equal_the_constructed_ones():
+    # built field by field, the entries are the constructors' objects:
+    # equal, with the same repr and hash, canonical and raw
+    module = sys.modules["cycliccurves.classify"]
+    for n in range(5, 131):
+        for g in range(2, (n - 1) // 2 + 1):
+            for pairs in (module._genus_pairs(n, g),
+                          module._orbit_minima(n, g)):
+                built = module._kummer_entries(n, g, pairs)
+                want = [ClassificationEntry(Kummer.of(n, r, s))
+                        for r, s in pairs]
+                assert built == want, (n, g)
+                assert list(map(repr, built)) == list(map(repr, want)), (n, g)
+                assert list(map(hash, built)) == list(map(hash, want)), (n, g)
+
+
+def test_kummer_entries_check_every_pair(monkeypatch):
+    module = sys.modules["cycliccurves.classify"]
+    entries = module._kummer_entries
+    assert [e.genus for e in entries(12, 3, [(1, 3), (1, 5)])] == [3, 3]
+    for n, g in ((6, 3), (5, 1)):
+        with pytest.raises(ValueError,
+                           match=f"no Kummer entry of genus {g} at order {n}"):
+            entries(n, g, [])
+    # (11, 9) reflects (1, 3) through (n, n) and (13, 3) shifts it by n:
+    # the same gcds and genus, but outside r, s >= 1, r + s <= n - 1
+    for pair in ((11, 9), (13, 3), (0, 5), (5, 0)):
+        with pytest.raises(ValueError, match="outside range for n=12"):
+            entries(12, 3, [(1, 3), pair])
+    # gcds 2, 2, 4 sum to n + 2 - 2g at g = 3, but (2, 2) is not primitive
+    with pytest.raises(ValueError,
+                       match=r"gcd\(r, s, n\) != 1 for \(2, 2\) mod 12"):
+        entries(12, 3, [(1, 3), (2, 2)])
+    with pytest.raises(ValueError,
+                       match=r"pair \(1, 1\) mod 12 has genus 5, not 3"):
+        entries(12, 3, [(1, 3), (1, 1)])
+    # Riemann-Hurwitz runs once on each signature type, not only the first
+    calls = []
+
+    def wrong_rh(n, g0, sig):
+        calls.append(sig)
+        return 4 if sig == Signature(0, (3, 4, 12)) else 3
+
+    monkeypatch.setattr(module, "rh_genus_tame", wrong_rh)
+    with pytest.raises(ValueError, match=r"\(0; 3,4,12\) of \(1, 3\) mod 12 "
+                       r"gives genus 4, not 3"):
+        entries(12, 3, [(1, 5), (5, 1), (1, 3)])
+    assert calls == [Signature(0, (2, 12, 12)), Signature(0, (3, 4, 12))]
+
+
+def test_kummer_entries_share_a_signature_per_type():
+    module = sys.modules["cycliccurves.classify"]
+    for n, g in ((12, 3), (30, 10), (60, 20)):
+        entries = module._kummer_entries(n, g, module._genus_pairs(n, g))
+        by_type = {}
+        for e in entries:
+            by_type.setdefault(e.signature, set()).add(id(e.signature))
+        assert all(len(ids) == 1 for ids in by_type.values()), (n, g)
+        assert len(by_type) == (1 if n == 60 else 2)
+        # the pairs of one type have gcd triples in different orders
+        triples = {(gcd(n, e.model.pair.r), gcd(n, e.model.pair.s))
+                   for e in entries}
+        assert len(triples) > len(by_type)
+
+
+def test_classify_lists_entries_in_order():
+    def key(entry):
+        model = entry.model
+        return entry.n, FAMILIES.index(type(model)), model.spec_values()
+
+    for p in (0, 3, 5, 7, 11, 13, 17, 19, 23):
+        for g in range(2, 41):
+            for raw in (False, True):
+                keys = [key(e) for e in classify(p, g, raw_pairs=raw)]
+                assert keys == sorted(keys), (p, g, raw)
 
 
 def test_classify_at_one_order_is_the_filtered_listing():

@@ -43,7 +43,7 @@ INVOCATIONS = (
         ["verify", "--model", "homma:7", "--q", "49"],
         # exit 1: the order-10 generator collapses to order 5 on F_5
         ["verify", "--model", "aspower:5,2,1,0", "--q", "5"],
-        # exit 2: 5 does not divide q - 1 = 6
+        # exit 2: F_7 has no element of order 5 for the generator
         ["verify", "--model", "kummer:5,1,1", "--q", "7"],
     ])
 
