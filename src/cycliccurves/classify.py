@@ -46,8 +46,8 @@ from math import gcd, isqrt, lcm
 import numpy as np
 
 from .intmath import TABLE_LIMIT, divisors, is_prime
-from .families import (FAMILIES, CurveModel, Kummer, NotPrimitive,
-                       PrimitivePair)
+from .families import (FAMILIES, CurveModel, Kummer, PrimitivePair,
+                       primitive_gcds)
 from .ramification import (N_CAP, OrbitDatum, Signature, rh_genus_tame,
                            rh_genus_wild)
 
@@ -288,11 +288,7 @@ def _kummer_entries(n, g, pairs):
     total = n + 2 - 2 * g  # gcd(n, r) + gcd(n, s) + gcd(n, r + s)
     types, signatures, out = {}, {}, []
     for r, s in pairs:
-        if r < 1 or s < 1 or r + s >= n:
-            raise NotPrimitive(f"(r, s)=({r}, {s}) outside range for n={n}")
-        a, b, c = abc = gcd(n, r), gcd(n, s), gcd(n, r + s)
-        if gcd(a, b) != 1:
-            raise NotPrimitive(f"gcd(r, s, n) != 1 for ({r}, {s}) mod {n}")
+        a, b, c = abc = primitive_gcds(n, r, s)
         if a + b + c != total:
             raise ValueError(f"Kummer pair ({r}, {s}) mod {n} has genus "
                              f"{(n + 2 - a - b - c) // 2}, not {g}")
@@ -300,8 +296,7 @@ def _kummer_entries(n, g, pairs):
             indices = (n // a, n // b, n // c)
             sig = Signature(0, indices)
             if signatures.setdefault(sig, sig) is sig:  # a new type
-                rh = rh_genus_tame(n, 0, sig)
-                if rh != g:
+                if (rh := rh_genus_tame(n, 0, sig)) != g:
                     raise ValueError(f"ramification data {sig} of ({r}, {s}) "
                                      f"mod {n} gives genus {rh}, not {g}")
             types[abc] = indices, signatures[sig]
@@ -367,19 +362,19 @@ def _steps(terms, start, remaining):
             yield i, rest
 
 
-def _multiset_counter(terms, budget=_MAX_COUNT_STEPS):
+def _multiset_counter(terms):
     """count(i, t): how many non-decreasing multisets of the ascending
-    terms[i:] sum to t, for one search of at most `budget` steps."""
+    terms[i:] sum to t, in at most `_MAX_COUNT_STEPS` steps a search."""
     tried = [0]
     @lru_cache(maxsize=None)
     def count(start, remaining):
         if remaining == 0:
             return 1
         tried[0] += bisect_right(terms, remaining) - start
-        if tried[0] > budget:
-            raise TooManyCandidates(f"candidate count over {budget} steps")
-        return sum(count(i, rest) for i, rest in _steps(terms, start,
-                                                        remaining))
+        if tried[0] > _MAX_COUNT_STEPS:
+            raise TooManyCandidates(
+                f"candidate count over {_MAX_COUNT_STEPS} steps")
+        return sum(count(*step) for step in _steps(terms, start, remaining))
     return count
 
 

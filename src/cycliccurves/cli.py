@@ -86,10 +86,9 @@ def _parse_prime_power(q):
     if q > TABLE_LIMIT:
         # checked before factoring, which is trial division
         raise fforacle.FieldTooLarge(f"q = {q} exceeds the field ceiling 2^22")
-    factors = prime_factors(q)  # distinct
-    if len(factors) > 1:
+    p, *others = prime_factors(q)  # distinct
+    if others:
         raise ValueError(f"q={q} is not a prime power")
-    p = factors[0]
     return p, next(k for k in range(1, q) if p**k == q)
 
 
@@ -210,13 +209,7 @@ def _cmd_verify(args):
     ok = True
     records = []
 
-    count = fforacle.count_places(model, fld)
-    hw_ok = (count - (args.q + 1))**2 <= 4 * g * g * args.q
-    ok &= hw_ok
-    records.append(_record("verify", {
-        "check": "places", "model": args.model, "q": args.q,
-        "count": count, "genus_formula": g, "ok": hw_ok}))
-
+    # the generator first: a missing root of unity fails before the count
     try:
         report = fforacle.verify_automorphism(model, fld)
         fixed_ok = report.fixed_points == model.affine_fixed
@@ -232,6 +225,13 @@ def _cmd_verify(args):
         records.append(_record("verify", {
             "check": "automorphism", "model": args.model, "q": args.q,
             "error": str(exc), "ok": False}))
+
+    count = fforacle.count_places(model, fld)
+    hw_ok = (count - (args.q + 1))**2 <= 4 * g * g * args.q
+    ok &= hw_ok
+    records.insert(0, _record("verify", {
+        "check": "places", "model": args.model, "q": args.q,
+        "count": count, "genus_formula": g, "ok": hw_ok}))
 
     if args.zeta_depth:
         series = fforacle.count_series(model, fld, args.zeta_depth)

@@ -77,16 +77,10 @@ class PrimitivePair:
                                            compare=False)
 
     def __post_init__(self):
-        n, r, s = self.n, self.r, self.s
-        if n < 2:
-            raise NotPrimitive(f"n must be >= 2, got {n}")
-        if r < 1 or s < 1 or r + s > n - 1:
-            raise NotPrimitive(f"(r, s)=({r}, {s}) outside range for n={n}")
-        a, b, c = gcd(n, r), gcd(n, s), gcd(n, r + s)
-        if gcd(a, b) != 1:
-            raise NotPrimitive(f"gcd(r, s, n) != 1 for ({r}, {s}) mod {n}")
+        n = self.n
+        a, b, c = primitive_gcds(n, self.r, self.s)
         total = n + 2 - a - b - c
-        assert total % 2 == 0, (n, r, s)
+        assert total % 2 == 0, (n, self.r, self.s)
         # frozen: the derived fields go into the instance dict directly
         self.__dict__.update(genus=total // 2,
                              _indices=(n // a, n // b, n // c))
@@ -96,6 +90,16 @@ class PrimitivePair:
         """Ramification signature of y^n = x^r (1-x)^s: genus-0 quotient,
         branched over x = 0, 1, infinity with indices n/gcd."""
         return Signature(0, self._indices)
+
+
+def primitive_gcds(n: int, r: int, s: int) -> tuple[int, int, int]:
+    """gcd(n, r), gcd(n, s), gcd(n, r + s); NotPrimitive unless primitive."""
+    if r < 1 or s < 1 or r + s > n - 1:
+        raise NotPrimitive(f"(r, s)=({r}, {s}) outside range for n={n}")
+    a, b, c = gcd(n, r), gcd(n, s), gcd(n, r + s)
+    if gcd(a, b) != 1:
+        raise NotPrimitive(f"gcd(r, s, n) != 1 for ({r}, {s}) mod {n}")
+    return a, b, c
 
 
 def kummer_genus(n: int, r: int, s: int) -> int:

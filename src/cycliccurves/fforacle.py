@@ -614,8 +614,9 @@ def verify_automorphism(model: CurveModel, fld: FiniteField) -> OrbitReport:
     with order exactly `model.cyclic_order()`, and report the orbit
     structure."""
     eq = model.equation(fld)
+    generator = model.point_map(eq)  # raises before any point is listed
     xs, ys = _affine_point_arrays(eq)
-    image_xs, image_ys = model.point_map(eq)((xs, ys))
+    image_xs, image_ys = generator((xs, ys))
     # points as x * q + y, sorted: the image of point i is point[index[i]]
     keys = xs * fld.q + ys
     image_keys = _int64(image_xs) * fld.q + image_ys

@@ -169,7 +169,7 @@ def test_enumerator_refuses_too_many_candidates():
     assert len(enumerate_signatures(60, 240)) == 16342
 
 
-def test_enumerator_refuses_a_count_past_its_step_budget():
+def test_enumerator_refuses_a_count_past_its_step_budget(monkeypatch):
     # 1,439 divisors above 1 and a genus far above n / 2: the count alone
     # ran for minutes without a budget
     start = time.perf_counter()
@@ -181,9 +181,12 @@ def test_enumerator_refuses_a_count_past_its_step_budget():
     # genus, in 1,846,085 steps
     assert enumerate_signatures(3491888400, 2) == []
     # count(0, 3), count(0, 2) and count(0, 1) try 3 + 2 + 1 terms
-    assert _multiset_counter([1, 2, 3], budget=6)(0, 3) == 3
+    module = sys.modules["cycliccurves.classify"]
+    monkeypatch.setattr(module, "_MAX_COUNT_STEPS", 6)
+    assert _multiset_counter([1, 2, 3])(0, 3) == 3
+    monkeypatch.setattr(module, "_MAX_COUNT_STEPS", 5)
     with pytest.raises(TooManyCandidates, match="over 5 steps"):
-        _multiset_counter([1, 2, 3], budget=5)(0, 3)
+        _multiset_counter([1, 2, 3])(0, 3)
 
 
 def test_hyperelliptic_type_appears_exactly_for_even_genus():

@@ -179,11 +179,21 @@ def test_verify_kummer_over_f11(capsys):
     assert by_check["automorphism"]["fixed_points"] == [[0, 0], [1, 0]]
 
 
-def test_verify_precondition_failure_is_usage_error(capsys):
+def test_verify_precondition_failure_is_usage_error(capsys, monkeypatch):
     # the count runs over F_7, but the generator needs an element of
     # order 5, and 5 does not divide 6
     code, _, err = run(capsys, "verify", "--model", "kummer:5,1,1", "--q", "7")
     assert code == 2
+    assert "no element of order 5" in err
+    # the missing root of unity is reported before any place is counted
+
+    def no_count(model, fld):
+        raise AssertionError("places counted before the generator")
+
+    monkeypatch.setattr("cycliccurves.fforacle.count_places", no_count)
+    code, out, err = run(capsys, "verify", "--model", "kummer:5,1,1",
+                         "--q", "4194287")
+    assert (code, out) == (2, "")
     assert "no element of order 5" in err
 
 

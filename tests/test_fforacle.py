@@ -444,12 +444,24 @@ def test_not_an_automorphism_detected():
         verify_automorphism(CubeRootKummer.of(5, 1, 1), field(31, 1))
 
 
-def test_zeta_instantiation_precondition():
+def test_zeta_instantiation_precondition(monkeypatch):
     # the curve is defined over F_11, but x -> zeta x needs a cube root
     # of unity, and 3 does not divide 10
     count_places(Hyperelliptic(2, 3), field(11, 1))
     with pytest.raises(PreconditionViolated, match="order 3"):
         verify_automorphism(Hyperelliptic(2, 3), field(11, 1))
+
+    # the missing root of unity is reported before any point is listed
+    def no_points(eq):
+        raise AssertionError("affine points listed before the generator")
+
+    monkeypatch.setattr("cycliccurves.fforacle._affine_point_arrays",
+                        no_points)
+    for model, p, n in ((Hyperelliptic(2, 3), 11, 3),
+                        (Kummer.of(5, 1, 1), 7, 5),
+                        (ASPower(5, 3, 1, 0), 5, 3)):
+        with pytest.raises(PreconditionViolated, match=f"order {n}"):
+            verify_automorphism(model, field(p, 1))
 
 
 def test_asrational_orbit_structure():
