@@ -33,6 +33,9 @@ BATTERY = [
     (Hyperelliptic(2, 2), (7, 1), (7, 1)),
     (Hyperelliptic(2, 3), (7, 1), (7, 1)),
     (ASRational(5, 1, 1, 4), (5, 1), (5, 1)),
+    # coefficients outside F_5, lifted into each extension of F_25
+    (Hyperelliptic(2, 11), (5, 2), (5, 2)),
+    (ASPower(5, 2, 5, 2), (5, 2), (5, 2)),
 ]
 
 

@@ -58,7 +58,6 @@ from .fforacle import (
     OrderMismatch,
     PlaceCountSeries,
     PreconditionViolated,
-    affine_points,
     count_places,
     count_places_naive,
     count_series,

@@ -28,7 +28,7 @@ import sys
 
 from . import fforacle
 from .classify import (
-    canonical_pair,
+    _pair_orbit,
     classify,
     enumerate_signatures,
     primitive_pairs,
@@ -170,21 +170,24 @@ def _cmd_classify(args):
 
 
 def _cmd_pairs(args):
-    rows = [(pair, pair.genus) for pair in primitive_pairs(args.n)]
-    if args.genus is not None:
-        rows = [(pair, g) for pair, g in rows if g == args.genus]
-    rows = [(pair, g, canonical_pair(pair.n, pair.r, pair.s))
-            for pair, g in rows]
+    pairs = [pair for pair in primitive_pairs(args.n)
+             if args.genus in (None, pair.genus)]
+    # pairs come in lexicographic order and an orbit keeps the genus, so
+    # an orbit's first pair is its canonical one
+    canonical = {}
+    for pair in pairs:
+        key = (pair.r, pair.s)
+        if key not in canonical:
+            canonical.update(dict.fromkeys(_pair_orbit(args.n, *key), key))
     if args.canonical:
-        chosen = {(rep.r, rep.s): (rep, g, rep) for _, g, rep in rows}
-        rows = [chosen[key] for key in sorted(chosen)]
+        pairs = [p for p in pairs if canonical[p.r, p.s] == (p.r, p.s)]
     records = [_record("pairs", {
         "n": pair.n,
         "r": pair.r,
         "s": pair.s,
-        "genus": g,
-        "canonical": [rep.r, rep.s],
-    }) for pair, g, rep in rows]
+        "genus": pair.genus,
+        "canonical": list(canonical[pair.r, pair.s]),
+    }) for pair in pairs]
     _emit(records, args.format)
     return 0
 

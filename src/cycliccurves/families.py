@@ -13,20 +13,22 @@ Each family is one frozen dataclass, the one place its equation and
 generator are stated: invariants (`genus`, `cyclic_order`); its branch
 of the classification (`branch`, `wild`), `ramification` data and, but
 for Kummer, its models of genus g in characteristic p (`of_genus`); the
-curve as lhs(y) = rhs(x) over a finite field, with preconditions,
-x-domain and the places an x-by-x count does not see (`equation`); the
-generator on affine points, which finds its root of unity in the field
-(`point_map`, `affine_fixed`); and the command-line spec `name:field,...`
-(`name`, `spec_fields`).  Classification, counting, automorphism checks
-(`fforacle`) and spec parsing (`cli`) are generic over these, so adding
-a family means adding one class to `FAMILIES`.
+curve as lhs(y) = rhs(x) over one finite field, with preconditions,
+x-domain, the fibre sizes of lhs and the places the affine points do
+not give (`equation`); the generator on affine points, which finds its
+root of unity in the field (`point_map`, `affine_fixed`); and the
+command-line spec `name:field,...` (`name`, `spec_fields`).
+Classification, counting, automorphism checks (`fforacle`) and spec
+parsing (`cli`) are generic over these, so adding a family means adding
+one class to `FAMILIES`.
 
 Models are field-agnostic value objects: parameters are either plain
-integers (read in the prime subfield) or strings standing for symbolic
-parameters.  Only `equation` and `point_map` see a field, which they
-take as an argument.
+integers (residues below p, base-p encodings of field elements in
+[p, q)) or strings standing for symbolic parameters.  Only `equation`
+and `point_map` see a field, the one they take as an argument;
+`lifted` moves a model's coefficients into an extension field.
 
-Constructors reject parameter choices that degenerate to genus < 2.
+Constructors reject parameters that give genus < 2 or a zero coefficient.
 """
 
 from collections.abc import Callable
@@ -121,24 +123,24 @@ def _require(cond, msg):
         raise PreconditionViolated(msg)
 
 
-def _bind(value, fld, base=None):
-    """Resolve an integer model parameter to an element of `fld`.
-
-    Values below p are prime-subfield residues; values in [p, q) are
-    base-p encodings relative to the field the model was defined over
-    (`base`, defaulting to `fld` itself) and are lifted along the
-    subfield embedding.
-    """
+def _bind(value, fld):
+    """Resolve an integer model parameter to an element of `fld`: values
+    below p are prime-subfield residues, values in [p, q) base-p
+    encodings."""
     if not isinstance(value, int):
         raise PreconditionViolated(
             f"symbolic parameter {value!r} cannot be evaluated in a field")
     if value < fld.p:
         return value % fld.p
-    src = base if base is not None else fld
-    if value < src.q:
-        return fld.lift_from(value, src)
+    if value < fld.q:
+        return value
     raise PreconditionViolated(
-        f"parameter {value} outside field of size {src.q}")
+        f"parameter {value} outside field of size {fld.q}")
+
+
+def _is_zero_residue(value, p):
+    # integers in [p, q) are base-p encodings of nonzero elements
+    return isinstance(value, int) and value < p and value % p == 0
 
 
 def _require_characteristic(p, fld):
@@ -147,8 +149,8 @@ def _require_characteristic(p, fld):
 
 
 # The left sides y^n and y^p - y, each with its fibre rule: the number of
-# y in the field with lhs(y) = v.  (The third, b*y^p + c*y, is counted
-# by a histogram over y.)
+# y in the field with lhs(y) = v.  (The third, b*y^p + c*y, takes its
+# fibre from a histogram over y.)
 
 def _power_lhs(fld, n):
     """y^n: a nonzero v has gcd(n, q-1) n-th roots when it is an n-th
@@ -170,32 +172,23 @@ class Equation:
 
     `lhs`, `rhs` and `fibre` take numpy arrays of field elements and
     evaluate every element in one call.  `fibre(v)` is the number of y
-    with lhs(y) = v in closed form, or None where only a histogram of
-    lhs over y gives it.  `extra` is the number of rational places of
-    the smooth model that the x values in `counted_xs` do not account
-    for: the places at infinity, over `missing_x` (x values outside the
-    affine model) and over `separate_x` (x values whose places come from
-    the ramification data instead).
+    with lhs(y) = v.  `extra` is the number of rational places of the
+    smooth model beyond the affine points: the places at infinity and
+    over `missing_x` (x values outside the affine model), less any
+    affine points that are not places of their own.
     """
 
     fld: Any
     lhs: Callable[[np.ndarray], np.ndarray]
-    fibre: Callable[[np.ndarray], np.ndarray] | None
+    fibre: Callable[[np.ndarray], np.ndarray]
     rhs: Callable[[np.ndarray], np.ndarray]
     extra: int
     missing_x: tuple = ()
-    separate_x: tuple = ()
-
-    # field elements are enumerated by encoding, so x sits at index x
 
     def affine_xs(self):
-        """The x values of the affine model, as an array."""
+        """The x values of the affine model, as an array (field elements
+        are enumerated by encoding, so x sits at index x)."""
         return np.delete(self.fld.elements(), self.missing_x)
-
-    def counted_xs(self):
-        """The x values whose places are counted through the equation."""
-        return np.delete(self.fld.elements(),
-                         self.missing_x + self.separate_x)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +230,21 @@ class CurveModel:
         an odd prime); Kummer's are found by classify's pair search."""
         raise NotImplementedError
 
-    def equation(self, fld, base=None) -> Equation:
-        """The curve over `fld`; parameter values in [p, q) are read in
-        `base` (default `fld`) and lifted.  Raises PreconditionViolated
-        where the model is not defined or not smooth over `fld`."""
+    def equation(self, fld) -> Equation:
+        """The curve over `fld`, its parameters read in `fld`.  Raises
+        PreconditionViolated where the model is not defined or not
+        smooth over `fld`."""
         raise NotImplementedError
+
+    def lifted(self, src, fld):
+        """This model with its coefficients read in `src` and moved into
+        its extension `fld`; the model itself when the two are one field."""
+        if fld.q == src.q:
+            return self
+        values = self.spec_values()
+        k = len(values) - self.coefficients
+        return self.of(*values[:k], *(fld.lift_from(_bind(v, src), src)
+                                      for v in values[k:]))
 
     def point_map(self, eq: Equation) -> Callable:
         """The generator, of order `cyclic_order()`, on affine points of
@@ -281,20 +284,20 @@ class Kummer(CurveModel):
     def ramification(self):
         return self.pair.signature
 
-    def equation(self, fld, base=None):
+    def equation(self, fld):
         n, r, s = self.pair.n, self.pair.r, self.pair.s
         # Over x = 0, 1 and infinity the rational places correspond to
         # the roots in F_q of z^d = u, where d is gcd(n, ord) and u is
         # the value of the local unit part: 1 over x = 0 and (-1)^s over
-        # x = 1 and infinity.
+        # x = 1 and infinity, in place of the affine (0, 0) and (1, 0).
         minus_one_s = fld.neg(1) if s % 2 else 1
         extra = int(fld.num_nth_roots(1, gcd(n, r))
                     + fld.num_nth_roots(minus_one_s, gcd(n, s))
-                    + fld.num_nth_roots(minus_one_s, gcd(n, r + s)))
+                    + fld.num_nth_roots(minus_one_s, gcd(n, r + s))) - 2
         return Equation(
             fld, *_power_lhs(fld, n),
             rhs=lambda x: fld.mul(fld.pow(x, r), fld.pow(fld.sub(1, x), s)),
-            extra=extra, separate_x=(0, 1))
+            extra=extra)
 
     def point_map(self, eq):
         fld = eq.fld
@@ -338,8 +341,8 @@ class Hyperelliptic(CurveModel):
         if g % 2 == 0 and (p == 0 or (2 * g + 2) % p):
             yield cls(g, "lambda")
 
-    def equation(self, fld, base=None):
-        lam = _bind(self.lam, fld, base)
+    def equation(self, fld):
+        lam = _bind(self.lam, fld)
         _require(lam not in (0, 1), f"lambda={self.lam} is 0 or 1 in field")
         _require((self.g + 1) % fld.p != 0,
                  f"p={fld.p} divides g+1; family is singular here")
@@ -383,7 +386,7 @@ class ASPower(CurveModel):
         if self.genus() < 2:
             raise DegenerateModel(
                 f"p={self.p}, m={self.m} gives genus {self.genus()} < 2")
-        if isinstance(self.a, int) and self.a % self.p == 0:
+        if _is_zero_residue(self.a, self.p):
             raise DegenerateModel("coefficient a must be nonzero")
 
     def genus(self):
@@ -408,10 +411,10 @@ class ASPower(CurveModel):
             if m > 1 and m % p:
                 yield cls(p, m, "a", "b")
 
-    def equation(self, fld, base=None):
+    def equation(self, fld):
         _require_characteristic(self.p, fld)
-        a = _bind(self.a, fld, base)
-        b = _bind(self.b, fld, base)
+        a = _bind(self.a, fld)
+        b = _bind(self.b, fld)
         _require(a != 0, "coefficient a vanishes in field")
         m = self.m
         # one place at infinity, totally ramified
@@ -444,7 +447,7 @@ class ASRational(CurveModel):
         if self.p < _AS_MIN_P or not is_prime(self.p):
             raise DegenerateModel(f"odd prime p != 3 required, got {self.p}")
         for name, v in (("a", self.a), ("b", self.b), ("c", self.c)):
-            if isinstance(v, int) and v % self.p == 0:
+            if _is_zero_residue(v, self.p):
                 raise DegenerateModel(f"coefficient {name} must be nonzero")
 
     def genus(self):
@@ -468,11 +471,11 @@ class ASRational(CurveModel):
         if p >= _AS_MIN_P and g == p - 1:
             yield cls(p, "a", "b", "c")
 
-    def equation(self, fld, base=None):
+    def equation(self, fld):
         _require_characteristic(self.p, fld)
-        a = _bind(self.a, fld, base)
-        b = _bind(self.b, fld, base)
-        c = _bind(self.c, fld, base)
+        a = _bind(self.a, fld)
+        b = _bind(self.b, fld)
+        c = _bind(self.c, fld)
         _require(a != 0 and b != 0 and c != 0, "coefficient vanishes in field")
         p = self.p
 
@@ -481,7 +484,8 @@ class ASRational(CurveModel):
 
         # one place over x = 0 and one over infinity
         return Equation(
-            fld, lhs, fibre=None,
+            fld, lhs,
+            lambda v: np.bincount(lhs(fld.elements()), minlength=fld.q)[v],
             rhs=lambda x: fld.add(fld.mul(a, x), fld.inv(x)),
             extra=2, missing_x=(0,))
 
@@ -531,7 +535,7 @@ class Homma(CurveModel):
         if p == 2 * g + 1:
             yield cls(p)
 
-    def equation(self, fld, base=None):
+    def equation(self, fld):
         _require_characteristic(self.p, fld)
         # one place at infinity, totally ramified
         return Equation(fld, *_artin_schreier_lhs(fld),

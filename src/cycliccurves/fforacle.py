@@ -23,21 +23,23 @@ the curve families by exact computation over small finite fields:
     the rational points and checks that it is a permutation of order
     exactly `cyclic_order()`, reporting orbit structure and fixed points.
 
-Both counts, `affine_points` and `verify_automorphism` are generic: the
-equation, its x-domain, the extra places and the generator's action
+Both counts and `verify_automorphism` are generic: the equation, its
+x-domain, its fibre sizes, the extra places and the generator's action
 come from the family (`CurveModel.equation` and `point_map`).
 
-Parameter conventions: integer model parameters with absolute value
-below p denote prime-subfield elements; values in [p, q) are read as
-the base-p encoding of an element of the concrete field in use (and are
-lifted along subfield embeddings when counting over extensions).
+Parameter conventions: integer model parameters below p denote
+prime-subfield elements; values in [p, q) are read as the base-p
+encoding of an element of the field in use.  An equation meets one
+field only: `count_series` reads the coefficients in the base field of
+its tower and moves them into each extension (`CurveModel.lifted`).
 
 Counting evaluates each side of the equation once over the whole
 field, as an array: the fast count sums the fibre sizes of rhs over all
-x (`fibre(rhs(xs)).sum()`, or a histogram of lhs over all y indexed by
-rhs), the naive count compares lhs over all y with each rhs value, and
-the automorphism check maps every affine point in one call, leaving
-only the orbit walk as a Python loop.  Every use of a field enumerates
+x (`fibre(rhs(xs)).sum()`, in closed form for y^n and y^p - y and a
+histogram of lhs over all y for b*y^p + c*y), the naive count compares
+lhs over all y with each rhs value, and the automorphism check maps
+every affine point in one call, leaving only the orbit walk as a
+Python loop.  Every use of a field enumerates
 all of it, and memory beyond the field tables is a few int64 vectors of
 length q, so every field, prime or not, stops at `TABLE_LIMIT` elements
 (2^22), the ceiling of the extension-field tables.
@@ -451,20 +453,12 @@ def field(p: int, k: int = 1) -> FiniteField:
 # place counting
 
 
-def count_places(model: CurveModel, fld: FiniteField, base=None) -> int:
-    """Exact number of rational places of the smooth model over `fld`.
-
-    Each x contributes the size of the fibre of the left side over
-    rhs(x): in closed form for y^n and y^p - y, and from a histogram of
-    the left side over all y otherwise.
-    """
-    eq = model.equation(fld, base)
-    values = eq.rhs(eq.counted_xs())
-    if eq.fibre is None:
-        sizes = np.bincount(eq.lhs(fld.elements()), minlength=fld.q)[values]
-    else:
-        sizes = eq.fibre(values)
-    return int(sizes.sum()) + eq.extra
+def count_places(model: CurveModel, fld: FiniteField) -> int:
+    """Exact number of rational places of the smooth model over `fld`:
+    the fibre sizes of the left side over rhs(x), summed over the affine
+    x values, plus the family's `extra` places."""
+    eq = model.equation(fld)
+    return int(eq.fibre(eq.rhs(eq.affine_xs())).sum()) + eq.extra
 
 
 def count_places_naive(model: CurveModel, fld: FiniteField) -> int:
@@ -473,7 +467,7 @@ def count_places_naive(model: CurveModel, fld: FiniteField) -> int:
     eq = model.equation(fld)
     lhs = eq.lhs(fld.elements())
     total = 0
-    for v in eq.rhs(eq.counted_xs()).tolist():
+    for v in eq.rhs(eq.affine_xs()).tolist():
         total += int(np.count_nonzero(lhs == v))
     return total + eq.extra
 
@@ -504,8 +498,9 @@ class PlaceCountSeries:
 def count_series(model: CurveModel, base_field: FiniteField,
                  depth: int) -> PlaceCountSeries:
     """Count rational places over the first `depth` extensions of
-    base_field.  Refuses, before counting, a tower that would pass the
-    field ceiling 2^22 (as any depth above 22 does, since q >= 3)."""
+    base_field, the model's coefficients read in base_field and lifted.
+    Refuses, before counting, a tower that would pass the field ceiling
+    2^22 (as any depth above 22 does, since q >= 3)."""
     q = base_field.q
     if depth > 22 or q**max(depth, 0) > TABLE_LIMIT:
         raise FieldTooLarge(
@@ -513,7 +508,7 @@ def count_series(model: CurveModel, base_field: FiniteField,
     counts = []
     for j in range(1, depth + 1):
         ext = field(base_field.p, base_field.k * j)
-        counts.append(count_places(model, ext, base=base_field))
+        counts.append(count_places(model.lifted(base_field, ext), ext))
     return PlaceCountSeries(model, q, tuple(counts))
 
 
@@ -590,12 +585,6 @@ def _affine_point_arrays(eq):
     starts = np.cumsum(sizes) - sizes
     at = np.arange(int(sizes.sum())) + np.repeat(lo - starts, sizes)
     return np.repeat(xs, sizes), ys[at]
-
-
-def affine_points(model: CurveModel, fld: FiniteField) -> frozenset:
-    """Rational points of the affine plane model, as (x, y) encodings."""
-    xs, ys = _affine_point_arrays(model.equation(fld))
-    return frozenset(zip(xs.tolist(), ys.tolist()))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from cycliccurves.classify import canonical_pair
 from cycliccurves.cli import main, model_to_spec, parse_model_spec
 from cycliccurves.families import (
     ASPower,
@@ -104,6 +105,24 @@ def test_pairs_genus_filter_and_canonical(capsys):
     code, out, _ = run(capsys, "pairs", "--n", "6", "--genus", "2",
                        "--canonical")
     assert [(r["r"], r["s"]) for r in json_lines(out)] == [(1, 1)]
+
+
+def test_pairs_canonical_matches_canonical_pair(capsys):
+    for n in range(3, 41):
+        code, out, _ = run(capsys, "pairs", "--n", str(n))
+        assert code == 0
+        for rec in json_lines(out):
+            rep = canonical_pair(n, rec["r"], rec["s"])
+            assert rec["canonical"] == [rep.r, rep.s], rec
+
+
+def test_pairs_walks_each_orbit_once(capsys):
+    # one orbit walk per pair, not per orbit, took 4-6 s at n = 300 and
+    # 22 s at n = 400; one per orbit takes about 1.3 s at n = 400
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "pairs", "--n", "400")
+    assert code == 0 and out
+    assert time.perf_counter() - start < 5
 
 
 def test_pairs_rejects_small_n(capsys):
@@ -255,6 +274,19 @@ def test_verify_extension_field_parameter(capsys):
     assert code == 0
     by_check = {r["check"]: r for r in json_lines(out)}
     assert by_check["automorphism"]["order"] == 6
+
+
+def test_verify_extension_field_coefficient_multiple_of_p(capsys):
+    # a = x is encoded as 5 in F_25: nonzero, though a multiple of p
+    code, out, _ = run(capsys, "verify", "--model", "aspower:5,2,0.1,2",
+                       "--q", "25", "--zeta-depth", "4")
+    assert code == 0
+    by_check = {r["check"]: r for r in json_lines(out)}
+    assert by_check["zeta"]["counts"] == [46, 526, 16126, 388126]
+    assert by_check["zeta"]["inferred_genus"] == 2
+    code, out, _ = run(capsys, "verify", "--model", "asrational:5,0.1,1,4",
+                       "--q", "25")
+    assert code == 0
 
 
 def test_missing_required_flag_exits_two(capsys):

@@ -130,6 +130,15 @@ def test_degenerate_models_rejected():
         ASRational(5, 1, 0, 1)
     with pytest.raises(DegenerateModel):
         ASRational(7, 1, 1, -7)  # c is zero mod p
+    with pytest.raises(DegenerateModel):
+        ASPower(5, 2, -5, 0)  # a is zero mod p
+
+
+def test_extension_field_coefficients_are_nonzero():
+    # integers in [p, q) are base-p encodings of nonzero elements, so a
+    # multiple of p at or above p is not a zero coefficient: a = x
+    assert ASPower(5, 2, 5, 2).a == 5
+    assert ASRational(7, 7, 14, 21).c == 21
 
 
 def test_aspower_checks_its_genus(monkeypatch):

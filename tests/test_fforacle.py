@@ -21,9 +21,9 @@ from cycliccurves.fforacle import (
     OrderMismatch,
     PlaceCountSeries,
     PreconditionViolated,
+    _affine_point_arrays,
     _newton_elementary,
     _poly_is_irreducible,
-    affine_points,
     count_places,
     count_places_naive,
     count_series,
@@ -310,6 +310,45 @@ def test_count_series_and_caps():
     assert time.perf_counter() - start < 1
 
 
+# models with coefficients outside F_5, counted over the F_25 tower:
+# count_series reads them in F_25 and lifts them into F_625 and beyond
+LIFTED_TOWERS = [
+    (Hyperelliptic(2, 11), (25, 577, 15478, 391777)),  # lambda = 1 + 2x
+    (ASPower(5, 2, 6, 2), (21, 651, 15501, 391251)),  # a = 1 + x
+    (ASPower(5, 2, 5, 2), (46, 526, 16126, 388126)),  # a = x
+]
+
+
+@pytest.mark.parametrize("model,counts", LIFTED_TOWERS)
+def test_count_series_lifts_coefficients_from_the_base_field(model, counts):
+    base = field(5, 2)
+    series = count_series(model, base, 4)
+    assert series.counts == counts
+    assert zeta_genus(series, 2) == 2
+    assert model.lifted(base, base) is model
+    ext = field(5, 4)
+    lifted = model.lifted(base, ext)
+    assert lifted != model and lifted.lifted(ext, ext) is lifted
+    assert count_places(lifted, ext) == count_places_naive(lifted, ext)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (7, 2)])
+def test_fast_count_equals_naive_on_extension_fields(p, k):
+    fld = field(p, k)
+    x = p  # the encoding of the field's generator
+    models = [Kummer.of(n, r, s) for n, r, s in ((5, 1, 1), (7, 1, 2),
+                                                 (8, 1, 3)) if n % p]
+    models += [Hyperelliptic(g, lam) for g in (2, 4) if (g + 1) % p
+               for lam in (2, x + 1)]
+    if p >= 5:
+        models += [ASPower(p, 2, x, 1), ASPower(p, 4, 2, x + 1),
+                   ASRational(p, 1, 1, p - 1), ASRational(p, x, 2, x + 1),
+                   Homma(p)]
+    for model in models:
+        assert count_places(model, fld) == count_places_naive(model, fld), \
+            model
+
+
 BIG_PRIME = 4194319  # the least prime above TABLE_LIMIT = 2^22
 
 
@@ -483,8 +522,8 @@ def test_orbit_sizes_partition_points():
 def test_affine_points_lie_on_curve():
     fld = field(7, 1)
     model = Hyperelliptic(2, 3)
-    pts = affine_points(model, fld)
-    for x, y in pts:
+    xs, ys = _affine_point_arrays(model.equation(fld))
+    for x, y in zip(xs.tolist(), ys.tolist()):
         lhs = fld.mul(y, y)
         xe = fld.pow(x, 3)
         rhs = fld.mul(fld.sub(xe, 1), fld.sub(xe, 3))
