@@ -22,7 +22,8 @@ usage or precondition error.
 
 import argparse
 import csv
-import io
+import functools
+import itertools
 import json
 import sys
 
@@ -113,22 +114,25 @@ def _flatten(value):
 
 
 def _emit(records, fmt):
-    records = list(records)
+    """Print json and csv records as they come; a table holds them all
+    to size its columns.  A command's records share keys, the columns."""
     if fmt == "json":
         for rec in records:
             print(json.dumps(rec, sort_keys=True, separators=(",", ":")))
         return
-    if not records:
+    records = iter(records)
+    head = next(records, None)
+    if head is None:
         return
-    keys = sorted({k for rec in records for k in rec})
-    rows = [[_flatten(rec.get(k)) for k in keys] for rec in records]
+    keys = sorted(head)
+    rows = ([_flatten(rec[k]) for k in keys]
+            for rec in itertools.chain([head], records))
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(keys)
         writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
         return
+    rows = list(rows)
     widths = [max(len(k), *(len(r[i]) for r in rows)) for i, k in enumerate(keys)]
     print("  ".join(k.ljust(w) for k, w in zip(keys, widths)))
     for row in rows:
@@ -170,26 +174,28 @@ def _cmd_classify(args):
 
 
 def _cmd_pairs(args):
-    pairs = [pair for pair in primitive_pairs(args.n)
-             if args.genus in (None, pair.genus)]
+    _emit(_pair_records(args), args.format)
+    return 0
+
+
+def _pair_records(args):
     # pairs come in lexicographic order and an orbit keeps the genus, so
     # an orbit's first pair is its canonical one
     canonical = {}
-    for pair in pairs:
+    for pair in primitive_pairs(args.n):
+        if args.genus not in (None, pair.genus):
+            continue
         key = (pair.r, pair.s)
         if key not in canonical:
             canonical.update(dict.fromkeys(_pair_orbit(args.n, *key), key))
-    if args.canonical:
-        pairs = [p for p in pairs if canonical[p.r, p.s] == (p.r, p.s)]
-    records = [_record("pairs", {
-        "n": pair.n,
-        "r": pair.r,
-        "s": pair.s,
-        "genus": pair.genus,
-        "canonical": list(canonical[pair.r, pair.s]),
-    }) for pair in pairs]
-    _emit(records, args.format)
-    return 0
+        if not args.canonical or canonical[key] == key:
+            yield _record("pairs", {
+                "n": pair.n,
+                "r": pair.r,
+                "s": pair.s,
+                "genus": pair.genus,
+                "canonical": list(canonical[key]),
+            })
 
 
 def _cmd_signatures(args):
@@ -253,6 +259,7 @@ def _cmd_verify(args):
     return 0 if ok else 1
 
 
+@functools.cache  # parse_args fills a fresh Namespace on every call
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="cycliccurves",
@@ -298,9 +305,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

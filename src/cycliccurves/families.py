@@ -415,7 +415,6 @@ class ASPower(CurveModel):
         _require_characteristic(self.p, fld)
         a = _bind(self.a, fld)
         b = _bind(self.b, fld)
-        _require(a != 0, "coefficient a vanishes in field")
         m = self.m
         # one place at infinity, totally ramified
         return Equation(
@@ -476,7 +475,6 @@ class ASRational(CurveModel):
         a = _bind(self.a, fld)
         b = _bind(self.b, fld)
         c = _bind(self.c, fld)
-        _require(a != 0 and b != 0 and c != 0, "coefficient vanishes in field")
         p = self.p
 
         def lhs(y):

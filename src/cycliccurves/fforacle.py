@@ -38,8 +38,8 @@ field, as an array: the fast count sums the fibre sizes of rhs over all
 x (`fibre(rhs(xs)).sum()`, in closed form for y^n and y^p - y and a
 histogram of lhs over all y for b*y^p + c*y), the naive count compares
 lhs over all y with each rhs value, and the automorphism check maps
-every affine point in one call, leaving only the orbit walk as a
-Python loop.  Every use of a field enumerates
+every affine point in one call, finds the images by dense lookups and
+walks the orbits by pointer doubling.  Every use of a field enumerates
 all of it, and memory beyond the field tables is a few int64 vectors of
 length q, so every field, prime or not, stops at `TABLE_LIMIT` elements
 (2^22), the ceiling of the extension-field tables.
@@ -571,20 +571,27 @@ def _power_sums(e, m):
 
 
 def _affine_point_arrays(eq):
-    """The rational points of eq's affine model as two arrays (x, y),
-    sorted by x and then y: the join of rhs over x with lhs over y."""
+    """The rational points of eq's affine model as arrays (x, y), sorted
+    by x and then y, and the dense tables at_x and rank that locate
+    them: point (x, y) is number at_x[x] + rank[y]."""
+    q = eq.fld.q
     xs = eq.affine_xs()
     lhs = eq.lhs(eq.fld.elements())
-    ys = np.argsort(lhs, kind="stable")  # y = index, ascending per value
-    lhs = lhs[ys]
+    counts = np.bincount(lhs, minlength=q)  # fibre size of each value
+    first = np.cumsum(counts) - counts
+    # y sorted by (lhs(y), y), read off the sorted keys lhs(y) * q + y
+    ys = np.sort(_int64(lhs) * q + eq.fld.elements()) % q
+    rank = np.empty(q, dtype=np.int64)  # y's place among its value's ys
+    rank[ys] = np.arange(q) - np.repeat(first, counts)
     rhs = eq.rhs(xs)
-    lo = np.searchsorted(lhs, rhs, side="left")
-    sizes = np.searchsorted(lhs, rhs, side="right") - lo
-    # the i-th x pairs with ys[lo[i]], ..., ys[lo[i] + sizes[i] - 1],
-    # which land at starts[i], ... in the output
+    sizes = counts[rhs]
+    # the i-th x pairs with ys[first[rhs[i]]], ... and those points land
+    # at starts[i], ... in the output
     starts = np.cumsum(sizes) - sizes
-    at = np.arange(int(sizes.sum())) + np.repeat(lo - starts, sizes)
-    return np.repeat(xs, sizes), ys[at]
+    at = np.arange(int(sizes.sum())) + np.repeat(first[rhs] - starts, sizes)
+    at_x = np.zeros(q, dtype=np.int64)
+    at_x[xs] = starts
+    return np.repeat(xs, sizes), ys[at], at_x, rank
 
 
 @dataclass(frozen=True)
@@ -601,45 +608,44 @@ class OrbitReport:
 def verify_automorphism(model: CurveModel, fld: FiniteField) -> OrbitReport:
     """Check that the generator permutes the rational affine points
     with order exactly `model.cyclic_order()`, and report the orbit
-    structure."""
+    structure: each image is found by dense lookup and the cycles by
+    pointer doubling on the image indices, with no loop over points."""
     eq = model.equation(fld)
     generator = model.point_map(eq)  # raises before any point is listed
-    xs, ys = _affine_point_arrays(eq)
-    image_xs, image_ys = generator((xs, ys))
-    # points as x * q + y, sorted: the image of point i is point[index[i]]
-    keys = xs * fld.q + ys
-    image_keys = _int64(image_xs) * fld.q + image_ys
-    index = np.searchsorted(keys, image_keys).clip(max=max(len(keys) - 1, 0))
-    off_curve = np.flatnonzero(keys[index] != image_keys)
+    xs, ys, at_x, rank = _affine_point_arrays(eq)
+    image_xs, image_ys = (_int64(a) for a in generator((xs, ys)))
+    # an encoding outside [0, q) is off the curve; clipped, it still
+    # indexes the tables.  The image of point i is point index[i].
+    q, n = fld.q, len(xs)
+    cx, cy = image_xs.clip(0, q - 1), image_ys.clip(0, q - 1)
+    index = (at_x[cx] + rank[cy]).clip(max=max(n - 1, 0))
+    keys = xs * q + ys
+    off_curve = np.flatnonzero((keys[index] != cx * q + cy)
+                               | (cx != image_xs) | (cy != image_ys))
     if len(off_curve):
         i = off_curve[0]
         raise NotAnAutomorphism(
             f"image {(int(image_xs[i]), int(image_ys[i]))} of "
             f"{(int(xs[i]), int(ys[i]))} is not on the curve")
-    images = index.tolist()
-    sizes = {}
-    fixed = []
-    seen = bytearray(len(images))
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        size = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = 1
-            cur = images[cur]
-            size += 1
-        sizes[size] = sizes.get(size, 0) + 1
-        if size == 1:
-            fixed.append((int(xs[start]), int(ys[start])))
-    order = lcm(*sizes) if sizes else 1
+    # pointer doubling: after k rounds label[i] is the least index among
+    # i, s(i), ..., s^(2^k - 1)(i) for s: i -> index[i].  A round that
+    # changes no label ends the walk, as the point 2^k steps before the
+    # least point of a longer cycle would still change.
+    label, jump = np.arange(n), index
+    while not np.array_equal(label, new := np.minimum(label, label[jump])):
+        label, jump = new, jump[jump]
+    cycles = np.bincount(label)  # at each cycle's least point, its length
+    sizes, mult = np.unique(cycles[cycles > 0], return_counts=True)
+    sizes, mult = sizes.tolist(), mult.tolist()
+    order = lcm(*sizes)
     claimed = model.cyclic_order()
     if order != claimed:
         raise OrderMismatch(
             f"permutation has order {order}, cyclic_order is {claimed}")
-    assert sum(size * mult for size, mult in sizes.items()) == len(images)
+    assert sum(s * m for s, m in zip(sizes, mult)) == n
     assert all(order % size == 0 for size in sizes)
+    fixed = np.flatnonzero(index == np.arange(n))  # in point order: sorted
     return OrbitReport(
-        q=fld.q, point_count=len(images), order=order,
-        fixed_points=tuple(sorted(fixed)),
-        orbit_sizes=tuple(sorted(sizes.items())))
+        q=q, point_count=n, order=order,
+        fixed_points=tuple(zip(xs[fixed].tolist(), ys[fixed].tolist())),
+        orbit_sizes=tuple(zip(sizes, mult)))

@@ -11,6 +11,7 @@ from cycliccurves.families import (
     Homma,
     Hyperelliptic,
     Kummer,
+    PrimitivePair,
 )
 
 
@@ -125,6 +126,25 @@ def test_pairs_walks_each_orbit_once(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_pairs_output_streams(capsys, monkeypatch):
+    # json and csv records are printed as they come, so the records
+    # before a failure are out; a table waits for all of them
+    def two_then_fail(n):
+        yield from (PrimitivePair(n, 1, 1), PrimitivePair(n, 1, 2))
+        raise ValueError("enumeration failed")
+
+    monkeypatch.setattr("cycliccurves.cli.primitive_pairs", two_then_fail)
+    code, out, err = run(capsys, "pairs", "--n", "5")
+    assert code == 2 and "enumeration failed" in err
+    assert [(r["r"], r["s"]) for r in json_lines(out)] == [(1, 1), (1, 2)]
+    code, out, _ = run(capsys, "pairs", "--n", "5", "--format", "csv")
+    assert code == 2
+    assert out.splitlines() == ["canonical,command,genus,n,r,s,schema_version",
+                                "1 1,pairs,2,5,1,1,1", "1 1,pairs,2,5,1,2,1"]
+    code, out, _ = run(capsys, "pairs", "--n", "5", "--format", "table")
+    assert (code, out) == (2, "")
+
+
 def test_pairs_rejects_small_n(capsys):
     code, _, err = run(capsys, "pairs", "--n", "2")
     assert code == 2 and err
@@ -214,6 +234,24 @@ def test_verify_precondition_failure_is_usage_error(capsys, monkeypatch):
                          "--q", "4194287")
     assert (code, out) == (2, "")
     assert "no element of order 5" in err
+
+
+def test_successive_calls_share_no_options(capsys):
+    # one parser serves every call of the process; no option may carry
+    # over from one call to the next
+    code, out, _ = run(capsys, "verify", "--model", "homma:5", "--q", "5",
+                       "--zeta-depth", "4")
+    assert code == 0 and json_lines(out)[2]["check"] == "zeta"
+    code, out, err = run(capsys, "verify", "--model", "homma:5", "--q", "5",
+                         "--zeta-depth", "2")
+    assert (code, out) == (2, "") and "need counts over 4" in err
+    code, out, _ = run(capsys, "verify", "--model", "homma:5", "--q", "5")
+    assert code == 0
+    assert [r["check"] for r in json_lines(out)] == [
+        "places", "automorphism", "summary"]
+    run(capsys, "pairs", "--n", "6", "--canonical")
+    code, out, _ = run(capsys, "pairs", "--n", "6")
+    assert code == 0 and len(json_lines(out)) == 9
 
 
 def test_verify_mismatch_gives_exit_one(capsys):

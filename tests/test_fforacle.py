@@ -1,5 +1,7 @@
+import math
 import random
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,10 +9,13 @@ import pytest
 from cycliccurves.families import (
     ASPower,
     ASRational,
+    CurveModel,
+    Equation,
     Homma,
     Hyperelliptic,
     Kummer,
 )
+from cycliccurves.intmath import is_prime
 from cycliccurves.fforacle import (
     TABLE_LIMIT,
     FieldTooLarge,
@@ -522,9 +527,207 @@ def test_orbit_sizes_partition_points():
 def test_affine_points_lie_on_curve():
     fld = field(7, 1)
     model = Hyperelliptic(2, 3)
-    xs, ys = _affine_point_arrays(model.equation(fld))
-    for x, y in zip(xs.tolist(), ys.tolist()):
-        lhs = fld.mul(y, y)
-        xe = fld.pow(x, 3)
-        rhs = fld.mul(fld.sub(xe, 1), fld.sub(xe, 3))
-        assert lhs == rhs
+    xs, ys, at_x, rank = _affine_point_arrays(model.equation(fld))
+    assert list(zip(xs.tolist(), ys.tolist())) == sorted(
+        (x, y) for x in range(7) for y in range(7)
+        if fld.mul(y, y) == fld.mul(fld.sub(fld.pow(x, 3), 1),
+                                    fld.sub(fld.pow(x, 3), 3)))
+    # the dense tables locate every point
+    assert (at_x[xs] + rank[ys]).tolist() == list(range(len(xs)))
+
+
+# --- the orbit walk against a reference cycle walk -------------------------
+
+
+def reference_orbits(points, images):
+    """(order, orbit_sizes, fixed_points) of points[i] -> images[i], by a
+    plain cycle walk."""
+    at = {pt: i for i, pt in enumerate(points)}
+    index = [at[pt] for pt in images]
+    sizes, fixed, seen = {}, [], [False] * len(points)
+    for start in range(len(points)):
+        size, cur = 0, start
+        while not seen[cur]:
+            seen[cur], cur, size = True, index[cur], size + 1
+        if size:
+            sizes[size] = sizes.get(size, 0) + 1
+        if size == 1:
+            fixed.append(points[start])
+    return (math.lcm(*sizes), tuple(sorted(sizes.items())),
+            tuple(sorted(fixed)))
+
+
+@dataclass(frozen=True)
+class PointList(CurveModel):
+    """The points (x, 0), x < len(images), of the line y = 0 over a
+    prime field; the generator sends (x, 0) to images[x] and claims
+    the order `order`."""
+
+    images: tuple
+    order: int = 1
+
+    def cyclic_order(self):
+        return self.order
+
+    def equation(self, fld):
+        return Equation(fld, lambda y: y, None, lambda x: 0 * x, extra=0,
+                        missing_x=tuple(range(len(self.images), fld.q)))
+
+    def point_map(self, eq):
+        xs, ys = np.array(self.images, dtype=np.int64).reshape(-1, 2).T
+        return lambda pt: (xs[pt[0]], ys[pt[0]])
+
+
+def prime_field_above(n):
+    p = max(n + 1, 3)
+    while not is_prime(p):
+        p += 1
+    return field(p, 1)
+
+
+def check_walk(perm):
+    points = [(x, 0) for x in range(len(perm))]
+    images = [(x, 0) for x in perm]
+    order, sizes, fixed = reference_orbits(points, images)
+    report = verify_automorphism(PointList(tuple(images), order),
+                                 prime_field_above(len(perm)))
+    assert report.point_count == len(perm)
+    assert (report.order, report.orbit_sizes, report.fixed_points) == (
+        order, sizes, fixed)
+
+
+def test_orbit_walk_on_random_permutations():
+    rng = random.Random(10)
+    for n in list(range(1, 40)) + [100, 257, 1000, 2048]:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        check_walk(perm)
+
+
+def test_orbit_walk_on_single_cycles():
+    # pointer doubling takes one round per doubling of the cycle length:
+    # lengths at and next to a power of two end on either side of a round
+    rng = random.Random(11)
+    for k in range(1, 11):
+        for length in (2**k - 1, 2**k, 2**k + 1):
+            shuffled = list(range(length))
+            rng.shuffle(shuffled)
+            for cycle in (list(range(length)), list(range(length))[::-1],
+                          shuffled):
+                perm = [0] * length
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    perm[a] = b
+                check_walk(perm)
+
+
+def test_orbit_walk_on_fixed_points_and_no_points():
+    for n in (0, 1, 2, 17):
+        check_walk(list(range(n)))
+    report = verify_automorphism(PointList(()), field(5, 1))
+    assert (report.point_count, report.order) == (0, 1)
+    assert report.orbit_sizes == report.fixed_points == ()
+
+
+def family_models(p):
+    """Models of every family in characteristic p, with coefficients in
+    and outside the prime field; those a field refuses are skipped."""
+    specs = [(Homma, (p,))]
+    specs += [(Kummer, (n, r, s)) for n in range(5, 13)
+              for r in (1, 2, 3) for s in (1, 2, 3)]
+    specs += [(Hyperelliptic, (g, lam)) for g in (2, 4, 14, 30)
+              for lam in (2, 3, p + 1)]
+    specs += [(ASPower, (p, m, a, b)) for m in (2, 3, 4, 6, 8)
+              for a in (1, p + 1) for b in (0, 3, p + 2)]
+    specs += [(ASRational, (p, a, b, c)) for a in (1, p + 1)
+              for b in (1, p + 3) for c in (4, p - 1, 2 * p + 1)]
+    for family, values in specs:
+        try:
+            yield family.of(*values)
+        except ValueError:  # degenerate, or not primitive
+            pass
+
+
+def check_against_reference(model, fld):
+    """Compare verify_automorphism (and the point listing) with a plain
+    listing and cycle walk: "report" or "mismatch" for the outcome they
+    agree on, None where the field refuses the model."""
+    try:
+        eq = model.equation(fld)
+        generator = model.point_map(eq)
+    except PreconditionViolated:
+        return None
+    ys_of = {}
+    for y, v in enumerate(eq.lhs(fld.elements()).tolist()):
+        ys_of.setdefault(v, []).append(y)
+    xs = eq.affine_xs()
+    points = [(x, y) for x, v in zip(xs.tolist(), eq.rhs(xs).tolist())
+              for y in ys_of.get(v, [])]
+    xs, ys, _, _ = _affine_point_arrays(eq)
+    assert list(zip(xs.tolist(), ys.tolist())) == points
+    image_xs, image_ys = generator(
+        (np.array([x for x, _ in points], dtype=np.int64),
+         np.array([y for _, y in points], dtype=np.int64)))
+    order, sizes, fixed = reference_orbits(
+        points, list(zip(np.asarray(image_xs).tolist(),
+                         np.asarray(image_ys).tolist())))
+    if order != model.cyclic_order():
+        with pytest.raises(OrderMismatch, match=(
+                f"^permutation has order {order}, "
+                f"cyclic_order is {model.cyclic_order()}$")):
+            verify_automorphism(model, fld)
+        return "mismatch"
+    report = verify_automorphism(model, fld)
+    assert report.point_count == len(points)
+    assert (report.order, report.orbit_sizes, report.fixed_points) == (
+        order, sizes, fixed), model
+    return "report"
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (11, 1), (13, 1), (31, 1),
+                                 (41, 1), (61, 1), (3, 2), (5, 2), (11, 2),
+                                 (5, 3)])
+def test_orbit_walk_matches_reference_on_every_family(p, k):
+    fld = field(p, k)
+    outcomes = {check_against_reference(model, fld)
+                for model in family_models(p)}
+    assert "report" in outcomes
+
+
+def test_point_lookup_past_int32_keys():
+    # q^2 > 2^31 in F_3^10: the sort keys lhs(y) * q + y of the int32
+    # table values need int64
+    fld = field(3, 10)
+    assert check_against_reference(Kummer.of(8, 1, 1), fld) == "report"
+    assert check_against_reference(Hyperelliptic(10, 2), fld) == "report"
+
+
+def moving_every_point_to(family, x):
+    """`family` with a generator that sends every point to (x, y)."""
+    return type(f"{family.__name__}To{x}", (family,),
+                {"point_map": lambda self, eq: lambda pt: (0 * pt[0] + x,
+                                                           pt[1])})
+
+
+def test_images_off_the_field_or_the_affine_xs_are_refused():
+    # x = 0 is left out of the affine model of b*y^p + c*y = a*x + 1/x
+    with pytest.raises(NotAnAutomorphism,
+                       match=r"^image \(0, 0\) of \(2, 0\) is not on"):
+        verify_automorphism(moving_every_point_to(ASRational, 0)(5, 1, 1, 4),
+                            field(5, 1))
+    # over F_11, y^5 = x(1 - x) has no point at x = 10, the last element
+    # (9 is no fifth power): the tables point past the last point there,
+    # for x = 10 and for 11 clipped to it
+    for x in (10, 11):
+        with pytest.raises(NotAnAutomorphism,
+                           match=rf"^image \({x}, 0\) of \(0, 0\) is not"):
+            verify_automorphism(moving_every_point_to(Kummer, x).of(5, 1, 1),
+                                field(11, 1))
+    # three points (x, 0) over F_5: x = 3 is a field element outside
+    # the affine xs, 5 and -1 are no field elements, and (0, 5) shares
+    # its key x * q + y with the point (1, 0)
+    for image in ((3, 0), (5, 0), (-1, 0), (0, 5), (1, -5), (2**40, 0)):
+        with pytest.raises(NotAnAutomorphism,
+                           match=rf"^image \({image[0]}, {image[1]}\) "
+                                 r"of \(1, 0\) is not on the curve$"):
+            verify_automorphism(PointList(((0, 0), image, (2, 0))),
+                                field(5, 1))
