@@ -8,8 +8,11 @@ the curve families by exact computation over small finite fields:
     irreducible monic polynomial of degree k, chosen deterministically
     so counts are reproducible across runs.  Its operations are
     array-at-a-time: they take numpy integer arrays and evaluate every
-    element in one call, on int64 modular arithmetic for prime fields
-    and int32 exp/log/Zech tables for extension fields.
+    element in one call.  Every field holds int32 exp/log tables over a
+    primitive element (8 bytes per element), which powers, n-th-power
+    tests and roots of unity read.  Prime fields add and multiply in
+    int64; extension fields by table, with a Zech-log table more (12
+    bytes per element).
   * `count_places` returns the exact number of rational places of the
     smooth model of a curve over a field, combining fibre counts on the
     affine part with exact place counts over the branch and infinite
@@ -42,7 +45,7 @@ every affine point in one call, finds the images by dense lookups and
 walks the orbits by pointer doubling.  Every use of a field enumerates
 all of it, and memory beyond the field tables is a few int64 vectors of
 length q, so every field, prime or not, stops at `TABLE_LIMIT` elements
-(2^22), the ceiling of the extension-field tables.
+(2^22), the ceiling of the tables.
 
 Everything is a pure function of its inputs; fields cache their own
 tables but are immutable once constructed, so all operations are safe
@@ -176,6 +179,14 @@ def _least_irreducible(p, k):
 # ---------------------------------------------------------------------------
 
 
+def _powers(c, n, p):
+    """c^0, ..., c^(n-1) mod p, as int64."""
+    out = [1] * n
+    for i in range(1, n):
+        out[i] = out[i - 1] * c % p
+    return np.array(out, dtype=np.int64)
+
+
 def _int64(a):
     # prime-field residues below 2^31 multiply in int64; an int32 operand
     # (or under numpy 1's value-based casting a 0-d one) would keep the
@@ -188,16 +199,19 @@ class FiniteField:
 
     Every operation takes numpy integer arrays (or plain ints) and
     evaluates all of their elements in one call; a scalar argument gives
-    a numpy scalar back.  Prime fields use int64 modular arithmetic
-    (q <= 2^22, so every product fits).  Extension fields hold three
-    int32 tables over a primitive element g: `_exp[i] = g^i`,
-    `_log[a]` (with -1 at a = 0) and the Zech logarithm
-    `_zech[n] = log(1 + g^n)` (-1 where 1 + g^n = 0), 12 bytes per
-    element in all.  A product is an exp lookup of the summed logs, and
-    a sum one Zech lookup more, g^i + g^j = g^(i + Z(j - i)) (K. Huber,
-    "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory 36,
-    1990).  Index arithmetic on logarithms is int64, because
-    log * exponent overflows int32.
+    a numpy scalar back.  Every field holds two int32 tables over a
+    primitive element g, `_exp[i] = g^i` and `_log[a]` (with -1 at
+    a = 0), 8 bytes per element: a^e is `_exp[log(a) * e mod (q - 1)]`,
+    c is an n-th power exactly when gcd(n, q - 1) divides log(c), and
+    the elements of order n are the g^(j(q-1)/n) with j prime to n.
+    Prime fields add and multiply in int64 modular arithmetic (q <= 2^22,
+    so every product fits).  Extension fields hold a third int32 table,
+    the Zech logarithm `_zech[n] = log(1 + g^n)` (-1 where
+    1 + g^n = 0), 12 bytes per element in all.  There a product is an
+    exp lookup of the summed logs, and a sum one Zech lookup more,
+    g^i + g^j = g^(i + Z(j - i)) (K. Huber, "Some comments on Zech's
+    logarithms", IEEE Trans. Inf. Theory 36, 1990).  Index arithmetic
+    on logarithms is int64, because log * exponent overflows int32.
 
     Use the cached factory `field(p, k)` rather than the constructor
     when possible so the tables are shared.
@@ -215,11 +229,9 @@ class FiniteField:
         self.modulus = _least_irreducible(p, k)
         # x^k mod f, as digits, for reducing products
         self._xk = list(_pmod((0,) * k + (1,), self.modulus, p)) + [0] * k
-        self._exp = self._log = self._zech = None
         self._basis_traces = None
         self._lift_roots = {}
-        if k >= 2:
-            self._build_tables()
+        self._build_tables()
 
     def __repr__(self):
         return f"FiniteField({self.p}, {self.k})"
@@ -227,17 +239,10 @@ class FiniteField:
     # -- encoding helpers
 
     def _digits(self, a):
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
+        return [a // self.p**i % self.p for i in range(self.k)]
 
     def _encode(self, coeffs):
-        out = 0
-        for c in reversed(coeffs):
-            out = out * self.p + c
-        return out
+        return sum(c * self.p**i for i, c in enumerate(coeffs))
 
     def elements(self):
         """Every element, as an int64 array indexed by its encoding."""
@@ -247,18 +252,15 @@ class FiniteField:
     #    reference the tests compare the array arithmetic with
 
     def _mul_slow(self, a, b):
-        prod = _pmulmod(tuple(self._digits(a)), tuple(self._digits(b)),
-                        self.modulus, self.p)
-        return self._encode(list(prod) + [0] * (self.k - len(prod)))
+        return self._encode(_pmulmod(tuple(self._digits(a)),
+                                     tuple(self._digits(b)),
+                                     self.modulus, self.p))
 
     def _pow_slow(self, a, e):
-        out = 1
-        while e:
-            if e & 1:
-                out = self._mul_slow(out, a)
-            a = self._mul_slow(a, a)
-            e >>= 1
-        return out
+        if self.k == 1:
+            return pow(a, e, self.p)
+        return self._encode(_ppowmod(tuple(self._digits(a)), e,
+                                     self.modulus, self.p))
 
     # -- exp/log/Zech tables (baby-step giant-step, vectorized)
 
@@ -277,9 +279,32 @@ class FiniteField:
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
         fac = prime_factors(q - 1)
-        g = p  # constants have order dividing p - 1 < q - 1
+        g = 2 if k == 1 else p  # extensions skip the constants (order | p - 1)
         while any(self._pow_slow(g, (q - 1) // ell) == 1 for ell in fac):
             g += 1
+        if k == 1:
+            # g^(i*t + j) = (g^t)^i * g^j: giant steps times baby steps
+            t = isqrt(q - 1) + 1
+            baby, giant = _powers(g, t, p), _powers(pow(g, t, p), t, p)
+            exp = (giant[:, None] * baby % p).ravel()[:q - 1].astype(np.int32)
+        else:
+            exp = self._extension_exp(g)
+        log = np.full(q, -1, dtype=np.int32)
+        log[exp] = np.arange(q - 1, dtype=np.int32)
+        if log[1] != 0 or (log[1:] < 0).any():
+            raise RuntimeError("discrete log table construction failed")
+        self._exp, self._log, self._zech = exp, log, None
+        if k >= 2:
+            # 1 + g^n changes only the lowest digit, which wraps from
+            # p - 1 to 0; log[0] = -1 marks the n where 1 + g^n = 0
+            one_plus = exp + 1
+            one_plus[exp % p == p - 1] -= p
+            self._zech = log[one_plus]
+
+    def _extension_exp(self, g):
+        """The powers g^0, ..., g^(q-2) of k >= 2 digits: baby steps by
+        doubling a block, giant steps by matrix products."""
+        p, k, q = self.p, self.k, self.q
         # digits of the baby steps g^0, ..., g^(t-1), doubling the block
         t = isqrt(q - 1) + 1
         baby = np.zeros((1, k), dtype=np.int64)
@@ -298,15 +323,7 @@ class FiniteField:
             hi = min(lo + t, q - 1)
             exp[lo:hi] = (baby[:hi - lo] @ cur % p) @ pvec
             cur = cur @ giant % p
-        log = np.full(q, -1, dtype=np.int32)
-        log[exp] = np.arange(q - 1, dtype=np.int32)
-        if log[1] != 0 or (log[1:] < 0).any():
-            raise RuntimeError("discrete log table construction failed")
-        # 1 + g^n changes only the lowest digit, which wraps from p - 1
-        # to 0; log[0] = -1 marks the n where 1 + g^n = 0
-        one_plus = exp + 1
-        one_plus[exp % p == p - 1] -= p
-        self._exp, self._log, self._zech = exp, log, log[one_plus]
+        return exp
 
     def _logs(self, a):
         """Discrete logs of a, int64 (-1 at zero)."""
@@ -344,19 +361,8 @@ class FiniteField:
         if e < 0:
             return self.pow(self.inv(a), -e)
         n = self.q - 1
-        if self.k >= 2:
-            return np.where(a == 0, int(e == 0),
-                            self._exp[self._logs(a) * (e % n) % n])
-        # square and multiply; e taken into [1, q - 1] keeps 0^e = 0
-        a = _int64(a)
-        out = np.ones_like(a)
-        e = (e - 1) % n + 1 if e else 0
-        while e:
-            if e & 1:
-                out = out * a % self.p
-            a = a * a % self.p
-            e >>= 1
-        return out
+        return np.where(a == 0, int(e == 0),
+                        self._exp[self._logs(a) * (e % n) % n])
 
     def inv(self, a):
         if (np.asarray(a) == 0).any():
@@ -366,18 +372,14 @@ class FiniteField:
     def trace(self, a):
         """Absolute trace down to the prime field, as ints in [0, p)."""
         if self._basis_traces is None:
-            traces = []
-            for i in range(self.k):
-                e = self.p**i
-                acc = e
-                t = e
-                for _ in range(self.k - 1):
-                    t = self.pow(t, self.p)
-                    acc = self.add(acc, t)
-                if acc >= self.p:
-                    raise RuntimeError("basis trace not in prime field")
-                traces.append(int(acc))
-            self._basis_traces = traces
+            # Tr(x^i) = sum of the conjugates (x^i)^(p^j), j < k
+            basis = self.p ** np.arange(self.k, dtype=np.int64)
+            acc = basis
+            for j in range(1, self.k):
+                acc = self.add(acc, self.pow(basis, self.p**j))
+            if (acc >= self.p).any():
+                raise RuntimeError("basis trace not in prime field")
+            self._basis_traces = acc.tolist()
         # Tr is F_p-linear: sum the digits against the traces of the
         # basis, one digit at a time
         a = _int64(a)
@@ -388,23 +390,21 @@ class FiniteField:
         return total % self.p
 
     def element_of_order(self, n):
-        """Least element (by encoding) of multiplicative order exactly n:
-        the least a with a^n = 1 and a^(n/l) != 1 for each prime l | n."""
+        """Least element (by encoding) of multiplicative order exactly n.
+        These are the g^(j(q-1)/n) for the j < n prime to n, read from
+        the exp table in O(n)."""
         if n < 1 or (self.q - 1) % n:
             raise PreconditionViolated(
                 f"no element of order {n} in field of size {self.q}")
-        xs = self.elements()
-        hit = self.pow(xs, n) == 1
-        for ell in prime_factors(n):
-            hit &= self.pow(xs, n // ell) != 1
-        return int(xs[hit.argmax()])
+        js = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
+        return int(self._exp[js * ((self.q - 1) // n)].min())
 
     def num_nth_roots(self, c, n):
         """Number of y with y^n = c: gcd(n, q-1) for a nonzero n-th
-        power, 0 for a nonzero non-power, 1 for zero."""
+        power (a log divisible by the gcd), 0 for a nonzero non-power,
+        1 for zero."""
         d = gcd(n, self.q - 1)
-        is_power = self.pow(c, (self.q - 1) // d) == 1
-        return np.where(c == 0, 1, np.where(is_power, d, 0))
+        return np.where(c == 0, 1, np.where(self._logs(c) % d == 0, d, 0))
 
     def lift_from(self, value, src):
         """Image of a src-encoded element under the embedding src -> self.
@@ -430,13 +430,9 @@ class FiniteField:
             if not len(roots):
                 raise RuntimeError("modulus has no root in extension")
             root = self._lift_roots[key] = int(roots[0]) + self.p
-        out = 0
-        power = 1
-        v = value
-        while v:
-            out = self.add(out, self.scale(v % src.p, power))
-            power = self.mul(power, root)
-            v //= src.p
+        out = 0  # Horner's rule on the digits of value at root
+        for digit in reversed(src._digits(value)):
+            out = self.add(self.mul(out, root), digit)
         return int(out)
 
 
@@ -608,8 +604,9 @@ class OrbitReport:
 def verify_automorphism(model: CurveModel, fld: FiniteField) -> OrbitReport:
     """Check that the generator permutes the rational affine points
     with order exactly `model.cyclic_order()`, and report the orbit
-    structure: each image is found by dense lookup and the cycles by
-    pointer doubling on the image indices, with no loop over points."""
+    structure: each image is found by dense lookup, a point hit twice
+    is refused, and the cycles are found by pointer doubling on the
+    image indices, with no loop over points."""
     eq = model.equation(fld)
     generator = model.point_map(eq)  # raises before any point is listed
     xs, ys, at_x, rank = _affine_point_arrays(eq)
@@ -627,6 +624,13 @@ def verify_automorphism(model: CurveModel, fld: FiniteField) -> OrbitReport:
         raise NotAnAutomorphism(
             f"image {(int(image_xs[i]), int(image_ys[i]))} of "
             f"{(int(xs[i]), int(ys[i]))} is not on the curve")
+    shared = np.flatnonzero(np.bincount(index, minlength=n) > 1)
+    if len(shared):
+        j = shared[0]
+        i, i2 = np.flatnonzero(index == j)[:2]
+        raise NotAnAutomorphism(
+            f"{(int(xs[i]), int(ys[i]))} and {(int(xs[i2]), int(ys[i2]))} "
+            f"both map to {(int(xs[j]), int(ys[j]))}")
     # pointer doubling: after k rounds label[i] is the least index among
     # i, s(i), ..., s^(2^k - 1)(i) for s: i -> index[i].  A round that
     # changes no label ends the walk, as the point 2^k steps before the

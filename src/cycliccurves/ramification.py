@@ -120,10 +120,6 @@ class FiltrationProfile:
         """Order of the full stabilizer (1 for a trivial profile)."""
         return self.orders[0] if self.orders else 1
 
-    @property
-    def is_tame(self) -> bool:
-        return len(self.orders) <= 1
-
     def jumps(self) -> tuple[int, ...]:
         """Indices i >= 1 where the order drops from level i to i+1."""
         orders = tuple(self.orders) + (1,)

@@ -15,7 +15,7 @@ from cycliccurves.families import (
     Hyperelliptic,
     Kummer,
 )
-from cycliccurves.intmath import is_prime
+from cycliccurves.intmath import is_prime, prime_factors
 from cycliccurves.fforacle import (
     TABLE_LIMIT,
     FieldTooLarge,
@@ -224,6 +224,97 @@ def test_extension_tables_are_int32():
         assert table.dtype == np.int32
     assert len(fld._exp) == len(fld._zech) == fld.q - 1
     assert len(fld._log) == fld.q
+
+
+PRIMES_BELOW_500 = [p for p in range(3, 500) if is_prime(p)]
+LARGEST_PRIME_FIELD = 4194301  # the largest prime below 2^22
+EXTENSION_FIELDS_BELOW_200 = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4),
+                              (11, 2), (5, 3), (13, 2)]
+
+
+@pytest.mark.parametrize("p", PRIMES_BELOW_500 + [LARGEST_PRIME_FIELD])
+def test_prime_field_exp_and_log_are_inverse_permutations(p):
+    fld = field(p, 1) if p < 500 else FiniteField(p, 1)
+    assert fld._exp.dtype == fld._log.dtype == np.int32
+    assert fld._exp.nbytes + fld._log.nbytes == 8 * p - 4
+    n = p - 1
+    assert fld._log[0] == -1 and fld._exp[0] == 1
+    assert np.array_equal(np.sort(fld._exp), np.arange(1, p))
+    assert np.array_equal(fld._log[fld._exp], np.arange(n))
+    assert np.array_equal(fld._exp[fld._log[1:]], np.arange(1, p))
+    # consecutive entries differ by the generator g = exp[1]
+    g = int(fld._exp[1])
+    assert np.array_equal(fld._exp[1:],
+                          fld._exp[:-1].astype(np.int64) * g % p)
+    assert all(pow(g, n // ell, p) != 1 for ell in prime_factors(n))
+
+
+def _pow_exponents(p):
+    return (0, 1, 2, p - 2, p - 1, p, 3 * p + 1, -1, -5)
+
+
+@pytest.mark.parametrize("p", PRIMES_BELOW_500)
+def test_prime_field_pow_matches_python_pow(p):
+    fld = field(p, 1)
+    xs = fld.elements()
+    for e in _pow_exponents(p):
+        a = xs[1:] if e < 0 else xs
+        expected = [pow(x, e, p) for x in a.tolist()]
+        assert fld.pow(a, e).tolist() == expected, e
+
+
+def test_pow_past_int32_log_products():
+    # log(a) * (e mod (q - 1)) passes 2^31 for most a: the product must
+    # be taken in int64
+    p = LARGEST_PRIME_FIELD
+    fld = FiniteField(p, 1)
+    rng = np.random.default_rng(12)
+    a = np.concatenate(([0, 1, p - 1], rng.integers(2, p, 2000),
+                        fld._exp[-50:]))
+    for e in _pow_exponents(p):
+        b = a[a > 0] if e < 0 else a
+        expected = [pow(x, e, p) for x in b.tolist()]
+        assert fld.pow(b, e).tolist() == expected, e
+    assert (fld._log[a[3:]].astype(np.int64) * (p - 2) > 2**31).mean() > 0.9
+
+
+def _fields_up_to_200():
+    primes = [(q, 1) for q in range(3, 201) if is_prime(q)]
+    return primes + EXTENSION_FIELDS_BELOW_200
+
+
+def _powers_slow(fld, n):
+    """y^n for every y, by the table-free reference arithmetic."""
+    return [fld._pow_slow(y, n) for y in range(fld.q)]
+
+
+@pytest.mark.parametrize("p,k", _fields_up_to_200())
+def test_element_of_order_is_the_least_of_exact_order(p, k):
+    fld = field(p, k)
+    q = fld.q
+    divisors = [d for d in range(1, q) if (q - 1) % d == 0]
+    # the exact order of y is the least divisor d of q - 1 with y^d = 1
+    order = {}
+    for d in divisors:
+        for y, v in enumerate(_powers_slow(fld, d)):
+            if y and v == 1:
+                order.setdefault(y, d)
+    for n in divisors:
+        assert fld.element_of_order(n) == min(
+            y for y, d in order.items() if d == n), n
+    for n in (0, q, q + 1):
+        with pytest.raises(PreconditionViolated):
+            fld.element_of_order(n)
+
+
+@pytest.mark.parametrize("p,k", _fields_up_to_200())
+def test_num_nth_roots_matches_a_count_of_the_powers(p, k):
+    fld = field(p, k)
+    q = fld.q
+    xs = fld.elements()
+    for n in sorted({1, 2, 3, 4, 5, 6, 8, 12, p, q - 1, q, 2 * q - 1}):
+        expected = np.bincount(_powers_slow(fld, n), minlength=q)
+        assert fld.num_nth_roots(xs, n).tolist() == expected.tolist(), n
 
 
 def test_largest_table_memory():
@@ -706,6 +797,23 @@ def moving_every_point_to(family, x):
     return type(f"{family.__name__}To{x}", (family,),
                 {"point_map": lambda self, eq: lambda pt: (0 * pt[0] + x,
                                                            pt[1])})
+
+
+def test_a_generator_that_hits_a_point_twice_is_refused():
+    # (0, 0) and (1, 0) both go to (0, 0), and nothing goes to (1, 0);
+    # the orbit walk alone would read a functional graph as order 2
+    with pytest.raises(NotAnAutomorphism,
+                       match=r"^\(0, 0\) and \(1, 0\) both map to "
+                             r"\(0, 0\)$"):
+        verify_automorphism(PointList(((0, 0), (0, 0), (2, 0)), order=2),
+                            field(5, 1))
+    rng = random.Random(13)
+    for n in (2, 3, 17, 100, 1000):
+        images = [rng.randrange(n) for _ in range(n)]
+        images[0] = images[n - 1]  # some point is hit twice
+        with pytest.raises(NotAnAutomorphism, match="both map to"):
+            verify_automorphism(PointList(tuple((x, 0) for x in images)),
+                                prime_field_above(n))
 
 
 def test_images_off_the_field_or_the_affine_xs_are_refused():
