@@ -1,13 +1,13 @@
 """Record the benchmark, tier-1 suite time and source size in one file.
 
     python3 scripts/bench.py --out BENCH_11.json
-    python3 scripts/bench.py --seconds 10 --seed 2 --out bench.json
 
 Runs `perfbench/run.py --workload all --trace 0` for the end-to-end
 medians of every workload, then one `--trace 1` run for the per-layer
 metrics, then times the tier-1 suite (`python -m pytest -q` with `src`
 on the path) and counts the lines of `src/cycliccurves/*.py` as
-`wc -l` does.  The output holds:
+`wc -l` does.  Every run uses run.py's default seed 1 and 35 s per
+workload, so the files of successive trees compare.  The output holds:
 
     end_to_end   {workload: {metric: value}}, medians over the passes
     per_layer    {workload: {metric: value}}, medians over traced passes
@@ -34,19 +34,25 @@ import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "perfbench" / "run.py"
+SEED, SECONDS = 1, 35
 
 
-def run_benchmark(seed, seconds, trace):
+def run_benchmark(trace):
     """{workload: run.py's result} of one `--workload all` run."""
-    cmd = [sys.executable, str(RUN), "--workload", "all", "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+    cmd = [sys.executable, str(RUN), "--workload", "all", "--seed", str(SEED),
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     *report, last = proc.stdout.strip().splitlines() or [""]
     print("\n".join(report), file=sys.stderr)
-    if proc.returncode not in (0, 1):  # 1: an output failed its check
-        sys.exit(f"error: {' '.join(cmd[1:])} exited {proc.returncode}:\n"
-                 f"{proc.stderr}")
-    return json.loads(last)
+    # run.py exits 1 with its results when an output failed its check,
+    # and 1 without them when a worker failed
+    if proc.returncode in (0, 1):
+        try:
+            return json.loads(last)
+        except json.JSONDecodeError:
+            pass
+    sys.exit(f"error: {' '.join(cmd[1:])} exited {proc.returncode}:\n"
+             f"{proc.stderr}")
 
 
 def metric_values(results):
@@ -84,13 +90,10 @@ def src_lines():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=35,
-                        help="seconds per workload and run (default 35)")
     args = parser.parse_args(argv)
 
-    plain = run_benchmark(args.seed, args.seconds, 0)
-    traced = run_benchmark(args.seed, args.seconds, 1)
+    plain = run_benchmark(0)
+    traced = run_benchmark(1)
     record = {
         "end_to_end": metric_values(plain),
         "per_layer": metric_values(traced),
@@ -98,7 +101,7 @@ def main(argv=None):
                    "trace1": check_counts(traced)},
         "tier1": time_tier1(),
         "src_lines": src_lines(),
-        "settings": {"seed": args.seed, "seconds": args.seconds,
+        "settings": {"seed": SEED, "seconds": SECONDS,
                      "python": platform.python_version(),
                      "numpy": numpy.__version__, "cpus": os.cpu_count()},
     }

@@ -239,10 +239,17 @@ class FiniteField:
     # -- encoding helpers
 
     def _digits(self, a):
-        return [a // self.p**i % self.p for i in range(self.k)]
+        out = []
+        for _ in range(self.k):
+            out.append(a % self.p)
+            a //= self.p
+        return out
 
     def _encode(self, coeffs):
-        return sum(c * self.p**i for i, c in enumerate(coeffs))
+        out = 0
+        for c in reversed(coeffs):
+            out = out * self.p + c
+        return out
 
     def elements(self):
         """Every element, as an int64 array indexed by its encoding."""
@@ -252,15 +259,20 @@ class FiniteField:
     #    reference the tests compare the array arithmetic with
 
     def _mul_slow(self, a, b):
-        return self._encode(_pmulmod(tuple(self._digits(a)),
-                                     tuple(self._digits(b)),
-                                     self.modulus, self.p))
+        prod = _pmulmod(tuple(self._digits(a)), tuple(self._digits(b)),
+                        self.modulus, self.p)
+        return self._encode(list(prod) + [0] * (self.k - len(prod)))
 
     def _pow_slow(self, a, e):
-        if self.k == 1:
+        if self.k == 1:  # the primitive-root search of every prime field
             return pow(a, e, self.p)
-        return self._encode(_ppowmod(tuple(self._digits(a)), e,
-                                     self.modulus, self.p))
+        out = 1
+        while e:
+            if e & 1:
+                out = self._mul_slow(out, a)
+            a = self._mul_slow(a, a)
+            e >>= 1
+        return out
 
     # -- exp/log/Zech tables (baby-step giant-step, vectorized)
 
@@ -372,14 +384,18 @@ class FiniteField:
     def trace(self, a):
         """Absolute trace down to the prime field, as ints in [0, p)."""
         if self._basis_traces is None:
-            # Tr(x^i) = sum of the conjugates (x^i)^(p^j), j < k
-            basis = self.p ** np.arange(self.k, dtype=np.int64)
-            acc = basis
-            for j in range(1, self.k):
-                acc = self.add(acc, self.pow(basis, self.p**j))
-            if (acc >= self.p).any():
-                raise RuntimeError("basis trace not in prime field")
-            self._basis_traces = acc.tolist()
+            traces = []
+            for i in range(self.k):
+                e = self.p**i
+                acc = e
+                t = e
+                for _ in range(self.k - 1):
+                    t = self.pow(t, self.p)
+                    acc = self.add(acc, t)
+                if acc >= self.p:
+                    raise RuntimeError("basis trace not in prime field")
+                traces.append(int(acc))
+            self._basis_traces = traces
         # Tr is F_p-linear: sum the digits against the traces of the
         # basis, one digit at a time
         a = _int64(a)
@@ -430,9 +446,13 @@ class FiniteField:
             if not len(roots):
                 raise RuntimeError("modulus has no root in extension")
             root = self._lift_roots[key] = int(roots[0]) + self.p
-        out = 0  # Horner's rule on the digits of value at root
-        for digit in reversed(src._digits(value)):
-            out = self.add(self.mul(out, root), digit)
+        out = 0
+        power = 1
+        v = value
+        while v:
+            out = self.add(out, self.scale(v % src.p, power))
+            power = self.mul(power, root)
+            v //= src.p
         return int(out)
 
 

@@ -126,6 +126,7 @@ def test_lift_is_a_field_embedding():
 # --- array arithmetic against the table-free references ---------------------
 
 ARRAY_FIELDS = [(3, 2), (3, 3), (3, 5), (5, 3), (7, 2), (11, 1), (13, 1)]
+PRIMES_BELOW_500 = [p for p in range(3, 500) if is_prime(p)]
 
 
 def _ref_add(fld, a, b):
@@ -175,12 +176,13 @@ def test_array_add_and_mul_match_references(p, k):
         _ref_mul(fld, p - 2, x) for x in a.tolist()]
 
 
-@pytest.mark.parametrize("p,k", ARRAY_FIELDS)
+@pytest.mark.parametrize("p,k", ARRAY_FIELDS + [
+    (p, 1) for p in PRIMES_BELOW_500 if (p, 1) not in ARRAY_FIELDS])
 def test_array_pow_inv_trace_match_references(p, k):
     fld = field(p, k)
     xs = fld.elements()
     q = fld.q
-    for e in (0, 1, 2, p, q - 2, q - 1, q, 3 * q + 5):
+    for e in (0, 1, 2, p, q - 2, q - 1, q, 3 * q + 1, 3 * q + 5):
         assert fld.pow(xs, e).tolist() == [
             _ref_pow(fld, x, e) for x in range(q)], e
     units = xs[1:]
@@ -188,8 +190,9 @@ def test_array_pow_inv_trace_match_references(p, k):
         _ref_pow(fld, x, q - 2) for x in range(1, q)]
     if k == 1:
         assert fld.inv(units).tolist() == [pow(x, -1, p) for x in range(1, q)]
-    assert fld.pow(units, -3).tolist() == [
-        _ref_pow(fld, x, -3) for x in range(1, q)]
+    for e in (-1, -3, -5):
+        assert fld.pow(units, e).tolist() == [
+            _ref_pow(fld, x, e) for x in range(1, q)], e
     assert fld.trace(xs).tolist() == [_ref_trace(fld, x) for x in range(q)]
     with pytest.raises(ZeroDivisionError):
         fld.inv(xs)
@@ -226,7 +229,6 @@ def test_extension_tables_are_int32():
     assert len(fld._log) == fld.q
 
 
-PRIMES_BELOW_500 = [p for p in range(3, 500) if is_prime(p)]
 LARGEST_PRIME_FIELD = 4194301  # the largest prime below 2^22
 EXTENSION_FIELDS_BELOW_200 = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4),
                               (11, 2), (5, 3), (13, 2)]
@@ -249,20 +251,6 @@ def test_prime_field_exp_and_log_are_inverse_permutations(p):
     assert all(pow(g, n // ell, p) != 1 for ell in prime_factors(n))
 
 
-def _pow_exponents(p):
-    return (0, 1, 2, p - 2, p - 1, p, 3 * p + 1, -1, -5)
-
-
-@pytest.mark.parametrize("p", PRIMES_BELOW_500)
-def test_prime_field_pow_matches_python_pow(p):
-    fld = field(p, 1)
-    xs = fld.elements()
-    for e in _pow_exponents(p):
-        a = xs[1:] if e < 0 else xs
-        expected = [pow(x, e, p) for x in a.tolist()]
-        assert fld.pow(a, e).tolist() == expected, e
-
-
 def test_pow_past_int32_log_products():
     # log(a) * (e mod (q - 1)) passes 2^31 for most a: the product must
     # be taken in int64
@@ -271,7 +259,7 @@ def test_pow_past_int32_log_products():
     rng = np.random.default_rng(12)
     a = np.concatenate(([0, 1, p - 1], rng.integers(2, p, 2000),
                         fld._exp[-50:]))
-    for e in _pow_exponents(p):
+    for e in (0, 1, 2, p - 2, p - 1, p, 3 * p + 1, -1, -5):
         b = a[a > 0] if e < 0 else a
         expected = [pow(x, e, p) for x in b.tolist()]
         assert fld.pow(b, e).tolist() == expected, e
