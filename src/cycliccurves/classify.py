@@ -123,7 +123,7 @@ class ClassifyQuery:
         _check_order(ceiling, f"genus {self.g} reaches order {ceiling}; ")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassificationEntry:
     """One family in the classification, built from its model alone.
 
@@ -152,9 +152,10 @@ class ClassificationEntry:
         if rh != g:
             raise ValueError(
                 f"ramification data of {model} gives genus {rh}, not {g}")
-        # frozen: the derived fields go into the instance dict directly
-        self.__dict__.update(n=n, branch=model.branch, genus=g, wild=model.wild,
-                             signature=signature, orbits=orbits)
+        for name, value in dict(n=n, branch=model.branch, genus=g,
+                                signature=signature, orbits=orbits,
+                                wild=model.wild).items():
+            object.__setattr__(self, name, value)
 
 
 def _check_characteristic(p):
@@ -279,36 +280,54 @@ def _genus_pairs(n, g):
                                 for r, s in _orbit_minima(n, g))))
 
 
+# Each slot descriptor's `__set__` writes its slot of a frozen instance
+# without the class's `__setattr__`; `__slots__` lists the fields in order.
+(_set_pair_n, _set_pair_r, _set_pair_s, _set_pair_genus, _set_pair_signature,
+ _set_kummer_pair, _set_entry_n, _set_entry_branch, _set_entry_model,
+ _set_entry_genus, _set_entry_signature, _set_entry_orbits,
+ _set_entry_wild) = (getattr(cls, name).__set__
+                     for cls in (PrimitivePair, Kummer, ClassificationEntry)
+                     for name in cls.__slots__)
+
+
 def _kummer_entries(n, g, pairs):
     """`ClassificationEntry(Kummer.of(n, r, s))` for each pair (r, s) of
     genus g: range, primitivity and genus are checked per pair, and
-    Riemann-Hurwitz once per signature type, which its pairs share."""
+    Riemann-Hurwitz once per signature type.  No constructor runs: the
+    slots are filled directly, and the pairs of a type share a `Signature`."""
     if g < 2 or n < 2 * g + 1:
         raise ValueError(f"no Kummer entry of genus {g} at order {n}")
     total = n + 2 - 2 * g  # gcd(n, r) + gcd(n, s) + gcd(n, r + s)
+    new, branch = object.__new__, Kummer.branch
     types, signatures, out = {}, {}, []
     for r, s in pairs:
         a, b, c = abc = primitive_gcds(n, r, s)
         if a + b + c != total:
             raise ValueError(f"Kummer pair ({r}, {s}) mod {n} has genus "
                              f"{(n + 2 - a - b - c) // 2}, not {g}")
-        if abc not in types:
-            indices = (n // a, n // b, n // c)
-            sig = Signature(0, indices)
-            if signatures.setdefault(sig, sig) is sig:  # a new type
-                if (rh := rh_genus_tame(n, 0, sig)) != g:
-                    raise ValueError(f"ramification data {sig} of ({r}, {s}) "
-                                     f"mod {n} gives genus {rh}, not {g}")
-            types[abc] = indices, signatures[sig]
-        indices, signature = types[abc]
-        # the constructors' fields in their order: instance dicts share keys
-        pair = object.__new__(PrimitivePair)
-        pair.__dict__.update(n=n, r=r, s=s, genus=g, _indices=indices)
-        model = object.__new__(Kummer)
-        model.__dict__["pair"] = pair
-        entry = object.__new__(ClassificationEntry)
-        entry.__dict__.update(model=model, n=n, branch=Kummer.branch, genus=g,
-                              wild=False, signature=signature, orbits=None)
+        signature = types.get(abc)
+        if signature is None:
+            sig = Signature(0, (n // a, n // b, n // c))
+            signature = types[abc] = signatures.setdefault(sig, sig)
+            if signature is sig and (rh := rh_genus_tame(n, 0, sig)) != g:
+                raise ValueError(f"ramification data {sig} of ({r}, {s}) "
+                                 f"mod {n} gives genus {rh}, not {g}")
+        pair = new(PrimitivePair)
+        _set_pair_n(pair, n)
+        _set_pair_r(pair, r)
+        _set_pair_s(pair, s)
+        _set_pair_genus(pair, g)
+        _set_pair_signature(pair, signature)
+        model = new(Kummer)
+        _set_kummer_pair(model, pair)
+        entry = new(ClassificationEntry)
+        _set_entry_n(entry, n)
+        _set_entry_branch(entry, branch)
+        _set_entry_model(entry, model)
+        _set_entry_genus(entry, g)
+        _set_entry_signature(entry, signature)
+        _set_entry_orbits(entry, None)
+        _set_entry_wild(entry, False)
         out.append(entry)
     return out
 

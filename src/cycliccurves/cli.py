@@ -157,9 +157,9 @@ def _orbits_payload(orbits):
 
 
 def _cmd_classify(args):
-    entries = classify(
-        args.p, args.genus, raw_pairs=args.raw_pairs, n=args.n)
-    records = [_record("classify", {
+    # classify runs, and can fail, before the first record is printed
+    entries = classify(args.p, args.genus, raw_pairs=args.raw_pairs, n=args.n)
+    _emit((_record("classify", {
         "p": args.p,
         "genus": entry.genus,
         "n": entry.n,
@@ -168,8 +168,7 @@ def _cmd_classify(args):
         "model": model_to_spec(entry.model),
         "signature": _signature_payload(entry.signature),
         "orbits": _orbits_payload(entry.orbits),
-    }) for entry in entries]
-    _emit(records, args.format)
+    }) for entry in entries), args.format)
     return 0
 
 

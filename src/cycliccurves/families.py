@@ -33,7 +33,7 @@ Constructors reject parameters that give genus < 2 or a zero coefficient.
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import lru_cache, partial
 from math import gcd
 from typing import Any, ClassVar
 
@@ -61,37 +61,34 @@ class PreconditionViolated(ValueError):
     """A model/field precondition fails (divisibility, zero parameter...)."""
 
 
-@dataclass(frozen=True)
+# (0; indices): pairs share these, immutable and dearer to build than a pair
+_triangle_signature = lru_cache(maxsize=1024)(partial(Signature, 0))
+
+
+@dataclass(frozen=True, slots=True)
 class PrimitivePair:
     """Exponent pair (r, s) for y^n = x^r (1-x)^s.
 
     Requires r, s >= 1, r + s <= n - 1 and gcd(r, s, n) = 1.  `genus`
-    is (n + 2 - gcd(n,r) - gcd(n,s) - gcd(n,r+s)) / 2, worked out once
-    at construction from the same gcd triple that checks primitivity.
+    is (n + 2 - gcd(n,r) - gcd(n,s) - gcd(n,r+s)) / 2, and `signature`
+    is (0; n/gcd over x = 0, 1, infinity); both are worked out once at
+    construction from the same gcd triple that checks primitivity.
     """
 
     n: int
     r: int
     s: int
     genus: int = field(init=False, repr=False, compare=False)
-    # ramification indices n/gcd over x = 0, 1 and infinity
-    _indices: tuple[int, int, int] = field(init=False, repr=False,
-                                           compare=False)
+    signature: Signature = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
         a, b, c = primitive_gcds(n, self.r, self.s)
         total = n + 2 - a - b - c
         assert total % 2 == 0, (n, self.r, self.s)
-        # frozen: the derived fields go into the instance dict directly
-        self.__dict__.update(genus=total // 2,
-                             _indices=(n // a, n // b, n // c))
-
-    @cached_property
-    def signature(self) -> Signature:
-        """Ramification signature of y^n = x^r (1-x)^s: genus-0 quotient,
-        branched over x = 0, 1, infinity with indices n/gcd."""
-        return Signature(0, self._indices)
+        object.__setattr__(self, "genus", total // 2)
+        object.__setattr__(self, "signature",
+                           _triangle_signature((n // a, n // b, n // c)))
 
 
 def primitive_gcds(n: int, r: int, s: int) -> tuple[int, int, int]:
@@ -198,6 +195,8 @@ class Equation:
 class CurveModel:
     """Base class for the tagged union of curve families."""
 
+    __slots__ = ()  # so that a slotted family has no instance dict
+
     name: ClassVar[str]  # spec keyword
     branch: ClassVar[str]  # classification branch
     wild: ClassVar[bool] = False  # p divides the group order
@@ -252,7 +251,7 @@ class CurveModel:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Kummer(CurveModel):
     """y^n = x^r (1-x)^s with (r, s) a primitive pair."""
 

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import sys
 import time
+import tracemalloc
 from math import gcd, lcm
 
 import numpy as np
@@ -23,7 +25,7 @@ from cycliccurves.classify import (
     verify_sasaki_bound,
     _multiset_counter,
 )
-from cycliccurves import intmath
+from cycliccurves import families, intmath
 from cycliccurves.families import FAMILIES, Homma, Kummer, kummer_genus
 from cycliccurves.intmath import divisors
 from cycliccurves.ramification import (
@@ -343,6 +345,7 @@ def test_caches_are_bounded():
         intmath.prime_factors: lambda i: (i + 1,),
         intmath.divisors: lambda i: (i + 1,),
         module._canonical_genus_entries: lambda i: (5 + i, 2),
+        families._triangle_signature: lambda i: ((2, 2, 2 + i),),
     }
     try:
         for cache, args in arguments.items():
@@ -353,6 +356,7 @@ def test_caches_are_bounded():
             assert cache.cache_info().currsize <= bound
     finally:
         module._canonical_genus_entries.cache_clear()
+        families._triangle_signature.cache_clear()
 
 
 # --- Kummer pair search ---------------------------------------------------------
@@ -391,6 +395,30 @@ def test_kummer_entries_equal_the_constructed_ones():
                 assert built == want, (n, g)
                 assert list(map(repr, built)) == list(map(repr, want)), (n, g)
                 assert list(map(hash, built)) == list(map(hash, want)), (n, g)
+                # compare=False fields, which == does not see
+                assert [(e.model.pair.signature, e.model.pair.genus)
+                        for e in built] == [
+                    (e.model.pair.signature, e.model.pair.genus)
+                    for e in want], (n, g)
+
+
+def test_raw_entries_are_slotted_and_small():
+    entries = classify(0, 50, raw_pairs=True)
+    for e in entries:
+        if e.branch != Kummer.branch:
+            continue
+        for obj in (e, e.model, e.model.pair):
+            assert not hasattr(obj, "__dict__"), obj
+    del entries
+    # the pair search's divisor caches are warm after the listing above
+    gc.collect()
+    tracemalloc.start()
+    try:
+        entries = classify(0, 50, raw_pairs=True)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert size <= 300 * len(entries), size / len(entries)
 
 
 def test_kummer_entries_check_every_pair(monkeypatch):
