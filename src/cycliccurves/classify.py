@@ -54,10 +54,9 @@ from .ramification import (N_CAP, OrbitDatum, Signature, rh_genus_tame,
 # Orbit decompositions kept: classify(p, g) reads at most 2g + 4 of them,
 # so 256 holds one genus's working set up to g = 50.
 _CACHE_SIZE = 256
-# Most ramification indices a signature may have room for.  The
-# enumerator recurses once per index, and 256 stays far below the
-# interpreter's recursion limit; for n >= 2g + 1 a signature has three
-# or four.
+# Most ramification indices a signature may have room for; for
+# n >= 2g + 1 a signature has three or four.  The enumerator keeps its
+# own stacks, so its interpreter stack depth does not grow with them.
 _MAX_INDICES = 256
 _MAX_CANDIDATES = 1 << 17  # index multisets a signature search may test
 _MAX_COUNT_STEPS = 1 << 21  # (state, term) steps a count of them may take
@@ -383,29 +382,47 @@ def _steps(terms, start, remaining):
 
 def _multiset_counter(terms):
     """count(i, t): how many non-decreasing multisets of the ascending
-    terms[i:] sum to t, in at most `_MAX_COUNT_STEPS` steps a search."""
-    tried = [0]
-    @lru_cache(maxsize=None)
+    terms[i:] sum to t, in at most `_MAX_COUNT_STEPS` steps a search.
+    Depth first, as a recursion would go, on a list of frames."""
+    memo, tried = {}, [0]
+
     def count(start, remaining):
-        if remaining == 0:
-            return 1
-        tried[0] += bisect_right(terms, remaining) - start
-        if tried[0] > _MAX_COUNT_STEPS:
-            raise TooManyCandidates(
-                f"candidate count over {_MAX_COUNT_STEPS} steps")
-        return sum(count(*step) for step in _steps(terms, start, remaining))
-    return count
+        # [state, its steps not yet taken, the counts of those taken],
+        # under a root frame whose one step is (start, remaining)
+        frames = [[None, iter([(start, remaining)]), 0]]
+        while True:
+            frame = frames[-1]
+            for state in frame[1]:
+                if state[1] == 0 or state in memo:
+                    frame[2] += memo.get(state, 1)
+                    continue
+                tried[0] += bisect_right(terms, state[1]) - state[0]
+                if tried[0] > _MAX_COUNT_STEPS:
+                    raise TooManyCandidates(
+                        f"candidate count over {_MAX_COUNT_STEPS} steps")
+                frames.append([state, _steps(terms, *state), 0])
+                break
+            else:  # every step taken: the state's count is known
+                frames.pop()
+                if not frames:
+                    return frame[2]
+                memo[frame[0]] = frame[2]
+                frames[-1][2] += frame[2]
+    return lru_cache(maxsize=None)(count)  # the callers' repeats, in C
 
 
 def _index_multisets(ds, terms, count, start, remaining):
     # The multisets of ds[start:] whose Hurwitz terms sum to remaining,
-    # descending only where `count` finds one.
-    if remaining == 0:
-        yield ()
-    for i, rest in _steps(terms, start, remaining):
-        if count(i, rest):
-            for tail in _index_multisets(ds, terms, count, i, rest):
-                yield (ds[i],) + tail
+    # descending only where `count` finds one: depth first from a stack,
+    # in the order of the steps.
+    stack = [((), start, remaining)]
+    while stack:
+        prefix, start, remaining = stack.pop()
+        if remaining == 0:
+            yield prefix
+        stack += [(prefix + (ds[i],), i, rest) for i, rest
+                  in reversed(list(_steps(terms, start, remaining)))
+                  if count(i, rest)]
 
 
 def _signature_ok(n, g0, indices):

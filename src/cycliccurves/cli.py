@@ -243,14 +243,15 @@ def _cmd_verify(args):
 
     if args.zeta_depth:
         series = fforacle.count_series(model, fld, args.zeta_depth)
-        inferred = fforacle.zeta_genus(series, g_max=g)
+        inferred, reason = fforacle.zeta_fit(series, g_max=g)
         zeta_ok = inferred == g
         ok &= zeta_ok
         records.append(_record("verify", {
             "check": "zeta", "model": args.model, "q": args.q,
             "counts": list(series.counts),
             "inferred_genus": -1 if inferred is None else inferred,
-            "genus_formula": g, "ok": zeta_ok}))
+            "genus_formula": g, "ok": zeta_ok,
+            **({"reason": reason} if reason else {})}))
 
     records.append(_record("verify", {
         "check": "summary", "model": args.model, "q": args.q, "ok": ok}))

@@ -145,9 +145,8 @@ def _require_characteristic(p, fld):
              f"curve lives in characteristic {p}, field has {fld.p}")
 
 
-# The left sides y^n and y^p - y, each with its fibre rule: the number of
-# y in the field with lhs(y) = v.  (The third, b*y^p + c*y, takes its
-# fibre from a histogram over y.)
+# The two left sides, each with its fibre rule: the number of y in the
+# field with lhs(y) = v, in closed form.
 
 def _power_lhs(fld, n):
     """y^n: a nonzero v has gcd(n, q-1) n-th roots when it is an n-th
@@ -155,12 +154,27 @@ def _power_lhs(fld, n):
     return (lambda y: fld.pow(y, n)), (lambda v: fld.num_nth_roots(v, n))
 
 
-def _artin_schreier_lhs(fld):
-    """y^p - y: additive with kernel F_p and image the trace-zero
-    elements, so v has p preimages when Tr(v) = 0 and none otherwise."""
+def _kernel_root(fld, b, c):
+    """A nonzero root lam of b*Y^p + c*Y, lam^(p-1) = -c/b, or None; the
+    roots are then lam * F_p."""
+    return fld.nth_root(fld.mul(fld.neg(c), fld.inv(b)), fld.p - 1)
+
+
+def _additive_lhs(fld, b, c):
+    """b*y^p + c*y, F_p-linear (Artin-Schreier y^p - y at b = 1, c = -1).
+    With a kernel root lam, y = lam*z turns it into -c*lam*(z^p - z), so
+    v has p preimages where Tr(v/(c*lam)) = 0 and none otherwise (Tr is
+    F_p-linear, so prime-field factors of v do not move its zeros);
+    without one the map is a bijection and every v has one preimage."""
     p = fld.p
-    return ((lambda y: fld.sub(fld.pow(y, p), y)),
-            (lambda v: np.where(fld.trace(v) == 0, p, 0)))
+    lam = _kernel_root(fld, b, c)
+
+    def fibre(v):
+        if lam is None:
+            return np.ones_like(v)
+        w = fld.inv(fld.mul(c, lam))
+        return np.where(fld.trace(v if w < p else fld.mul(w, v)) == 0, p, 0)
+    return (lambda y: fld.add(fld.mul(b, fld.pow(y, p)), fld.mul(c, y))), fibre
 
 
 @dataclass(frozen=True)
@@ -417,7 +431,7 @@ class ASPower(CurveModel):
         m = self.m
         # one place at infinity, totally ramified
         return Equation(
-            fld, *_artin_schreier_lhs(fld),
+            fld, *_additive_lhs(fld, 1, fld.p - 1),
             rhs=lambda x: fld.mul(a, fld.sub(fld.pow(x, m), b)), extra=1)
 
     def point_map(self, eq):
@@ -474,28 +488,22 @@ class ASRational(CurveModel):
         a = _bind(self.a, fld)
         b = _bind(self.b, fld)
         c = _bind(self.c, fld)
-        p = self.p
-
-        def lhs(y):
-            return fld.add(fld.mul(b, fld.pow(y, p)), fld.mul(c, y))
-
         # one place over x = 0 and one over infinity
         return Equation(
-            fld, lhs,
-            lambda v: np.bincount(lhs(fld.elements()), minlength=fld.q)[v],
+            fld, *_additive_lhs(fld, b, c),
             rhs=lambda x: fld.add(fld.mul(a, x), fld.inv(x)),
             extra=2, missing_x=(0,))
 
     def point_map(self, eq):
         fld = eq.fld
-        a = _bind(self.a, fld)
+        a, b, c = (_bind(v, fld) for v in (self.a, self.b, self.c))
         # lhs is additive, so y -> y + gamma preserves it when
         # lhs(gamma) = 0; gamma is the least nonzero such y
-        roots = np.flatnonzero(eq.lhs(fld.elements()) == 0)
-        if len(roots) < 2:
+        lam = _kernel_root(fld, b, c)
+        if lam is None:
             raise PreconditionViolated(
                 "additive polynomial b*Y^p + c*Y has no nonzero root in field")
-        gamma = int(roots[1])
+        gamma = int(fld.mul(lam, np.arange(1, fld.p)).min())
         return lambda pt: (fld.inv(fld.mul(a, pt[0])), fld.add(pt[1], gamma))
 
 
@@ -535,7 +543,7 @@ class Homma(CurveModel):
     def equation(self, fld):
         _require_characteristic(self.p, fld)
         # one place at infinity, totally ramified
-        return Equation(fld, *_artin_schreier_lhs(fld),
+        return Equation(fld, *_additive_lhs(fld, 1, fld.p - 1),
                         rhs=lambda x: fld.mul(x, x), extra=1)
 
     def point_map(self, eq):

@@ -8,11 +8,9 @@ the curve families by exact computation over small finite fields:
     irreducible monic polynomial of degree k, chosen deterministically
     so counts are reproducible across runs.  Its operations are
     array-at-a-time: they take numpy integer arrays and evaluate every
-    element in one call.  Every field holds int32 exp/log tables over a
-    primitive element (8 bytes per element), which powers, n-th-power
-    tests and roots of unity read.  Prime fields add and multiply in
-    int64; extension fields by table, with a Zech-log table more (12
-    bytes per element).
+    element in one call, by int32 exp/log tables over a primitive
+    element (8 bytes per element, with a Zech-log table more in
+    extension fields, 12 bytes: see `FiniteField`).
   * `count_places` returns the exact number of rational places of the
     smooth model of a curve over a field, combining fibre counts on the
     affine part with exact place counts over the branch and infinite
@@ -21,7 +19,8 @@ the curve families by exact computation over small finite fields:
     affine part; fast and naive paths must agree exactly.
   * `zeta_genus` infers the genus from a series of place counts by
     fitting a Weil polynomial via Newton's identities and the
-    functional equation, demanding exact integer agreement.
+    functional equation, demanding exact integer agreement; `zeta_fit`
+    also says why no genus fits.
   * `verify_automorphism` runs the family's generator (`point_map`) on
     the rational points and checks that it is a permutation of order
     exactly `cyclic_order()`, reporting orbit structure and fixed points.
@@ -37,14 +36,13 @@ field only: `count_series` reads the coefficients in the base field of
 its tower and moves them into each extension (`CurveModel.lifted`).
 
 Counting evaluates each side of the equation once over the whole
-field, as an array: the fast count sums the fibre sizes of rhs over all
-x (`fibre(rhs(xs)).sum()`, in closed form for y^n and y^p - y and a
-histogram of lhs over all y for b*y^p + c*y), the naive count compares
-lhs over all y with each rhs value, and the automorphism check maps
-every affine point in one call, finds the images by dense lookups and
-walks the orbits by pointer doubling.  Every use of a field enumerates
-all of it, and memory beyond the field tables is a few int64 vectors of
-length q, so every field, prime or not, stops at `TABLE_LIMIT` elements
+field, as an array: the fast count sums the closed-form fibre sizes of
+rhs over all x (`fibre(rhs(xs)).sum()`), the naive count compares lhs
+over all y with each rhs value, and the automorphism check maps every
+affine point in one call, finds the images by dense lookups and walks
+the orbits by pointer doubling.  Every use of a field enumerates all
+of it, and memory beyond the field tables is a few vectors of length
+q, so every field, prime or not, stops at `TABLE_LIMIT` elements
 (2^22), the ceiling of the tables.
 
 Everything is a pure function of its inputs; fields cache their own
@@ -187,11 +185,33 @@ def _powers(c, n, p):
     return np.array(out, dtype=np.int64)
 
 
+def _matpow(m, e, p):
+    """m^e mod p for a square int64 matrix m."""
+    out = np.eye(len(m), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ m % p
+        m, e = m @ m % p, e >> 1
+    return out
+
+
 def _int64(a):
     # prime-field residues below 2^31 multiply in int64; an int32 operand
     # (or under numpy 1's value-based casting a 0-d one) would keep the
     # product in int32
     return np.asarray(a, dtype=np.int64)
+
+
+def _wrap(s, n):
+    """s - n, folded into [0, n) where s < 2n and clipped to n, the zero
+    slot of the exp table, where s carries a zero log: int32 throughout."""
+    s = s - n
+    s += (s >> 31) & n
+    return np.minimum(s, n)
+
+
+LOG_ZERO = 1 << 28  # log(0): any sum with it, less n, is past n < 2^22
+_RUN = 1 << 14  # longest run of powers the exp build makes in one step
 
 
 class FiniteField:
@@ -200,18 +220,22 @@ class FiniteField:
     Every operation takes numpy integer arrays (or plain ints) and
     evaluates all of their elements in one call; a scalar argument gives
     a numpy scalar back.  Every field holds two int32 tables over a
-    primitive element g, `_exp[i] = g^i` and `_log[a]` (with -1 at
-    a = 0), 8 bytes per element: a^e is `_exp[log(a) * e mod (q - 1)]`,
-    c is an n-th power exactly when gcd(n, q - 1) divides log(c), and
-    the elements of order n are the g^(j(q-1)/n) with j prime to n.
-    Prime fields add and multiply in int64 modular arithmetic (q <= 2^22,
-    so every product fits).  Extension fields hold a third int32 table,
-    the Zech logarithm `_zech[n] = log(1 + g^n)` (-1 where
-    1 + g^n = 0), 12 bytes per element in all.  There a product is an
-    exp lookup of the summed logs, and a sum one Zech lookup more,
-    g^i + g^j = g^(i + Z(j - i)) (K. Huber, "Some comments on Zech's
-    logarithms", IEEE Trans. Inf. Theory 36, 1990).  Index arithmetic
-    on logarithms is int64, because log * exponent overflows int32.
+    primitive element g, n = q - 1, 8 bytes per element: `_expz[i] =
+    g^i` for i < n with a zero slot `_expz[n] = 0`, and `_log[a]`, with
+    the sentinel `LOG_ZERO` = 2^28 at a = 0.  a^e is `_exp[log(a) * e
+    mod n]` in int64, c is an n-th power exactly when gcd(n, q - 1)
+    divides log(c), and the elements of order n are the g^(j(q-1)/n)
+    with j prime to n.  Prime fields add and multiply in int64 modular
+    arithmetic (q <= 2^22, so every product fits).  Extension fields
+    hold a third int32 table, the Zech log `_zechz[i] = log(1 + g^i)`
+    (`LOG_ZERO` where 1 + g^i = 0, and 0 in the slot i = n), 12 bytes
+    per element in all, and compute in int32 with no modulo and no zero
+    test: a product is the exp of the summed logs, and g^i + g^j with
+    i <= j is g^(i + Z(j - i)) (K. Huber, "Some comments on Zech's
+    logarithms", IEEE Trans. Inf. Theory 36, 1990).  A zero log makes
+    every index sum pass n, and `_wrap` clips it to the zero slot; a
+    zero summand puts |log a - log b| past n, clipped to Z = 0, so the
+    sum is the other one.  `_exp` and `_zech` are the first n entries.
 
     Use the cached factory `field(p, k)` rather than the constructor
     when possible so the tables are shared.
@@ -229,7 +253,8 @@ class FiniteField:
         self.modulus = _least_irreducible(p, k)
         # x^k mod f, as digits, for reducing products
         self._xk = list(_pmod((0,) * k + (1,), self.modulus, p)) + [0] * k
-        self._basis_traces = None
+        self._pvec = p ** np.arange(k, dtype=np.int64)
+        self._trace_halves = None
         self._lift_roots = {}
         self._build_tables()
 
@@ -245,36 +270,19 @@ class FiniteField:
             a //= self.p
         return out
 
-    def _encode(self, coeffs):
-        out = 0
-        for c in reversed(coeffs):
-            out = out * self.p + c
-        return out
-
     def elements(self):
         """Every element, as an int64 array indexed by its encoding."""
         return np.arange(self.q, dtype=np.int64)
 
-    # -- table-free arithmetic on single ints: the table build and the
-    #    reference the tests compare the array arithmetic with
+    def _halves(self, m):
+        """half = p^(k // 2), then digits(a) @ m mod p for the multiples
+        a of half and for the a below half: an F_p-linear map of a is
+        the sum of its values on a's high and low digits."""
+        half = self.p ** (self.k // 2)
+        return half, *(r[:, None] // self._pvec % self.p @ m % self.p
+                       for r in (np.arange(0, self.q, half), np.arange(half)))
 
-    def _mul_slow(self, a, b):
-        prod = _pmulmod(tuple(self._digits(a)), tuple(self._digits(b)),
-                        self.modulus, self.p)
-        return self._encode(list(prod) + [0] * (self.k - len(prod)))
-
-    def _pow_slow(self, a, e):
-        if self.k == 1:  # the primitive-root search of every prime field
-            return pow(a, e, self.p)
-        out = 1
-        while e:
-            if e & 1:
-                out = self._mul_slow(out, a)
-            a = self._mul_slow(a, a)
-            e >>= 1
-        return out
-
-    # -- exp/log/Zech tables (baby-step giant-step, vectorized)
+    # -- exp/log/Zech tables
 
     def _mul_matrix(self, c):
         """The k x k matrix M over F_p with digits(a) @ M = digits(a * c):
@@ -290,67 +298,87 @@ class FiniteField:
 
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
-        fac = prime_factors(q - 1)
+        n = q - 1
+        fac = prime_factors(n)
         g = 2 if k == 1 else p  # extensions skip the constants (order | p - 1)
-        while any(self._pow_slow(g, (q - 1) // ell) == 1 for ell in fac):
+        # row 0 of c's matrix to the e-th power holds the digits of c^e
+        while any(pow(g, n // ell, p) == 1 if k == 1 else
+                  _matpow(self._mul_matrix(g), n // ell, p)[0] @ self._pvec == 1
+                  for ell in fac):
             g += 1
+        exp = np.zeros(q, dtype=np.int32)
         if k == 1:
             # g^(i*t + j) = (g^t)^i * g^j: giant steps times baby steps
-            t = isqrt(q - 1) + 1
+            t = isqrt(n) + 1
             baby, giant = _powers(g, t, p), _powers(pow(g, t, p), t, p)
-            exp = (giant[:, None] * baby % p).ravel()[:q - 1].astype(np.int32)
+            exp[:n] = (giant[:, None] * baby % p).ravel()[:n]
         else:
-            exp = self._extension_exp(g)
-        log = np.full(q, -1, dtype=np.int32)
-        log[exp] = np.arange(q - 1, dtype=np.int32)
-        if log[1] != 0 or (log[1:] < 0).any():
+            self._extension_exp(g, exp[:n])
+        log = np.full(q, LOG_ZERO, dtype=np.int32)
+        log[exp[:n]] = np.arange(n, dtype=np.int32)
+        if log[1] != 0 or (log[1:] == LOG_ZERO).any():
             raise RuntimeError("discrete log table construction failed")
-        self._exp, self._log, self._zech = exp, log, None
+        self._expz, self._log, self._exp = exp, log, exp[:n]
+        self._zechz = self._zech = None
         if k >= 2:
-            # 1 + g^n changes only the lowest digit, which wraps from
-            # p - 1 to 0; log[0] = -1 marks the n where 1 + g^n = 0
+            # 1 + g^i changes only the lowest digit, which wraps from
+            # p - 1 to 0; log[0] = LOG_ZERO marks the i where 1 + g^i = 0,
+            # and the zero slot reads log(1 + 0) = 0
             one_plus = exp + 1
             one_plus[exp % p == p - 1] -= p
-            self._zech = log[one_plus]
+            self._zechz = log[one_plus]
+            self._zech = self._zechz[:n]
 
-    def _extension_exp(self, g):
-        """The powers g^0, ..., g^(q-2) of k >= 2 digits: baby steps by
-        doubling a block, giant steps by matrix products."""
-        p, k, q = self.p, self.k, self.q
-        # digits of the baby steps g^0, ..., g^(t-1), doubling the block
-        t = isqrt(q - 1) + 1
-        baby = np.zeros((1, k), dtype=np.int64)
-        baby[0, 0] = 1
-        step = self._mul_matrix(g)
-        while len(baby) < t:
-            baby = np.concatenate((baby, baby @ step % p))
-            step = step @ step % p
-        baby = baby[:t]
-        # giant steps: block b holds g^(b*t + i) = g^i * g^(b*t)
-        pvec = p ** np.arange(k, dtype=np.int64)
-        giant = self._mul_matrix(self._pow_slow(g, t))
-        cur = np.eye(k, dtype=np.int64)
-        exp = np.empty(q - 1, dtype=np.int32)
-        for lo in range(0, q - 1, t):
-            hi = min(lo + t, q - 1)
-            exp[lo:hi] = (baby[:hi - lo] @ cur % p) @ pvec
-            cur = cur @ giant % p
-        return exp
+    def _extension_exp(self, g, exp):
+        """Fill exp with g^0, ..., g^(q-2) for k >= 2, in runs: each run
+        is the one before times g^r, r its length, which doubles from 1
+        up to `_RUN` and then stays."""
+        n, step, m = self.q - 1, self._mul_matrix(g), 1
+        exp[0] = 1
+        while m < n:
+            r = min(m, _RUN)
+            if r == m:  # the matrix of g^r, squared for the next run
+                times, step = self._times(step), step @ step % self.p
+            exp[m:m + r] = times(exp[m - r:min(m, n - r)])
+            m += r
 
-    def _logs(self, a):
-        """Discrete logs of a, int64 (-1 at zero)."""
-        return self._log[a].astype(np.int64)
+    def _times(self, m):
+        """a -> a * c on arrays of encodings, m the matrix of c, without
+        tables.  The products of c with a's high and low digit halves
+        come from two tables of about sqrt(q) entries, which hold every
+        digit in a field of b + 1 bits (2^b >= p, at most 39 bits in
+        all), so one integer sum adds the two digit by digit.  A carry
+        test per field reduces the digits mod p, and merging neighbouring
+        fields, then pairs of them, and so on, gives base p."""
+        p, k = self.p, self.k
+        b = (p - 1).bit_length()
+        shifts = (b + 1) * np.arange(k, dtype=np.int64)
+        ones = int((1 << shifts).sum())
+        half, hi, lo = self._halves(m)
+        hi, lo = (hi << shifts).sum(axis=1), (lo << shifts).sum(axis=1)
+
+        def times(a):
+            u, v = np.divmod(a, half)
+            s = hi[u] + lo[v]
+            s -= (s + ones * ((1 << b) - p) >> b & ones) * p
+            fields, width = k, b + 1
+            while fields > 1:
+                fields = (fields + 1) // 2
+                mask = sum((1 << width) - 1 << 2 * width * j
+                           for j in range(fields))
+                s = (s & mask) + (s >> width & mask) * p ** (width // (b + 1))
+                width *= 2
+            return s
+        return times
 
     # -- field operations
 
     def add(self, a, b):
         if self.k == 1:
             return (_int64(a) + _int64(b)) % self.p
-        n = self.q - 1
-        la, lb = self._logs(a), self._logs(b)
-        z = self._zech[(lb - la) % n]
-        out = np.where(z < 0, 0, self._exp[(la + z) % n])
-        return np.where(a == 0, b, np.where(b == 0, a, out))
+        la, lb = self._log[a], self._log[b]
+        z = self._zechz[np.minimum(abs(la - lb), self.q - 1)]
+        return self._expz[_wrap(np.minimum(la, lb) + z, self.q - 1)]
 
     def neg(self, a):
         return self.scale(-1, a)
@@ -365,45 +393,36 @@ class FiniteField:
     def mul(self, a, b):
         if self.k == 1:
             return _int64(a) * _int64(b) % self.p
-        n = self.q - 1
-        out = self._exp[(self._logs(a) + self._logs(b)) % n]
-        return np.where((a == 0) | (b == 0), 0, out)
+        return self._expz[_wrap(self._log[a] + self._log[b], self.q - 1)]
 
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
         n = self.q - 1
         return np.where(a == 0, int(e == 0),
-                        self._exp[self._logs(a) * (e % n) % n])
+                        self._exp[self._log[a].astype(np.int64) * (e % n) % n])
 
     def inv(self, a):
         if (np.asarray(a) == 0).any():
             raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.q - 2)
+        return self._expz[_wrap(self.q - 1 - self._log[a], self.q - 1)]
 
     def trace(self, a):
         """Absolute trace down to the prime field, as ints in [0, p)."""
-        if self._basis_traces is None:
-            traces = []
-            for i in range(self.k):
-                e = self.p**i
-                acc = e
-                t = e
-                for _ in range(self.k - 1):
-                    t = self.pow(t, self.p)
-                    acc = self.add(acc, t)
-                if acc >= self.p:
-                    raise RuntimeError("basis trace not in prime field")
-                traces.append(int(acc))
-            self._basis_traces = traces
-        # Tr is F_p-linear: sum the digits against the traces of the
-        # basis, one digit at a time
-        a = _int64(a)
-        total = 0
-        for t in self._basis_traces:
-            total = total + a % self.p * t
-            a = a // self.p
-        return total % self.p
+        if self.k == 1:
+            return _int64(a) % self.p
+        if self._trace_halves is None:
+            # Tr(x^i) is the trace of the matrix of multiplication by x^i,
+            # and Tr is F_p-linear; the tables take the least unsigned
+            # type that holds a sum of two traces
+            basis = [int(np.trace(self._mul_matrix(self.p**i)))
+                     for i in range(self.k)]
+            half, hi, lo = self._halves(np.array(basis))
+            small = np.min_scalar_type(2 * self.p - 2)
+            self._trace_halves = half, hi.astype(small), lo.astype(small)
+        half, hi, lo = self._trace_halves
+        u, v = np.divmod(a, half)
+        return (hi[u] + lo[v]) % self.p
 
     def element_of_order(self, n):
         """Least element (by encoding) of multiplicative order exactly n.
@@ -420,7 +439,14 @@ class FiniteField:
         power (a log divisible by the gcd), 0 for a nonzero non-power,
         1 for zero."""
         d = gcd(n, self.q - 1)
-        return np.where(c == 0, 1, np.where(self._logs(c) % d == 0, d, 0))
+        return np.where(c == 0, 1, np.where(self._log[c] % d == 0, d, 0))
+
+    def nth_root(self, c, n):
+        """A y with y^n = c for nonzero c, or None if c is no n-th power:
+        y = g^m with m * n = log(c) mod q - 1."""
+        d, lc = gcd(n, self.q - 1), int(self._log[c])
+        return None if lc % d else int(self._exp[
+            lc // d * pow(n // d, -1, (self.q - 1) // d) % (self.q - 1)])
 
     def lift_from(self, value, src):
         """Image of a src-encoded element under the embedding src -> self.
@@ -533,14 +559,22 @@ def count_series(model: CurveModel, base_field: FiniteField,
 
 
 def zeta_genus(series: PlaceCountSeries, g_max: int) -> int | None:
-    """Smallest g <= g_max whose Weil polynomial reproduces the series.
+    """Smallest g <= g_max whose Weil polynomial reproduces the series,
+    or None when no genus fits (an inconsistent series); see `zeta_fit`."""
+    return zeta_fit(series, g_max)[0]
+
+
+def zeta_fit(series: PlaceCountSeries,
+             g_max: int) -> tuple[int | None, str | None]:
+    """(g, None) for the smallest g <= g_max whose Weil polynomial
+    reproduces the series, or (None, why not).
 
     The candidate polynomial takes e_1..e_g from the power sums by
     Newton's identities, is completed by the functional equation
     e_{2g-i} = q^(g-i) e_i, and must then predict every supplied count
     exactly.  A genus at or above the first e_k that is not an integer
-    cannot fit.  Returns None when no genus fits (an inconsistent
-    series).
+    cannot fit.  The reason names, for each candidate, the first count
+    it predicts wrongly, and then that e_k.
     """
     if g_max < 0:
         raise ValueError("g_max must be >= 0")
@@ -551,11 +585,19 @@ def zeta_genus(series: PlaceCountSeries, g_max: int) -> int | None:
     q = series.q
     s = [q**j + 1 - n for j, n in enumerate(series.counts, start=1)]
     e = _newton_elementary(s, g_max)
+    reasons = []
     for g in range(len(e)):
         full = e[:g + 1] + [q**(g - i) * e[i] for i in reversed(range(g))]
-        if _power_sums(full, m) == s:
-            return g
-    return None
+        predicted = _power_sums(full, m)
+        if predicted == s:
+            return g, None
+        j = next(j for j in range(m) if predicted[j] != s[j])
+        reasons.append(f"genus {g} predicts N_{j + 1} = "
+                       f"{q**(j + 1) + 1 - predicted[j]}, counted "
+                       f"{series.counts[j]}")
+    if len(e) <= g_max:
+        reasons.append(f"e_{len(e)} is not an integer")
+    return None, "; ".join(reasons)
 
 
 def _newton_elementary(s, g_max):

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import itertools
 import sys
 import time
@@ -145,6 +146,20 @@ def test_enumerator_refuses_orders_and_index_counts_out_of_range():
     assert enumerate_signatures(3, 254)[0] == Signature(0, (3,) * 256)
     with pytest.raises(TooManyIndices, match="257 ramification indices"):
         enumerate_signatures(3, 255)
+
+
+def test_enumerator_stack_depth_does_not_grow_with_the_indices():
+    # 256 indices of 3: each index once cost about three interpreter
+    # frames, 770 in all
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        sigs = enumerate_signatures(3, 254)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sigs[0] == Signature(0, (3,) * 256)
+    assert sigs == enumerate_signatures(3, 254)
 
 
 @pytest.mark.parametrize("n", [6, 12, 30])

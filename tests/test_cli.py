@@ -236,6 +236,31 @@ def test_verify_precondition_failure_is_usage_error(capsys, monkeypatch):
     assert "no element of order 5" in err
 
 
+def test_failed_zeta_fit_names_the_count(capsys, monkeypatch):
+    # one count over F_125 broken by 2: genus 2 predicts it, and the
+    # record names it; the other records are unchanged
+    from cycliccurves import fforacle
+    count = fforacle.count_places
+    monkeypatch.setattr(fforacle, "count_places", lambda model, fld: count(
+        model, fld) + 2 * (fld.q == 125))
+    code, out, _ = run(capsys, "verify", "--model", "homma:5", "--q", "5",
+                       "--zeta-depth", "4")
+    records = json_lines(out)
+    assert code == 1 and [r["ok"] for r in records] == [
+        True, True, False, False]
+    zeta = records[2]
+    assert zeta["counts"] == [6, 6, 128, 526]
+    assert zeta["inferred_genus"] == -1
+    assert zeta["reason"] == (
+        "genus 0 predicts N_2 = 26, counted 6; "
+        "genus 1 predicts N_2 = 36, counted 6; "
+        "genus 2 predicts N_3 = 126, counted 128")
+    monkeypatch.setattr(fforacle, "count_places", count)
+    code, out, _ = run(capsys, "verify", "--model", "homma:5", "--q", "5",
+                       "--zeta-depth", "4")
+    assert code == 0 and "reason" not in json_lines(out)[2]
+
+
 def test_successive_calls_share_no_options(capsys):
     # one parser serves every call of the process; no option may carry
     # over from one call to the next

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 from math import gcd, lcm
@@ -16,7 +17,8 @@ from cycliccurves.families import (
     kummer_genus,
     kummer_signature,
 )
-from cycliccurves.fforacle import field, verify_automorphism
+from cycliccurves.fforacle import (count_places, count_places_naive, field,
+                                   verify_automorphism)
 from cycliccurves.intmath import is_prime
 from cycliccurves.ramification import Signature, rh_genus_tame, rh_genus_wild
 
@@ -281,3 +283,52 @@ def test_generator_order_matches_cyclic_order():
                      (Homma(11), 11)]:
         report = verify_automorphism(model, field(p, 1))
         assert report.order == model.cyclic_order(), model
+
+
+# --- the additive left side b*y^p + c*y -------------------------------------
+
+
+def _fibre_matches_histogram(fld, b, c):
+    """Check the closed-form fibre against a histogram of lhs over y;
+    True when the map has a kernel of size p."""
+    lhs, fibre = families._additive_lhs(fld, b, c)
+    counts = np.bincount(lhs(fld.elements()), minlength=fld.q)
+    assert fibre(fld.elements()).tolist() == counts.tolist(), (fld, b, c)
+    return counts.max() == fld.p
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
+                                 (5, 3), (7, 1), (7, 2)])
+def test_additive_fibre_is_the_histogram_for_every_coefficient_pair(p, k):
+    fld = field(p, k)
+    kernels = [_fibre_matches_histogram(fld, b, c)
+               for b in range(1, fld.q) for c in range(1, fld.q)]
+    # -c/b is a (p-1)-th power for one pair in p - 1: both cases occur
+    assert kernels.count(True) * (p - 1) == len(kernels)
+
+
+@pytest.mark.parametrize("p,k", [(3, 5), (3, 8), (5, 4), (5, 5), (5, 6),
+                                 (7, 3), (7, 4)])
+def test_additive_fibre_on_seeded_coefficients(p, k):
+    fld = field(p, k)
+    rng = np.random.default_rng(p * 10 + k)
+    kernels = []
+    for b, c, lam in rng.integers(1, fld.q, (12, 3)).tolist():
+        kernels.append(_fibre_matches_histogram(fld, b, c))
+        # c = -b*lam^(p-1) puts lam*F_p in the kernel
+        c = int(fld.neg(fld.mul(b, fld.pow(lam, p - 1))))
+        assert _fibre_matches_histogram(fld, b, c)
+    assert not all(kernels)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_asrational_fast_count_is_naive_over_every_small_tower_field(p):
+    rng = np.random.default_rng(p)
+    k = 1
+    while p**k <= 10**4:
+        fld = field(p, k)
+        for a, b, c in rng.integers(1, fld.q, (3, 3)).tolist():
+            model = ASRational(p, a, b, c)
+            assert count_places(model, fld) == count_places_naive(
+                model, fld), (model, fld)
+        k += 1

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from cycliccurves.intmath import is_prime, prime_factors
 from cycliccurves.fforacle import (
     TABLE_LIMIT,
     FieldTooLarge,
+    LOG_ZERO,
     FiniteField,
     HasseWeilViolation,
     InsufficientCounts,
@@ -28,12 +30,14 @@ from cycliccurves.fforacle import (
     PreconditionViolated,
     _affine_point_arrays,
     _newton_elementary,
+    _pmulmod,
     _poly_is_irreducible,
     count_places,
     count_places_naive,
     count_series,
     field,
     verify_automorphism,
+    zeta_fit,
     zeta_genus,
 )
 
@@ -129,21 +133,49 @@ ARRAY_FIELDS = [(3, 2), (3, 3), (3, 5), (5, 3), (7, 2), (11, 1), (13, 1)]
 PRIMES_BELOW_500 = [p for p in range(3, 500) if is_prime(p)]
 
 
+# table-free arithmetic on single ints, by polynomials over F_p
+
+
+def _encode(fld, coeffs):
+    out = 0
+    for c in reversed(coeffs):
+        out = out * fld.p + c
+    return out
+
+
+def _mul_slow(fld, a, b):
+    prod = _pmulmod(tuple(fld._digits(a)), tuple(fld._digits(b)),
+                    fld.modulus, fld.p)
+    return _encode(fld, list(prod) + [0] * (fld.k - len(prod)))
+
+
+def _pow_slow(fld, a, e):
+    if fld.k == 1:
+        return pow(a, e, fld.p)
+    out = 1
+    while e:
+        if e & 1:
+            out = _mul_slow(fld, out, a)
+        a = _mul_slow(fld, a, a)
+        e >>= 1
+    return out
+
+
 def _ref_add(fld, a, b):
-    return fld._encode([(x + y) % fld.p
-                        for x, y in zip(fld._digits(a), fld._digits(b))])
+    return _encode(fld, [(x + y) % fld.p
+                         for x, y in zip(fld._digits(a), fld._digits(b))])
 
 
 def _ref_mul(fld, a, b):
-    return a * b % fld.p if fld.k == 1 else fld._mul_slow(a, b)
+    return a * b % fld.p if fld.k == 1 else _mul_slow(fld, a, b)
 
 
 def _ref_pow(fld, a, e):
     if fld.k == 1:
         return pow(a, e, fld.p)
     if e < 0:
-        return fld._pow_slow(fld._pow_slow(a, fld.q - 2), -e)
-    return fld._pow_slow(a, e)
+        return _pow_slow(fld, _pow_slow(fld, a, fld.q - 2), -e)
+    return _pow_slow(fld, a, e)
 
 
 def _ref_trace(fld, a):
@@ -200,11 +232,11 @@ def test_array_pow_inv_trace_match_references(p, k):
 
 @pytest.mark.parametrize("p,k", [f for f in ARRAY_FIELDS if f[1] >= 2])
 def test_zech_table_adds_one(p, k):
-    # exp[Z[n]] = 1 + g^n, and Z[n] = -1 exactly where 1 + g^n = 0
+    # exp[Z[n]] = 1 + g^n, and Z[n] = LOG_ZERO exactly where 1 + g^n = 0
     fld = field(p, k)
     for n, (gn, z) in enumerate(zip(fld._exp.tolist(), fld._zech.tolist())):
         one_plus = _ref_add(fld, gn, 1)
-        if z < 0:
+        if z == LOG_ZERO:
             assert one_plus == 0 and 2 * n == fld.q - 1
         else:
             assert fld._exp[z] == one_plus, n
@@ -219,6 +251,125 @@ def test_scalar_arguments_follow_array_rules(p, k):
         assert fld.mul(a, b) == fld.mul(np.array([a]), b)[0]
         assert fld.add(a, b) == fld.add(a, np.array([b]))[0]
         assert fld.num_nth_roots(a, 4) == fld.num_nth_roots(np.array([a]), 4)
+
+
+EXTENSION_FIELDS_UP_TO_125 = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2),
+                              (11, 2)]
+
+
+@pytest.mark.parametrize("p,k", EXTENSION_FIELDS_UP_TO_125)
+def test_kernels_match_references_on_every_pair(p, k):
+    fld = field(p, k)
+    a, b = np.repeat(fld.elements(), fld.q), np.tile(fld.elements(), fld.q)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    negs = [_ref_mul(fld, p - 1, y) for y in range(fld.q)]
+    assert fld.add(a, b).tolist() == [_ref_add(fld, x, y) for x, y in pairs]
+    assert fld.sub(a, b).tolist() == [
+        _ref_add(fld, x, negs[y]) for x, y in pairs]
+    assert fld.mul(a, b).tolist() == [_ref_mul(fld, x, y) for x, y in pairs]
+    xs = fld.elements()
+    for e in (0, 1, p, fld.q - 2, fld.q + 3):
+        assert fld.pow(xs, e).tolist() == [
+            _ref_pow(fld, x, e) for x in range(fld.q)], e
+    assert fld.inv(xs[1:]).tolist() == [
+        _ref_pow(fld, x, fld.q - 2) for x in range(1, fld.q)]
+    assert fld.trace(xs).tolist() == [_ref_trace(fld, x) for x in range(fld.q)]
+
+
+# vectorised table-free references: digit arrays and polynomial products
+
+
+def _digit_array(fld, a):
+    return np.asarray(a, dtype=np.int64)[:, None] // fld.p ** np.arange(
+        fld.k) % fld.p
+
+
+def _encode_array(fld, d):
+    return d @ fld.p ** np.arange(fld.k)
+
+
+def _mul_array(fld, a, b):
+    p, k = fld.p, fld.k
+    da, db = _digit_array(fld, a), _digit_array(fld, b)
+    prod = np.zeros((len(da), 2 * k - 1), dtype=np.int64)
+    for i in range(k):
+        prod[:, i:i + k] += da[:, [i]] * db
+    for i in range(2 * k - 2, k - 1, -1):  # reduce by the monic modulus
+        prod[:, i - k:i] -= prod[:, [i]] % p * np.array(fld.modulus[:k])
+    return _encode_array(fld, prod[:, :k] % p)
+
+
+def _pow_array(fld, a, e):
+    out, a = np.ones(len(a), dtype=np.int64), np.asarray(a)
+    while e:
+        if e & 1:
+            out = _mul_array(fld, out, a)
+        a, e = _mul_array(fld, a, a), e >> 1
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(5, 8), (3, 13)])
+def test_kernels_on_seeded_pairs_of_large_fields(p, k):
+    fld = field(p, k)
+    rng = np.random.default_rng(p * 100 + k)
+    a, b = rng.integers(0, fld.q, 10**5), rng.integers(0, fld.q, 10**5)
+    a[:50], b[50:100], a[100:150], b[100:150] = 0, 0, 0, 0
+    # a + (-a) = 0 on the next 100
+    b[150:250] = _mul_array(fld, np.full(100, p - 1), a[150:250])
+    digit_sum = _encode_array(
+        fld, (_digit_array(fld, a) + _digit_array(fld, b)) % p)
+    product = _mul_array(fld, a, b)
+    assert (fld.add(a, b) == digit_sum).all()
+    assert (fld.add(a, b)[150:250] == 0).all()
+    assert (fld.sub(digit_sum, b) == a).all()
+    assert (fld.mul(a, b) == product).all()
+    # scalars against arrays, both ways round, and scalar pairs
+    for x in (0, 1, p - 1, int(a[500]), int(b[700])):
+        xs = np.full(len(b), x)
+        assert (fld.add(x, b) == fld.add(xs, b)).all()
+        assert (fld.mul(b, x) == _mul_array(fld, b, xs)).all()
+        assert fld.add(x, int(b[9])) == fld.add(xs[:1], b[9:10])[0]
+        assert fld.mul(x, int(b[9])) == _mul_array(fld, [x], b[9:10])[0]
+    units = a[a > 0][:2000]
+    assert (fld.inv(units) == _pow_array(fld, units, fld.q - 2)).all()
+    assert (fld.mul(fld.inv(units), units) == 1).all()
+    for e in (2, p, 12345):
+        assert (fld.pow(a[:2000], e) == _pow_array(fld, a[:2000], e)).all()
+    # the trace sums the conjugates a^(p^i)
+    conj, trace = a[:2000], np.zeros((2000, k), dtype=np.int64)
+    for _ in range(k):
+        trace = (trace + _digit_array(fld, conj)) % p
+        conj = _pow_array(fld, conj, p)
+    assert (trace[:, 1:] == 0).all()
+    assert (fld.trace(a[:2000]) == trace[:, 0]).all()
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 8), (3, 13)])
+def test_zero_sentinel_stays_in_int32(p, k):
+    # log(0) = LOG_ZERO: a sum of two logs stays below 2^31, and every
+    # kernel gives int32 results without overflow warnings, for int32,
+    # int64 and scalar operands (numpy 1 casts scalars by value)
+    fld = field(p, k)
+    assert fld._log.dtype == np.int32 and fld._log[0] == LOG_ZERO
+    assert 2 * LOG_ZERO + fld.q < 2**31
+    assert fld._expz[fld.q - 1] == 0 and fld._zechz[fld.q - 1] == 0
+    xs = np.concatenate(([0, 0, 1, p - 1], fld._exp[-20:], fld._exp[:20]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dtype in (np.int32, np.int64):
+            x = xs.astype(dtype)
+            zeros = np.zeros_like(x)
+            assert fld.add(x, zeros).tolist() == x.tolist()
+            assert fld.add(zeros, x).tolist() == x.tolist()
+            assert fld.mul(x, zeros).tolist() == zeros.tolist()
+            assert fld.mul(x, x).dtype == fld.add(x, x).dtype == np.int32
+            assert fld.sub(x, x).tolist() == zeros.tolist()
+        for x in (0, 1, p - 1, int(fld._exp[-1]), np.int32(0), np.int64(0)):
+            assert fld.add(x, 0) == x and fld.add(0, x) == x
+            assert fld.mul(x, 0) == 0 and fld.mul(0, x) == 0
+            assert fld.sub(x, x) == 0
+            assert fld.add(np.int32(x), np.int32(x)) == fld.add(
+                np.array([x]), np.array([x]))[0]
 
 
 def test_extension_tables_are_int32():
@@ -240,7 +391,7 @@ def test_prime_field_exp_and_log_are_inverse_permutations(p):
     assert fld._exp.dtype == fld._log.dtype == np.int32
     assert fld._exp.nbytes + fld._log.nbytes == 8 * p - 4
     n = p - 1
-    assert fld._log[0] == -1 and fld._exp[0] == 1
+    assert fld._log[0] == LOG_ZERO and fld._exp[0] == 1
     assert np.array_equal(np.sort(fld._exp), np.arange(1, p))
     assert np.array_equal(fld._log[fld._exp], np.arange(n))
     assert np.array_equal(fld._exp[fld._log[1:]], np.arange(1, p))
@@ -273,7 +424,7 @@ def _fields_up_to_200():
 
 def _powers_slow(fld, n):
     """y^n for every y, by the table-free reference arithmetic."""
-    return [fld._pow_slow(y, n) for y in range(fld.q)]
+    return [_pow_slow(fld, y, n) for y in range(fld.q)]
 
 
 @pytest.mark.parametrize("p,k", _fields_up_to_200())
@@ -501,6 +652,23 @@ def test_zeta_genus_non_integral_coefficient():
     counts = tuple(5**j + 1 - sj for j, sj in enumerate(s, start=1))
     series = PlaceCountSeries(Homma(5), 5, counts)
     assert zeta_genus(series, 2) is None
+
+
+def test_zeta_fit_names_what_broke_the_fit():
+    # the broken functional equation above: each candidate's first wrong
+    # count, and the non-integral e_2 that stops the candidates
+    inconsistent = PlaceCountSeries(Hyperelliptic(2, 2), 5, (4, 33))
+    assert zeta_fit(inconsistent, 1) == (None, (
+        "genus 0 predicts N_1 = 6, counted 4; "
+        "genus 1 predicts N_2 = 32, counted 33"))
+    counts = tuple(5**j + 1 - sj for j, sj in enumerate([1, 0, 3, -7], 1))
+    reason = zeta_fit(PlaceCountSeries(Homma(5), 5, counts), 2)[1]
+    assert reason.endswith("; e_2 is not an integer")
+    homma = (6, 6, 126, 526)
+    assert zeta_fit(PlaceCountSeries(Homma(5), 5, homma), 2) == (2, None)
+    broken = PlaceCountSeries(Homma(5), 5, (6, 6, 128, 526))
+    assert zeta_fit(broken, 2)[1].endswith(
+        "genus 2 predicts N_3 = 126, counted 128")
 
 
 def test_zeta_genus_insufficient_counts():
