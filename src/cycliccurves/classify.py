@@ -358,8 +358,8 @@ def enumerate_signatures(n: int, g: int) -> list[Signature]:
     # admissible multiset, two indices of 2
     targets = [2 * g - 2 - n * (2 * g0 - 2)
                for g0 in range((2 * g - 2 + n) // (2 * n) + 1)]
-    count = _multiset_counter(terms)
-    candidates = sum(count(0, target) for target in targets)
+    count = _MultisetCounts(terms)
+    candidates = sum(count[0, target] for target in targets)
     if candidates > _MAX_CANDIDATES:
         raise TooManyCandidates(
             f"order {n} and genus {g} give {candidates} candidate index "
@@ -380,24 +380,28 @@ def _steps(terms, start, remaining):
             yield i, rest
 
 
-def _multiset_counter(terms):
-    """count(i, t): how many non-decreasing multisets of the ascending
-    terms[i:] sum to t, in at most `_MAX_COUNT_STEPS` steps a search.
-    Depth first, as a recursion would go, on a list of frames."""
-    memo, tried = {}, [0]
+class _MultisetCounts(dict):
+    """counts[i, t]: how many non-decreasing multisets of the ascending
+    terms[i:] sum to t, in at most `_MAX_COUNT_STEPS` steps a search.  A
+    missing count is found depth first, as a recursion would go, on a
+    list of frames, and every count on the way is kept."""
 
-    def count(start, remaining):
+    def __init__(self, terms):
+        self.terms, self.tried = terms, 0
+
+    def __missing__(self, key):
         # [state, its steps not yet taken, the counts of those taken],
-        # under a root frame whose one step is (start, remaining)
-        frames = [[None, iter([(start, remaining)]), 0]]
+        # under a root frame whose one step is key
+        terms, frames = self.terms, [[None, iter([key]), 0]]
         while True:
             frame = frames[-1]
             for state in frame[1]:
-                if state[1] == 0 or state in memo:
-                    frame[2] += memo.get(state, 1)
+                value = self.get(state) if state[1] else 1
+                if value is not None:
+                    frame[2] += value
                     continue
-                tried[0] += bisect_right(terms, state[1]) - state[0]
-                if tried[0] > _MAX_COUNT_STEPS:
+                self.tried += bisect_right(terms, state[1]) - state[0]
+                if self.tried > _MAX_COUNT_STEPS:
                     raise TooManyCandidates(
                         f"candidate count over {_MAX_COUNT_STEPS} steps")
                 frames.append([state, _steps(terms, *state), 0])
@@ -406,23 +410,27 @@ def _multiset_counter(terms):
                 frames.pop()
                 if not frames:
                     return frame[2]
-                memo[frame[0]] = frame[2]
+                self[frame[0]] = frame[2]
                 frames[-1][2] += frame[2]
-    return lru_cache(maxsize=None)(count)  # the callers' repeats, in C
 
 
 def _index_multisets(ds, terms, count, start, remaining):
     # The multisets of ds[start:] whose Hurwitz terms sum to remaining,
-    # descending only where `count` finds one: depth first from a stack,
-    # in the order of the steps.
-    stack = [((), start, remaining)]
+    # descending only where `count` finds one: depth first, in the order
+    # of the steps, on a stack of (prefix, steps not yet taken).
+    if remaining == 0:
+        yield ()
+    stack = [((), _steps(terms, start, remaining))]
     while stack:
-        prefix, start, remaining = stack.pop()
-        if remaining == 0:
-            yield prefix
-        stack += [(prefix + (ds[i],), i, rest) for i, rest
-                  in reversed(list(_steps(terms, start, remaining)))
-                  if count(i, rest)]
+        prefix, steps = stack[-1]
+        for i, rest in steps:
+            if rest == 0:
+                yield prefix + (ds[i],)
+            elif count[i, rest]:
+                stack.append((prefix + (ds[i],), _steps(terms, i, rest)))
+                break
+        else:
+            stack.pop()
 
 
 def _signature_ok(n, g0, indices):

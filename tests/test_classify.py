@@ -24,7 +24,7 @@ from cycliccurves.classify import (
     enumerate_signatures,
     primitive_pairs,
     verify_sasaki_bound,
-    _multiset_counter,
+    _MultisetCounts,
 )
 from cycliccurves import families, intmath
 from cycliccurves.families import FAMILIES, Homma, Kummer, kummer_genus
@@ -165,7 +165,7 @@ def test_enumerator_stack_depth_does_not_grow_with_the_indices():
 @pytest.mark.parametrize("n", [6, 12, 30])
 def test_multiset_counter_matches_brute_force(n):
     terms = [(n // e) * (e - 1) for e in divisors(n) if e >= 2]
-    count = _multiset_counter(terms)
+    count = _MultisetCounts(terms)
 
     def brute(ts, target):
         return sum(1 for k in range(target // ts[0] + 1)
@@ -173,8 +173,8 @@ def test_multiset_counter_matches_brute_force(n):
                    if sum(combo) == target)
 
     for target in range(4 * n):
-        assert count(0, target) == brute(terms, target), target
-        assert count(1, target) == brute(terms[1:], target), target
+        assert count[0, target] == brute(terms, target), target
+        assert count[1, target] == brute(terms[1:], target), target
 
 
 def test_enumerator_refuses_too_many_candidates():
@@ -200,10 +200,10 @@ def test_enumerator_refuses_a_count_past_its_step_budget(monkeypatch):
     # count(0, 3), count(0, 2) and count(0, 1) try 3 + 2 + 1 terms
     module = sys.modules["cycliccurves.classify"]
     monkeypatch.setattr(module, "_MAX_COUNT_STEPS", 6)
-    assert _multiset_counter([1, 2, 3])(0, 3) == 3
+    assert _MultisetCounts([1, 2, 3])[0, 3] == 3
     monkeypatch.setattr(module, "_MAX_COUNT_STEPS", 5)
     with pytest.raises(TooManyCandidates, match="over 5 steps"):
-        _multiset_counter([1, 2, 3])(0, 3)
+        _MultisetCounts([1, 2, 3])[0, 3]
 
 
 def test_hyperelliptic_type_appears_exactly_for_even_genus():
