@@ -303,8 +303,8 @@ class FiniteField:
         g = 2 if k == 1 else p  # extensions skip the constants (order | p - 1)
         # row 0 of c's matrix to the e-th power holds the digits of c^e
         while any(pow(g, n // ell, p) == 1 if k == 1 else
-                  _matpow(self._mul_matrix(g), n // ell, p)[0] @ self._pvec == 1
-                  for ell in fac):
+                  _matpow(self._mul_matrix(g), n // ell, p)[0]
+                  @ self._pvec == 1 for ell in fac):
             g += 1
         exp = np.zeros(q, dtype=np.int32)
         if k == 1:
