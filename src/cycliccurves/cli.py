@@ -211,9 +211,11 @@ def _cmd_signatures(args):
 
 def _cmd_verify(args):
     p, k = _parse_prime_power(args.q)
-    fld = fforacle.field(p, k)
     model = parse_model_spec(args.model, p)
     g = model.genus()
+    if args.zeta_depth:  # a bad tower is refused before any field is built
+        fforacle.check_tower(args.q, args.zeta_depth, g)
+    fld = fforacle.field(p, k)
     ok = True
     records = []
 

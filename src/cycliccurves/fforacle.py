@@ -4,13 +4,14 @@ This module cross-checks the genus formulas and automorphism claims of
 the curve families by exact computation over small finite fields:
 
   * `FiniteField` implements F_{p^k} with elements encoded as integers
-    in [0, p^k) (base-p digit vectors).  The modulus is the least
-    irreducible monic polynomial of degree k, chosen deterministically
-    so counts are reproducible across runs.  Its operations are
-    array-at-a-time: they take numpy integer arrays and evaluate every
-    element in one call, by int32 exp/log tables over a primitive
-    element (8 bytes per element, with a Zech-log table more in
-    extension fields, 12 bytes: see `FiniteField`).
+    in [0, p^k) (base-p digit vectors).  The modulus f is the monic
+    irreducible polynomial of degree k least by encoding, found by
+    Rabin's test on the matrix C of x mod f, the one matrix that all
+    arithmetic mod f is built on.  Its operations are array-at-a-time:
+    they take numpy integer arrays and evaluate every element in one
+    call, by int32 exp/log tables over a primitive element (8 bytes per
+    element, with a Zech-log table more in extension fields, 12 bytes:
+    see `FiniteField`).
   * `count_places` returns the exact number of rational places of the
     smooth model of a curve over a field, combining fibre counts on the
     affine part with exact place counts over the branch and infinite
@@ -81,100 +82,6 @@ class HasseWeilViolation(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over F_p (ascending coefficient tuples, internal)
-
-def _pnorm(a):
-    i = len(a)
-    while i and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _pnorm(tuple(c % p for c in out))
-
-
-def _pmod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] % p
-        if c:
-            for j in range(dm):
-                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
-        a[i] = 0
-    return _pnorm(tuple(c % p for c in a[:dm]))
-
-
-def _pmulmod(a, b, m, p):
-    return _pmod(_pmul(a, b, p), m, p)
-
-
-def _ppowmod(a, e, m, p):
-    out = (1,)
-    a = _pmod(a, m, p)
-    while e:
-        if e & 1:
-            out = _pmulmod(out, a, m, p)
-        a = _pmulmod(a, a, m, p)
-        e >>= 1
-    return out
-
-
-def _pgcd(a, b, p):
-    a, b = _pnorm(tuple(a)), _pnorm(tuple(b))
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        bm = tuple(c * inv % p for c in b)
-        a, b = b, _pmod(a, bm, p)
-    return a
-
-
-def _poly_is_irreducible(f, p):
-    k = len(f) - 1
-    if k < 1 or f[-1] != 1:
-        return False
-    if k == 1:
-        return True
-    x = (0, 1)
-    if _ppowmod(x, p**k, f, p) != x:
-        return False
-    for ell in prime_factors(k):
-        h = _ppowmod(x, p**(k // ell), f, p)
-        diff = _pnorm(tuple(
-            ((h[i] if i < len(h) else 0) - (x[i] if i < len(x) else 0)) % p
-            for i in range(max(len(h), len(x)))))
-        if len(_pgcd(f, diff, p)) != 1:
-            return False
-    return True
-
-
-def _least_irreducible(p, k):
-    if k == 1:
-        return (0, 1)
-    for enc in range(1, p**k):
-        if enc % p == 0:
-            continue  # constant term 0: divisible by x
-        coeffs = []
-        e = enc
-        for _ in range(k):
-            coeffs.append(e % p)
-            e //= p
-        f = tuple(coeffs) + (1,)
-        if _poly_is_irreducible(f, p):
-            return f
-    raise RuntimeError("no irreducible polynomial found")  # unreachable
-
-
-# ---------------------------------------------------------------------------
 
 
 def _powers(c, n, p):
@@ -193,6 +100,43 @@ def _matpow(m, e, p):
             out = out @ m % p
         m, e = m @ m % p, e >> 1
     return out
+
+
+def _companion(f, p):
+    """The matrix of multiplication by x mod the monic f on digit rows
+    (ascending coefficients): row i holds the digits of x^(i+1) mod f."""
+    c = np.eye(len(f) - 1, k=1, dtype=np.int64)
+    c[-1] = np.negative(f[:-1]) % p
+    return c
+
+
+def _poly_is_irreducible(f, p):
+    """Rabin's test (M. O. Rabin, "Probabilistic algorithms in finite
+    fields", SIAM J. Comput. 9, 1980) on the companion matrix C of the
+    monic f of degree k: f is irreducible exactly when C^(p^k) = C and,
+    for each prime l | k, M = C^(p^(k/l)) - C is a unit.  Once C^(p^k) =
+    C, F_p[x]/(f) is a product of fields F_{p^d}, d | k, so M is a unit
+    exactly when M^(p^k - 1) = I.  A non-monic f gives False."""
+    k = len(f) - 1
+    if k < 1 or f[-1] != 1:
+        return False
+    c, one = _companion(f, p), np.eye(k, dtype=np.int64)
+    return (_matpow(c, p**k, p) == c).all() and all(
+        (_matpow((_matpow(c, p**(k // ell), p) - c) % p, p**k - 1, p)
+         == one).all() for ell in prime_factors(k))
+
+
+def _least_irreducible(p, k):
+    """The monic irreducible f of degree k over F_p whose lower
+    coefficients have the least base-p encoding.  A candidate with a
+    root in F_p is passed over before Rabin's test."""
+    if k == 1:
+        return (0, 1)
+    # a^i for a < p and i <= k, each below p^k <= 2^22
+    powers = np.arange(p, dtype=np.int64)[:, None] ** np.arange(k + 1)
+    candidates = (c[::-1] + (1,) for c in np.ndindex((p,) * k))
+    return next(f for f in candidates
+                if (powers @ f % p).all() and _poly_is_irreducible(f, p))
 
 
 def _int64(a):
@@ -236,6 +180,8 @@ class FiniteField:
     every index sum pass n, and `_wrap` clips it to the zero slot; a
     zero summand puts |log a - log b| past n, clipped to Z = 0, so the
     sum is the other one.  `_exp` and `_zech` are the first n entries.
+    The tables are built from C, the matrix of x mod the modulus, stored
+    once: the matrix of multiplication by c has the rows digits(c) C^i.
 
     Use the cached factory `field(p, k)` rather than the constructor
     when possible so the tables are shared.
@@ -251,8 +197,7 @@ class FiniteField:
             raise FieldTooLarge(f"q = {p}^{k} exceeds the field ceiling 2^22")
         self.p, self.k, self.q = p, k, q
         self.modulus = _least_irreducible(p, k)
-        # x^k mod f, as digits, for reducing products
-        self._xk = list(_pmod((0,) * k + (1,), self.modulus, p)) + [0] * k
+        self._x = _companion(self.modulus, p)  # C, the matrix of x
         self._pvec = p ** np.arange(k, dtype=np.int64)
         self._trace_halves = None
         self._lift_roots = {}
@@ -262,13 +207,6 @@ class FiniteField:
         return f"FiniteField({self.p}, {self.k})"
 
     # -- encoding helpers
-
-    def _digits(self, a):
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
 
     def elements(self):
         """Every element, as an int64 array indexed by its encoding."""
@@ -286,14 +224,10 @@ class FiniteField:
 
     def _mul_matrix(self, c):
         """The k x k matrix M over F_p with digits(a) @ M = digits(a * c):
-        row i holds the digits of c * x^i."""
-        p, k = self.p, self.k
-        # multiplication by x: shift up one digit, reducing x^k mod f
-        shift = np.eye(k, k, 1, dtype=np.int64)
-        shift[-1] = self._xk[:k]
-        rows = [np.array(self._digits(c), dtype=np.int64)]
-        for _ in range(k - 1):
-            rows.append(rows[-1] @ shift % p)
+        row i holds the digits of c * x^i, row i - 1 times C."""
+        rows = [c // self._pvec % self.p]
+        for _ in range(self.k - 1):
+            rows.append(rows[-1] @ self._x % self.p)
         return np.array(rows)
 
     def _build_tables(self):
@@ -537,21 +471,29 @@ class PlaceCountSeries:
                     f"N_{j}={nj} outside Hasse-Weil bound for genus {g}")
 
 
+def check_tower(q: int, depth: int, g_max: int = 0) -> None:
+    """Refuse, before any field is built, a tower F_q, ..., F_q^depth of
+    negative depth, one past the field ceiling 2^22 (as any depth above
+    22 is, since q >= 3), or one too short to fit a genus up to g_max."""
+    if depth < 0:
+        raise ValueError(f"tower depth must be >= 0, got {depth}")
+    if depth > 22 or q**depth > TABLE_LIMIT:
+        raise FieldTooLarge(
+            f"the tower to F_{q}^{depth} exceeds the field ceiling 2^22")
+    _check_length(depth, g_max)
+
+
 def count_series(model: CurveModel, base_field: FiniteField,
                  depth: int) -> PlaceCountSeries:
     """Count rational places over the first `depth` extensions of
-    base_field, the model's coefficients read in base_field and lifted.
-    Refuses, before counting, a tower that would pass the field ceiling
-    2^22 (as any depth above 22 does, since q >= 3)."""
-    q = base_field.q
-    if depth > 22 or q**max(depth, 0) > TABLE_LIMIT:
-        raise FieldTooLarge(
-            f"the tower to F_{q}^{depth} exceeds the field ceiling 2^22")
+    base_field, the model's coefficients read in base_field and lifted,
+    after `check_tower`."""
+    check_tower(base_field.q, depth)
     counts = []
     for j in range(1, depth + 1):
         ext = field(base_field.p, base_field.k * j)
         counts.append(count_places(model.lifted(base_field, ext), ext))
-    return PlaceCountSeries(model, q, tuple(counts))
+    return PlaceCountSeries(model, base_field.q, tuple(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +521,7 @@ def zeta_fit(series: PlaceCountSeries,
     if g_max < 0:
         raise ValueError("g_max must be >= 0")
     m = len(series.counts)
-    if m < 2 * g_max:
-        raise InsufficientCounts(
-            f"need counts over {2 * g_max} extensions, got {m}")
+    _check_length(m, g_max)
     q = series.q
     s = [q**j + 1 - n for j, n in enumerate(series.counts, start=1)]
     e = _newton_elementary(s, g_max)
@@ -598,6 +538,13 @@ def zeta_fit(series: PlaceCountSeries,
     if len(e) <= g_max:
         reasons.append(f"e_{len(e)} is not an integer")
     return None, "; ".join(reasons)
+
+
+def _check_length(m, g_max):
+    """A genus up to g_max needs counts over 2 g_max extensions."""
+    if m < 2 * g_max:
+        raise InsufficientCounts(
+            f"need counts over {2 * g_max} extensions, got {m}")
 
 
 def _newton_elementary(s, g_max):

@@ -322,6 +322,23 @@ def test_verify_oversized_q_fails_fast(capsys):
     assert time.perf_counter() - start < 1
 
 
+def test_bad_zeta_depth_is_refused_before_any_field(capsys, monkeypatch):
+    # a negative depth, one below 2g = 8 (on a genus-4 model whose
+    # generator exists over F_5) and a tower past 2^22 all exit 2
+    # before the first field is built
+    def no_field(p, k=1):
+        raise AssertionError(f"field F_{p}^{k} built")
+
+    monkeypatch.setattr("cycliccurves.fforacle.field", no_field)
+    for spec, q, depth, message in (
+            ("asrational:5,1,1,4", "5", "-1", "depth must be >= 0, got -1"),
+            ("asrational:5,1,1,4", "5", "7", "need counts over 8 extensions"),
+            ("kummer:5,1,1", "4194301", "2", "ceiling 2^22")):
+        code, out, err = run(capsys, "verify", "--model", spec, "--q", q,
+                             "--zeta-depth", depth)
+        assert (code, out) == (2, "") and message in err, depth
+
+
 def test_verify_missing_root_of_unity_is_usage_error(capsys):
     # hyper:2,3 is defined over F_11, but its generator needs a cube root
     # of unity, and 3 does not divide 10

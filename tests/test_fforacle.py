@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -29,8 +30,8 @@ from cycliccurves.fforacle import (
     PlaceCountSeries,
     PreconditionViolated,
     _affine_point_arrays,
+    _least_irreducible,
     _newton_elementary,
-    _pmulmod,
     _poly_is_irreducible,
     count_places,
     count_places_naive,
@@ -58,6 +59,39 @@ def test_reducible_modulus_rejected():
     assert not _poly_is_irreducible((1, 0, 2), 3)  # not monic
     assert _poly_is_irreducible((1, 0, 1), 3)  # x^2 + 1
     assert _poly_is_irreducible((2, 2, 0, 1), 3)  # x^3 + 2x + 2
+
+
+# every modulus of an extension field below the ceiling: the 379 pairs
+# (p, k), k >= 2 and p^k <= 2^22, one "p k modulus" line each
+MODULI_SHA256 = (
+    "e4a34a5eff909815f9162faf942d9ec275929aa9449824c5e87a02d664b3e3df")
+
+
+def test_every_modulus_is_pinned():
+    pairs = [(p, k) for p in range(3, 2049) if is_prime(p)
+             for k in range(2, 23) if p**k <= TABLE_LIMIT]
+    text = "".join(f"{p} {k} {_least_irreducible(p, k)}\n" for p, k in pairs)
+    assert len(pairs) == 379
+    assert hashlib.sha256(text.encode()).hexdigest() == MODULI_SHA256
+
+
+def _moebius(n):
+    factors = prime_factors(n)
+    if any(n % (ell * ell) == 0 for ell in factors):
+        return 0
+    return (-1) ** len(factors)
+
+
+@pytest.mark.parametrize("p,k", [(3, k) for k in range(2, 7)]
+                         + [(5, 2), (5, 3), (5, 4), (7, 2), (7, 3)])
+def test_irreducible_count_is_gauss_count(p, k):
+    # Rabin's test on every monic f of degree k accepts exactly
+    # (1/k) sum_{d | k} mu(d) p^(k/d) of them
+    accepted = sum(_poly_is_irreducible(
+        tuple(enc // p**i % p for i in range(k)) + (1,), p)
+        for enc in range(p**k))
+    assert accepted == sum(_moebius(d) * p**(k // d)
+                           for d in range(1, k + 1) if k % d == 0) // k
 
 
 def test_field_caps_and_validation():
@@ -133,150 +167,8 @@ ARRAY_FIELDS = [(3, 2), (3, 3), (3, 5), (5, 3), (7, 2), (11, 1), (13, 1)]
 PRIMES_BELOW_500 = [p for p in range(3, 500) if is_prime(p)]
 
 
-# table-free arithmetic on single ints, by polynomials over F_p
-
-
-def _encode(fld, coeffs):
-    out = 0
-    for c in reversed(coeffs):
-        out = out * fld.p + c
-    return out
-
-
-def _mul_slow(fld, a, b):
-    prod = _pmulmod(tuple(fld._digits(a)), tuple(fld._digits(b)),
-                    fld.modulus, fld.p)
-    return _encode(fld, list(prod) + [0] * (fld.k - len(prod)))
-
-
-def _pow_slow(fld, a, e):
-    if fld.k == 1:
-        return pow(a, e, fld.p)
-    out = 1
-    while e:
-        if e & 1:
-            out = _mul_slow(fld, out, a)
-        a = _mul_slow(fld, a, a)
-        e >>= 1
-    return out
-
-
-def _ref_add(fld, a, b):
-    return _encode(fld, [(x + y) % fld.p
-                         for x, y in zip(fld._digits(a), fld._digits(b))])
-
-
-def _ref_mul(fld, a, b):
-    return a * b % fld.p if fld.k == 1 else _mul_slow(fld, a, b)
-
-
-def _ref_pow(fld, a, e):
-    if fld.k == 1:
-        return pow(a, e, fld.p)
-    if e < 0:
-        return _pow_slow(fld, _pow_slow(fld, a, fld.q - 2), -e)
-    return _pow_slow(fld, a, e)
-
-
-def _ref_trace(fld, a):
-    acc, conj = 0, a
-    for _ in range(fld.k):
-        acc = _ref_add(fld, acc, conj)
-        conj = _ref_pow(fld, conj, fld.p)
-    assert acc < fld.p
-    return acc
-
-
-def _operands(fld):
-    """Every pair when q <= 125, otherwise every a with one partner."""
-    xs = fld.elements()
-    if fld.q <= 125:
-        return np.repeat(xs, fld.q), np.tile(xs, fld.q)
-    return xs, (7 * xs + 3) % fld.q
-
-
-@pytest.mark.parametrize("p,k", ARRAY_FIELDS)
-def test_array_add_and_mul_match_references(p, k):
-    fld = field(p, k)
-    a, b = _operands(fld)
-    pairs = list(zip(a.tolist(), b.tolist()))
-    assert fld.add(a, b).tolist() == [_ref_add(fld, x, y) for x, y in pairs]
-    assert fld.mul(a, b).tolist() == [_ref_mul(fld, x, y) for x, y in pairs]
-    assert fld.sub(fld.add(a, b), b).tolist() == a.tolist()
-    assert fld.add(a, fld.neg(a)).tolist() == [0] * len(a)
-    assert fld.scale(p - 2, a).tolist() == [
-        _ref_mul(fld, p - 2, x) for x in a.tolist()]
-
-
-@pytest.mark.parametrize("p,k", ARRAY_FIELDS + [
-    (p, 1) for p in PRIMES_BELOW_500 if (p, 1) not in ARRAY_FIELDS])
-def test_array_pow_inv_trace_match_references(p, k):
-    fld = field(p, k)
-    xs = fld.elements()
-    q = fld.q
-    for e in (0, 1, 2, p, q - 2, q - 1, q, 3 * q + 1, 3 * q + 5):
-        assert fld.pow(xs, e).tolist() == [
-            _ref_pow(fld, x, e) for x in range(q)], e
-    units = xs[1:]
-    assert fld.inv(units).tolist() == [
-        _ref_pow(fld, x, q - 2) for x in range(1, q)]
-    if k == 1:
-        assert fld.inv(units).tolist() == [pow(x, -1, p) for x in range(1, q)]
-    for e in (-1, -3, -5):
-        assert fld.pow(units, e).tolist() == [
-            _ref_pow(fld, x, e) for x in range(1, q)], e
-    assert fld.trace(xs).tolist() == [_ref_trace(fld, x) for x in range(q)]
-    with pytest.raises(ZeroDivisionError):
-        fld.inv(xs)
-
-
-@pytest.mark.parametrize("p,k", [f for f in ARRAY_FIELDS if f[1] >= 2])
-def test_zech_table_adds_one(p, k):
-    # exp[Z[n]] = 1 + g^n, and Z[n] = LOG_ZERO exactly where 1 + g^n = 0
-    fld = field(p, k)
-    for n, (gn, z) in enumerate(zip(fld._exp.tolist(), fld._zech.tolist())):
-        one_plus = _ref_add(fld, gn, 1)
-        if z == LOG_ZERO:
-            assert one_plus == 0 and 2 * n == fld.q - 1
-        else:
-            assert fld._exp[z] == one_plus, n
-
-
-@pytest.mark.parametrize("p,k", ARRAY_FIELDS)
-def test_scalar_arguments_follow_array_rules(p, k):
-    fld = field(p, k)
-    rng = random.Random(p * k)
-    for _ in range(30):
-        a, b = rng.randrange(fld.q), rng.randrange(1, fld.q)
-        assert fld.mul(a, b) == fld.mul(np.array([a]), b)[0]
-        assert fld.add(a, b) == fld.add(a, np.array([b]))[0]
-        assert fld.num_nth_roots(a, 4) == fld.num_nth_roots(np.array([a]), 4)
-
-
-EXTENSION_FIELDS_UP_TO_125 = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2),
-                              (11, 2)]
-
-
-@pytest.mark.parametrize("p,k", EXTENSION_FIELDS_UP_TO_125)
-def test_kernels_match_references_on_every_pair(p, k):
-    fld = field(p, k)
-    a, b = np.repeat(fld.elements(), fld.q), np.tile(fld.elements(), fld.q)
-    pairs = list(zip(a.tolist(), b.tolist()))
-    negs = [_ref_mul(fld, p - 1, y) for y in range(fld.q)]
-    assert fld.add(a, b).tolist() == [_ref_add(fld, x, y) for x, y in pairs]
-    assert fld.sub(a, b).tolist() == [
-        _ref_add(fld, x, negs[y]) for x, y in pairs]
-    assert fld.mul(a, b).tolist() == [_ref_mul(fld, x, y) for x, y in pairs]
-    xs = fld.elements()
-    for e in (0, 1, p, fld.q - 2, fld.q + 3):
-        assert fld.pow(xs, e).tolist() == [
-            _ref_pow(fld, x, e) for x in range(fld.q)], e
-    assert fld.inv(xs[1:]).tolist() == [
-        _ref_pow(fld, x, fld.q - 2) for x in range(1, fld.q)]
-    assert fld.trace(xs).tolist() == [_ref_trace(fld, x) for x in range(fld.q)]
-
-
-# vectorised table-free references: digit arrays and polynomial products
+# table-free references on arrays of encodings: digit arrays and
+# polynomial products over F_p
 
 
 def _digit_array(fld, a):
@@ -306,6 +198,113 @@ def _pow_array(fld, a, e):
             out = _mul_array(fld, out, a)
         a, e = _mul_array(fld, a, a), e >> 1
     return out
+
+
+def _ref_add(fld, a, b):
+    return _encode_array(
+        fld, (_digit_array(fld, a) + _digit_array(fld, b)) % fld.p)
+
+
+def _ref_pow(fld, a, e):
+    if fld.k == 1:
+        return np.array([pow(x, e, fld.p) for x in np.asarray(a).tolist()],
+                        dtype=np.int64)
+    if e < 0:
+        return _pow_array(fld, _pow_array(fld, a, fld.q - 2), -e)
+    return _pow_array(fld, a, e)
+
+
+def _ref_trace(fld, a):
+    acc, conj = np.zeros(len(a), dtype=np.int64), a
+    for _ in range(fld.k):
+        acc = _ref_add(fld, acc, conj)
+        conj = _ref_pow(fld, conj, fld.p)
+    assert (acc < fld.p).all()
+    return acc
+
+
+def _operands(fld):
+    """Every pair when q <= 125, otherwise every a with one partner."""
+    xs = fld.elements()
+    if fld.q <= 125:
+        return np.repeat(xs, fld.q), np.tile(xs, fld.q)
+    return xs, (7 * xs + 3) % fld.q
+
+
+@pytest.mark.parametrize("p,k", ARRAY_FIELDS)
+def test_array_add_and_mul_match_references(p, k):
+    fld = field(p, k)
+    a, b = _operands(fld)
+    assert fld.add(a, b).tolist() == _ref_add(fld, a, b).tolist()
+    assert fld.mul(a, b).tolist() == _mul_array(fld, a, b).tolist()
+    assert fld.sub(fld.add(a, b), b).tolist() == a.tolist()
+    assert fld.add(a, fld.neg(a)).tolist() == [0] * len(a)
+    assert fld.scale(p - 2, a).tolist() == _mul_array(
+        fld, np.full(len(a), p - 2), a).tolist()
+
+
+@pytest.mark.parametrize("p,k", ARRAY_FIELDS + [
+    (p, 1) for p in PRIMES_BELOW_500 if (p, 1) not in ARRAY_FIELDS])
+def test_array_pow_inv_trace_match_references(p, k):
+    fld = field(p, k)
+    xs = fld.elements()
+    q = fld.q
+    for e in (0, 1, 2, p, q - 2, q - 1, q, 3 * q + 1, 3 * q + 5):
+        assert fld.pow(xs, e).tolist() == _ref_pow(fld, xs, e).tolist(), e
+    units = xs[1:]
+    assert fld.inv(units).tolist() == _ref_pow(fld, units, q - 2).tolist()
+    if k == 1:
+        assert fld.inv(units).tolist() == [pow(x, -1, p) for x in range(1, q)]
+    for e in (-1, -3, -5):
+        assert fld.pow(units, e).tolist() == _ref_pow(
+            fld, units, e).tolist(), e
+    assert fld.trace(xs).tolist() == _ref_trace(fld, xs).tolist()
+    with pytest.raises(ZeroDivisionError):
+        fld.inv(xs)
+
+
+@pytest.mark.parametrize("p,k", [f for f in ARRAY_FIELDS if f[1] >= 2])
+def test_zech_table_adds_one(p, k):
+    # exp[Z[n]] = 1 + g^n, and Z[n] = LOG_ZERO exactly where 1 + g^n = 0
+    fld = field(p, k)
+    ones = np.ones(fld.q - 1, dtype=np.int64)
+    for n, (one_plus, z) in enumerate(zip(
+            _ref_add(fld, fld._exp, ones).tolist(), fld._zech.tolist())):
+        if z == LOG_ZERO:
+            assert one_plus == 0 and 2 * n == fld.q - 1
+        else:
+            assert fld._exp[z] == one_plus, n
+
+
+@pytest.mark.parametrize("p,k", ARRAY_FIELDS)
+def test_scalar_arguments_follow_array_rules(p, k):
+    fld = field(p, k)
+    rng = random.Random(p * k)
+    for _ in range(30):
+        a, b = rng.randrange(fld.q), rng.randrange(1, fld.q)
+        assert fld.mul(a, b) == fld.mul(np.array([a]), b)[0]
+        assert fld.add(a, b) == fld.add(a, np.array([b]))[0]
+        assert fld.num_nth_roots(a, 4) == fld.num_nth_roots(np.array([a]), 4)
+
+
+EXTENSION_FIELDS_UP_TO_125 = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2),
+                              (11, 2)]
+
+
+@pytest.mark.parametrize("p,k", EXTENSION_FIELDS_UP_TO_125)
+def test_kernels_match_references_on_every_pair(p, k):
+    fld = field(p, k)
+    a, b = np.repeat(fld.elements(), fld.q), np.tile(fld.elements(), fld.q)
+    negs = _mul_array(fld, np.full(len(b), p - 1), b)
+    assert fld.add(a, b).tolist() == _ref_add(fld, a, b).tolist()
+    assert fld.sub(a, b).tolist() == _ref_add(fld, a, negs).tolist()
+    assert fld.mul(a, b).tolist() == _mul_array(fld, a, b).tolist()
+    xs = fld.elements()
+    for e in (0, 1, p, fld.q - 2, fld.q + 3):
+        assert fld.pow(xs, e).tolist() == _ref_pow(fld, xs, e).tolist(), e
+    assert fld.inv(xs[1:]).tolist() == _ref_pow(
+        fld, xs[1:], fld.q - 2).tolist()
+    assert fld.trace(xs).tolist() == _ref_trace(fld, xs).tolist()
 
 
 @pytest.mark.parametrize("p,k", [(5, 8), (3, 13)])
@@ -426,7 +425,7 @@ def _fields_up_to_200():
 
 def _powers_slow(fld, n):
     """y^n for every y, by the table-free reference arithmetic."""
-    return [_pow_slow(fld, y, n) for y in range(fld.q)]
+    return _ref_pow(fld, fld.elements(), n).tolist()
 
 
 @pytest.mark.parametrize("p,k", _fields_up_to_200())
@@ -544,6 +543,8 @@ def test_count_series_and_caps():
         count_series(Homma(5), field(5, 1), 10)
     with pytest.raises(FieldTooLarge):
         count_series(Homma(5), field(5, 1), 10**9)
+    with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+        count_series(Homma(5), field(5, 1), -1)
     assert time.perf_counter() - start < 1
 
 
