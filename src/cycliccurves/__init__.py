@@ -36,14 +36,12 @@ from .classify import (
     BadGenus,
     BadOrder,
     ClassificationEntry,
-    ClassifyQuery,
     OrderTooLarge,
     SasakiReport,
     TooManyCandidates,
     TooManyIndices,
     UnsupportedCharacteristic,
     canonical_pair,
-    classify,
     enumerate_signatures,
     primitive_pairs,
     verify_sasaki_bound,

@@ -48,8 +48,7 @@ import numpy as np
 from .intmath import TABLE_LIMIT, divisors, is_prime
 from .families import (FAMILIES, CurveModel, Kummer, PrimitivePair,
                        primitive_gcds)
-from .ramification import (N_CAP, OrbitDatum, Signature, rh_genus_tame,
-                           rh_genus_wild)
+from .ramification import N_CAP, Signature, rh_genus_tame, rh_genus_wild
 
 # Orbit decompositions kept: classify(p, g) reads at most 2g + 4 of them,
 # so 256 holds one genus's working set up to g = 50.
@@ -101,60 +100,37 @@ def _check_order(n, context=""):
             f"to {_MAX_ORDER} are supported")
 
 
-@dataclass(frozen=True)
-class ClassifyQuery:
-    """A (characteristic, genus) classification request."""
-
-    p: int
-    g: int
-    n: int | None = None
-
-    def __post_init__(self):
-        _check_characteristic(self.p)
-        if self.g < 2:
-            raise BadGenus(f"genus must be >= 2, got {self.g}")
-        n = self.n
-        if n is not None and (isinstance(n, bool) or not isinstance(n, int)
-                              or n < 3):
-            raise BadOrder(f"group order must be None or an int >= 3, "
-                           f"got {n!r}")
-        ceiling = 4 * self.g + 4  # the Kummer search's largest order
-        _check_order(ceiling, f"genus {self.g} reaches order {ceiling}; ")
-
-
 @dataclass(frozen=True, slots=True)
 class ClassificationEntry:
     """One family in the classification, built from its model alone.
 
-    `signature` holds a tame branch's ramification type, `orbits` a wild
-    branch's filtration data of every short orbit; the other is None.
+    It keeps N and the branch; `genus`, `wild`, `signature` (a tame
+    model's ramification type, else None) and `orbits` (a wild model's
+    filtration data of every short orbit, else None) are the model's.
     Construction checks N >= 2g + 1 and the genus by Riemann-Hurwitz.
     """
 
     n: int = field(init=False)
     branch: str = field(init=False)
     model: CurveModel
-    genus: int = field(init=False)
-    signature: Signature | None = field(init=False)
-    orbits: tuple[OrbitDatum, ...] | None = field(init=False)
-    wild: bool = field(init=False)
 
     def __post_init__(self):
         model = self.model
         n, g, ram = model.cyclic_order(), model.genus(), model.ramification()
         if n < 2 * g + 1:
             raise ValueError(f"N={n} below 2g+1={2 * g + 1}")
-        if model.wild:
-            signature, orbits, rh = None, ram, rh_genus_wild(n, 0, ram)
-        else:
-            signature, orbits, rh = ram, None, rh_genus_tame(n, ram.g0, ram)
+        rh = (rh_genus_wild(n, 0, ram) if model.wild
+              else rh_genus_tame(n, ram.g0, ram))
         if rh != g:
             raise ValueError(
                 f"ramification data of {model} gives genus {rh}, not {g}")
-        for name, value in dict(n=n, branch=model.branch, genus=g,
-                                signature=signature, orbits=orbits,
-                                wild=model.wild).items():
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "branch", model.branch)
+
+    genus = property(lambda e: e.model.genus())
+    wild = property(lambda e: e.model.wild)
+    signature = property(lambda e: None if e.wild else e.model.ramification())
+    orbits = property(lambda e: e.model.ramification() if e.wild else None)
 
 
 def _check_characteristic(p):
@@ -282,28 +258,24 @@ def _genus_pairs(n, g):
 # Each slot descriptor's `__set__` writes its slot of a frozen instance
 # without the class's `__setattr__`; `__slots__` lists the fields in order.
 (_set_pair_n, _set_pair_r, _set_pair_s, _set_pair_genus, _set_pair_signature,
- _set_kummer_pair, _set_entry_n, _set_entry_branch, _set_entry_model,
- _set_entry_genus, _set_entry_signature, _set_entry_orbits,
- _set_entry_wild) = (getattr(cls, name).__set__
-                     for cls in (PrimitivePair, Kummer, ClassificationEntry)
-                     for name in cls.__slots__)
+ _set_kummer_pair, _set_entry_n, _set_entry_branch,
+ _set_entry_model) = (getattr(cls, name).__set__
+                      for cls in (PrimitivePair, Kummer, ClassificationEntry)
+                      for name in cls.__slots__)
 
 
 def _kummer_entries(n, g, pairs):
     """`ClassificationEntry(Kummer.of(n, r, s))` for each pair (r, s) of
-    genus g: range, primitivity and genus are checked per pair, and
-    Riemann-Hurwitz once per signature type.  No constructor runs: the
-    slots are filled directly, and the pairs of a type share a `Signature`."""
+    genus g: range and primitivity are checked per pair, and the genus,
+    which the gcd triple fixes, by Riemann-Hurwitz once per signature
+    type.  No constructor runs: the slots are filled directly, and the
+    pairs of a type share a `Signature`."""
     if g < 2 or n < 2 * g + 1:
         raise ValueError(f"no Kummer entry of genus {g} at order {n}")
-    total = n + 2 - 2 * g  # gcd(n, r) + gcd(n, s) + gcd(n, r + s)
     new, branch = object.__new__, Kummer.branch
     types, signatures, out = {}, {}, []
     for r, s in pairs:
         a, b, c = abc = primitive_gcds(n, r, s)
-        if a + b + c != total:
-            raise ValueError(f"Kummer pair ({r}, {s}) mod {n} has genus "
-                             f"{(n + 2 - a - b - c) // 2}, not {g}")
         signature = types.get(abc)
         if signature is None:
             sig = Signature(0, (n // a, n // b, n // c))
@@ -323,10 +295,6 @@ def _kummer_entries(n, g, pairs):
         _set_entry_n(entry, n)
         _set_entry_branch(entry, branch)
         _set_entry_model(entry, model)
-        _set_entry_genus(entry, g)
-        _set_entry_signature(entry, signature)
-        _set_entry_orbits(entry, None)
-        _set_entry_wild(entry, False)
         out.append(entry)
     return out
 
@@ -457,8 +425,14 @@ def classify(p: int, g: int, *, raw_pairs: bool = False,
     every genus-matching primitive pair gets its own entry.  An
     optional n restricts the output to that group order.
     """
-    query = ClassifyQuery(p, g, n)
-    p, g, n = query.p, query.g, query.n
+    _check_characteristic(p)
+    if g < 2:
+        raise BadGenus(f"genus must be >= 2, got {g}")
+    if n is not None and (isinstance(n, bool) or not isinstance(n, int)
+                          or n < 3):
+        raise BadOrder(f"group order must be None or an int >= 3, got {n!r}")
+    ceiling = 4 * g + 4  # the Kummer search's largest order
+    _check_order(ceiling, f"genus {g} reaches order {ceiling}; ")
     orders = range(2 * g + 1, (4 * g + 4 if p else 4 * g + 2) + 1)
     if n is not None:
         orders = [n] if n in orders else []

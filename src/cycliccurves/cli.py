@@ -237,7 +237,7 @@ def _cmd_verify(args):
             "error": str(exc), "ok": False}))
 
     count = fforacle.count_places(model, fld)
-    hw_ok = (count - (args.q + 1))**2 <= 4 * g * g * args.q
+    hw_ok = fforacle.within_hasse_weil(count, args.q, g)
     ok &= hw_ok
     records.insert(0, _record("verify", {
         "check": "places", "model": args.model, "q": args.q,

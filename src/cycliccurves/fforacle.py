@@ -200,7 +200,6 @@ class FiniteField:
         self._x = _companion(self.modulus, p)  # C, the matrix of x
         self._pvec = p ** np.arange(k, dtype=np.int64)
         self._trace_halves = None
-        self._lift_roots = {}
         self._build_tables()
 
     def __repr__(self):
@@ -387,7 +386,8 @@ class FiniteField:
 
         src must be a subfield pattern: same p, src.k dividing self.k.
         The embedding sends the residue of x in src to the least root
-        of src.modulus in self, making lifts deterministic.
+        of src.modulus in self, making lifts deterministic.  The roots
+        are among the src.q - 1 powers of g^((q - 1) / (src.q - 1)).
         """
         if src.p != self.p or self.k % src.k:
             raise PreconditionViolated(
@@ -395,25 +395,18 @@ class FiniteField:
         value = int(value)
         if value < self.p or src.k == self.k:  # one modulus per (p, k)
             return value
-        key = src.modulus
-        root = self._lift_roots.get(key)
-        if root is None:
-            zs = self.elements()
+
+        def horner(coefficients, x):  # sum of c_i x^i, lowest first
             acc = 0
-            for c in reversed(src.modulus):
-                acc = self.add(self.mul(acc, zs), c)
-            roots = np.flatnonzero(acc[self.p:] == 0)
-            if not len(roots):
-                raise RuntimeError("modulus has no root in extension")
-            root = self._lift_roots[key] = int(roots[0]) + self.p
-        out = 0
-        power = 1
-        v = value
-        while v:
-            out = self.add(out, self.scale(v % src.p, power))
-            power = self.mul(power, root)
-            v //= src.p
-        return int(out)
+            for c in reversed(coefficients):
+                acc = self.add(self.mul(acc, x), c)
+            return acc
+        sub = self._exp[::(self.q - 1) // (src.q - 1)]
+        roots = sub[horner(src.modulus, sub) == 0]
+        if not len(roots):
+            raise RuntimeError("modulus has no root in extension")
+        digits = value // src._pvec % self.p
+        return int(horner(digits.tolist(), int(roots.min())))
 
 
 @lru_cache(maxsize=64)
@@ -448,6 +441,12 @@ def count_places_naive(model: CurveModel, fld: FiniteField) -> int:
     return total + eq.extra
 
 
+def within_hasse_weil(count: int, q: int, g: int) -> bool:
+    """|count - (q + 1)| <= 2g sqrt(q): the Hasse-Weil bound on the
+    rational places of a genus-g curve over F_q, in integers."""
+    return (count - (q + 1))**2 <= 4 * g * g * q
+
+
 @dataclass(frozen=True)
 class PlaceCountSeries:
     """Rational-place counts of a model over F_q, F_q^2, ..., F_q^m.
@@ -466,7 +465,7 @@ class PlaceCountSeries:
         for j, nj in enumerate(self.counts, start=1):
             if nj < 0:
                 raise HasseWeilViolation(f"negative count N_{j}={nj}")
-            if (nj - (self.q**j + 1))**2 > 4 * g * g * self.q**j:
+            if not within_hasse_weil(nj, self.q**j, g):
                 raise HasseWeilViolation(
                     f"N_{j}={nj} outside Hasse-Weil bound for genus {g}")
 

@@ -152,41 +152,40 @@ def different_exponent(profile: FiltrationProfile) -> int:
     return sum(o - 1 for o in profile.orders)
 
 
-def _solve_genus(rhs):
-    # rhs = 2g - 2; reject odd or negative-genus outcomes loudly.
+def _rh_genus(group_order, g0, terms):
+    """2g - 2 = N(2*g0 - 2) + sum of size * exponent over the (orbit size,
+    different exponent) terms, which are checked as they are read; an
+    odd or negative-genus outcome is rejected loudly."""
+    _check_group_order(group_order)
+    if g0 < 0:
+        raise Inconsistent(f"quotient genus {g0} < 0")
+    rhs = group_order * (2 * g0 - 2) + sum(size * d for size, d in terms)
     if rhs % 2:
         raise Inconsistent(f"2g - 2 = {rhs} is odd")
-    g = (rhs + 2) // 2
-    if g < 0:
+    if rhs < -2:
         raise Inconsistent(f"2g - 2 = {rhs} gives negative genus")
-    return g
+    return (rhs + 2) // 2
 
 
 def rh_genus_tame(group_order: int, g0: int, sig) -> int:
-    """Genus of a degree-N tame cyclic cover from its signature.
+    """Genus of a degree-N tame cyclic cover from its signature: an index
+    e is an orbit of N/e points with different exponent e - 1.
 
     2g - 2 = N(2*g0 - 2) + sum over indices of (N/e)(e - 1).
 
     `sig` may be a Signature (its g0 must agree with the g0 argument) or
     a bare iterable of ramification indices.
     """
-    _check_group_order(group_order)
-    if g0 < 0:
-        raise Inconsistent(f"quotient genus {g0} < 0")
-    if isinstance(sig, Signature):
-        if sig.g0 != g0:
+    def terms():
+        if isinstance(sig, Signature) and sig.g0 != g0:
             raise Inconsistent(f"signature g0={sig.g0} disagrees with g0={g0}")
-        indices = sig.indices
-    else:
-        indices = tuple(sig)
-    rhs = group_order * (2 * g0 - 2)
-    for e in indices:
-        if e < 2:
-            raise Inconsistent(f"ramification index {e} < 2")
-        if group_order % e:
-            raise NotADivisor(f"index {e} does not divide N={group_order}")
-        rhs += (group_order // e) * (e - 1)
-    return _solve_genus(rhs)
+        for e in (sig.indices if isinstance(sig, Signature) else tuple(sig)):
+            if e < 2:
+                raise Inconsistent(f"ramification index {e} < 2")
+            if group_order % e:
+                raise NotADivisor(f"index {e} does not divide N={group_order}")
+            yield group_order // e, e - 1
+    return _rh_genus(group_order, g0, terms())
 
 
 def rh_genus_wild(group_order: int, g0: int, orbits) -> int:
@@ -195,14 +194,11 @@ def rh_genus_wild(group_order: int, g0: int, orbits) -> int:
     2g - 2 = N(2*g0 - 2) + sum over orbits of size * different_exponent.
     Each orbit must satisfy orbit_size * o0 = N.
     """
-    _check_group_order(group_order)
-    if g0 < 0:
-        raise Inconsistent(f"quotient genus {g0} < 0")
-    rhs = group_order * (2 * g0 - 2)
-    for orbit in orbits:
-        if orbit.orbit_size * orbit.filtration.o0 != group_order:
-            raise Inconsistent(
-                f"orbit size {orbit.orbit_size} x stabilizer "
-                f"{orbit.filtration.o0} != N={group_order}")
-        rhs += orbit.orbit_size * different_exponent(orbit.filtration)
-    return _solve_genus(rhs)
+    def terms():
+        for orbit in orbits:
+            if orbit.orbit_size * orbit.filtration.o0 != group_order:
+                raise Inconsistent(
+                    f"orbit size {orbit.orbit_size} x stabilizer "
+                    f"{orbit.filtration.o0} != N={group_order}")
+            yield orbit.orbit_size, different_exponent(orbit.filtration)
+    return _rh_genus(group_order, g0, terms())

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import itertools
+import re
 import sys
 import time
 import tracemalloc
@@ -14,7 +15,6 @@ from cycliccurves.classify import (
     BadGenus,
     BadOrder,
     ClassificationEntry,
-    ClassifyQuery,
     OrderTooLarge,
     TooManyCandidates,
     TooManyIndices,
@@ -26,6 +26,7 @@ from cycliccurves.classify import (
     verify_sasaki_bound,
     _MultisetCounts,
 )
+import cycliccurves.classify as classify_module
 from cycliccurves import families, intmath
 from cycliccurves.families import FAMILIES, Homma, Kummer, kummer_genus
 from cycliccurves.intmath import divisors
@@ -198,10 +199,9 @@ def test_enumerator_refuses_a_count_past_its_step_budget(monkeypatch):
     # genus, in 1,846,085 steps
     assert enumerate_signatures(3491888400, 2) == []
     # count(0, 3), count(0, 2) and count(0, 1) try 3 + 2 + 1 terms
-    module = sys.modules["cycliccurves.classify"]
-    monkeypatch.setattr(module, "_MAX_COUNT_STEPS", 6)
+    monkeypatch.setattr(classify_module, "_MAX_COUNT_STEPS", 6)
     assert _MultisetCounts([1, 2, 3])[0, 3] == 3
-    monkeypatch.setattr(module, "_MAX_COUNT_STEPS", 5)
+    monkeypatch.setattr(classify_module, "_MAX_COUNT_STEPS", 5)
     with pytest.raises(TooManyCandidates, match="over 5 steps"):
         _MultisetCounts([1, 2, 3])[0, 3]
 
@@ -283,15 +283,14 @@ def test_classify_n_filter():
 
 @pytest.mark.parametrize("n", ["x", -7, 0, 2, 6.0, True])
 def test_classify_query_rejects_bad_order(n):
-    with pytest.raises(BadOrder):
-        ClassifyQuery(5, 4, n)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadOrder,
+                       match=f"group order must be None or an int >= 3, "
+                             f"got {re.escape(repr(n))}"):
         classify(5, 4, n=n)
 
 
 def test_classify_query_accepts_orders_from_three():
-    assert ClassifyQuery(5, 4).n is None
-    assert ClassifyQuery(5, 4, 3).n == 3
+    assert classify(5, 4, n=3) == []
     assert classify(5, 2, n=3) == []
 
 
@@ -325,6 +324,10 @@ def test_entry_fields_are_the_models():
                     assert e.genus == e.model.genus() == g
                     assert e.branch == type(e.model).branch
                     assert e.wild == type(e.model).wild
+                    ram = e.model.ramification()
+                    assert (e.signature, e.orbits) == (
+                        (None, ram) if e.wild else (ram, None))
+    assert ClassificationEntry.__slots__ == ("n", "branch", "model")
 
 
 def test_entry_validation_rejects_inconsistencies():
@@ -354,12 +357,10 @@ def test_entry_validation_rejects_inconsistencies():
 
 
 def test_caches_are_bounded():
-    # the package binds the name cycliccurves.classify to the function
-    module = sys.modules["cycliccurves.classify"]
     arguments = {
         intmath.prime_factors: lambda i: (i + 1,),
         intmath.divisors: lambda i: (i + 1,),
-        module._canonical_genus_entries: lambda i: (5 + i, 2),
+        classify_module._canonical_genus_entries: lambda i: (5 + i, 2),
         families._triangle_signature: lambda i: ((2, 2, 2 + i),),
     }
     try:
@@ -370,7 +371,7 @@ def test_caches_are_bounded():
                 cache(*args(i))
             assert cache.cache_info().currsize <= bound
     finally:
-        module._canonical_genus_entries.cache_clear()
+        classify_module._canonical_genus_entries.cache_clear()
         families._triangle_signature.cache_clear()
 
 
@@ -380,31 +381,29 @@ def test_caches_are_bounded():
 def test_orbit_minima_match_an_orbit_walk():
     # the divisor-triple search against walking the orbit of every
     # primitive pair, one pair at a time
-    module = sys.modules["cycliccurves.classify"]
     for n in range(3, 131):
         by_genus, minima, seen = {}, {}, set()
         for pair in primitive_pairs(n):
             rs = (pair.r, pair.s)
             by_genus.setdefault(pair.genus, []).append(rs)
             if rs not in seen:
-                orbit = module._pair_orbit(n, *rs)
+                orbit = classify_module._pair_orbit(n, *rs)
                 seen |= orbit
                 minima.setdefault(pair.genus, []).append(min(orbit))
         for g in range(n):
-            assert module._orbit_minima(n, g) == sorted(minima.get(g, [])), \
+            assert classify_module._orbit_minima(n, g) == sorted(minima.get(g, [])), \
                 (n, g)
-            assert module._genus_pairs(n, g) == by_genus.get(g, []), (n, g)
+            assert classify_module._genus_pairs(n, g) == by_genus.get(g, []), (n, g)
 
 
 def test_kummer_entries_equal_the_constructed_ones():
     # built field by field, the entries are the constructors' objects:
     # equal, with the same repr and hash, canonical and raw
-    module = sys.modules["cycliccurves.classify"]
     for n in range(5, 131):
         for g in range(2, (n - 1) // 2 + 1):
-            for pairs in (module._genus_pairs(n, g),
-                          module._orbit_minima(n, g)):
-                built = module._kummer_entries(n, g, pairs)
+            for pairs in (classify_module._genus_pairs(n, g),
+                          classify_module._orbit_minima(n, g)):
+                built = classify_module._kummer_entries(n, g, pairs)
                 want = [ClassificationEntry(Kummer.of(n, r, s))
                         for r, s in pairs]
                 assert built == want, (n, g)
@@ -433,12 +432,11 @@ def test_raw_entries_are_slotted_and_small():
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert size <= 300 * len(entries), size / len(entries)
+    assert size <= 200 * len(entries), size / len(entries)
 
 
 def test_kummer_entries_check_every_pair(monkeypatch):
-    module = sys.modules["cycliccurves.classify"]
-    entries = module._kummer_entries
+    entries = classify_module._kummer_entries
     assert [e.genus for e in entries(12, 3, [(1, 3), (1, 5)])] == [3, 3]
     for n, g in ((6, 3), (5, 1)):
         with pytest.raises(ValueError,
@@ -453,8 +451,8 @@ def test_kummer_entries_check_every_pair(monkeypatch):
     with pytest.raises(ValueError,
                        match=r"gcd\(r, s, n\) != 1 for \(2, 2\) mod 12"):
         entries(12, 3, [(1, 3), (2, 2)])
-    with pytest.raises(ValueError,
-                       match=r"pair \(1, 1\) mod 12 has genus 5, not 3"):
+    with pytest.raises(ValueError, match=r"\(0; 6,12,12\) of \(1, 1\) mod 12 "
+                       r"gives genus 5, not 3"):
         entries(12, 3, [(1, 3), (1, 1)])
     # Riemann-Hurwitz runs once on each signature type, not only the first
     calls = []
@@ -463,7 +461,7 @@ def test_kummer_entries_check_every_pair(monkeypatch):
         calls.append(sig)
         return 4 if sig == Signature(0, (3, 4, 12)) else 3
 
-    monkeypatch.setattr(module, "rh_genus_tame", wrong_rh)
+    monkeypatch.setattr(classify_module, "rh_genus_tame", wrong_rh)
     with pytest.raises(ValueError, match=r"\(0; 3,4,12\) of \(1, 3\) mod 12 "
                        r"gives genus 4, not 3"):
         entries(12, 3, [(1, 5), (5, 1), (1, 3)])
@@ -471,9 +469,8 @@ def test_kummer_entries_check_every_pair(monkeypatch):
 
 
 def test_kummer_entries_share_a_signature_per_type():
-    module = sys.modules["cycliccurves.classify"]
     for n, g in ((12, 3), (30, 10), (60, 20)):
-        entries = module._kummer_entries(n, g, module._genus_pairs(n, g))
+        entries = classify_module._kummer_entries(n, g, classify_module._genus_pairs(n, g))
         by_type = {}
         for e in entries:
             by_type.setdefault(e.signature, set()).add(id(e.signature))
@@ -519,9 +516,8 @@ def test_large_genus_classifies_quickly():
 
 def test_pair_tables_group_primitive_pairs_by_genus():
     # the array triangle against the one-object-at-a-time enumeration
-    module = sys.modules["cycliccurves.classify"]
     for n in range(3, 121):
-        genus, r, s = module._pair_triangle(n)
+        genus, r, s = classify_module._pair_triangle(n)
         pairs = list(primitive_pairs(n))
         assert list(zip(r.tolist(), s.tolist())) == [
             (pair.r, pair.s) for pair in pairs], n
@@ -529,7 +525,7 @@ def test_pair_tables_group_primitive_pairs_by_genus():
 
 
 def test_pair_table_is_compact():
-    columns = sys.modules["cycliccurves.classify"]._pair_triangle(1000)
+    columns = classify_module._pair_triangle(1000)
     assert {column.dtype for column in columns} == {np.dtype(np.int16)}
     assert sum(column.nbytes for column in columns) < 5_000_000
 
@@ -544,9 +540,9 @@ def test_oversized_orders_fail_fast():
         next(primitive_pairs(100_000))
     assert time.perf_counter() - start < 1
     # the largest genus reaches order 4 * 723 + 4 = 2896 <= 2897
-    ClassifyQuery(0, 723)
-    with pytest.raises(OrderTooLarge):
-        ClassifyQuery(0, 724)
+    assert classify(0, 723, n=3) == []
+    with pytest.raises(OrderTooLarge, match="genus 724 reaches order 2900"):
+        classify(0, 724, n=3)
 
 
 # --- bound verification --------------------------------------------------------
@@ -569,15 +565,14 @@ def test_sasaki_bound_totals():
 
 
 def test_sasaki_bound_names_the_violating_pair(monkeypatch):
-    module = sys.modules["cycliccurves.classify"]
     honest = verify_sasaki_bound(10)
-    triangles = {n: module._pair_triangle(n) for n in range(3, 11)}
+    triangles = {n: classify_module._pair_triangle(n) for n in range(3, 11)}
     real_genus, r, s = triangles[9]
     # the last pair has the largest genus, 4 = (9 - 1) / 2; claim 5
     genus = real_genus.copy()
     genus[-1] = 5
     triangles[9] = genus, r, s
-    monkeypatch.setattr(module, "_pair_triangle", triangles.__getitem__)
+    monkeypatch.setattr(classify_module, "_pair_triangle", triangles.__getitem__)
     report = verify_sasaki_bound(10)
     r, s = int(r[-1]), int(s[-1])
     assert kummer_genus(9, r, s) == 4

@@ -161,6 +161,30 @@ def test_lift_is_a_field_embedding():
     assert big.lift_from(2, small) == 2  # prime subfield is untouched
 
 
+def _horner(fld, coefficients, x):
+    """sum of c_i x^i over fld, lowest coefficient first, one element at
+    a time."""
+    acc = 0
+    for c in reversed(coefficients):
+        acc = int(fld.add(fld.mul(acc, x), c))
+    return acc
+
+
+@pytest.mark.parametrize("p,k,big_k", [
+    (3, 2, 4), (3, 2, 6), (3, 3, 6), (5, 2, 4), (7, 2, 4), (3, 4, 8)])
+def test_lift_is_the_least_root_over_the_whole_field(p, k, big_k):
+    # the reference embedding: x goes to the least root of small.modulus
+    # found over every element of big, and a value to its digit
+    # polynomial at that root
+    small, big = field(p, k), field(p, big_k)
+    root = next(z for z in range(big.q)
+                if _horner(big, small.modulus, z) == 0)
+    for value in range(small.q):
+        digits = [value // p**i % p for i in range(k)]
+        assert big.lift_from(value, small) == _horner(big, digits, root), \
+            value
+
+
 # --- array arithmetic against the table-free references ---------------------
 
 ARRAY_FIELDS = [(3, 2), (3, 3), (3, 5), (5, 3), (7, 2), (11, 1), (13, 1)]

@@ -188,6 +188,27 @@ def test_wild_agrees_with_tame_exhaustively():
                     assert rh_genus_wild(n, g0, orbits) == expected
 
 
+@pytest.mark.parametrize("n,g0,indices", [
+    (6, 0, (2, 2, 3, 3)),      # hyperelliptic genus 2, N = 2g + 2
+    (12, 0, (3, 4, 12)),       # Kummer (1, 3) mod 12, genus 3
+    (15, 0, (3, 5, 15)),       # Kummer (1, 5) mod 15, genus 4
+    (10, 1, (2, 5, 10)),       # positive quotient genus
+    (7, 2, ()),                # unramified
+])
+def test_tame_indices_as_level_zero_orbits(n, g0, indices):
+    # an index e is an orbit of N/e points whose stabiliser, of order e
+    # prime to p, has only level 0: different exponent e - 1
+    for p in (3, 5, 7, 11, 13):
+        if n % p == 0:
+            continue
+        orbits = [OrbitDatum(FiltrationProfile(p, (e,)), n // e)
+                  for e in indices]
+        assert all(different_exponent(o.filtration) == o.filtration.o0 - 1
+                   for o in orbits)
+        assert rh_genus_wild(n, g0, orbits) == rh_genus_tame(
+            n, g0, Signature(g0, indices))
+
+
 def test_filtration_identity_for_p_squared_profiles():
     for p in (3, 5, 7, 11, 13):
         profile = validate_filtration(p, [p * p, p * p] + [p] * p)
