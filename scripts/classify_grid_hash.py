@@ -25,9 +25,9 @@ from cycliccurves.cli import model_to_spec
 
 CHARACTERISTICS = (0, 3, 5, 7, 11, 13, 17, 19, 23)
 GENERA = range(2, 31)
-PINNED_ENTRIES = 338_254
+PINNED_ENTRIES = 338_294
 PINNED_SHA256 = (
-    "baf026f6c2056d6780da81acd08ae7cc05b4d0d75307ba56aefde1d87add9b2f")
+    "aba35d4468da3ddfacc8938eeb1d0198fd86c42eccfdf7f2d66d0809498bbe7b")
 
 
 def grid_hash():

@@ -36,6 +36,10 @@ BATTERY = [
     # coefficients outside F_5, lifted into each extension of F_25
     (Hyperelliptic(2, 11), (5, 2), (5, 2)),
     (ASPower(5, 2, 5, 2), (5, 2), (5, 2)),
+    # characteristic 3: F_9 holds no element of order 4, F_81 does; F_3
+    # gives ASRational no affine point, so its order check reads 1 there
+    (ASPower(3, 4, 1, 0), (3, 2), (3, 4)),
+    (ASRational(3, 1, 1, 2), (3, 2), (3, 2)),
 ]
 
 

@@ -17,14 +17,15 @@ completeness.  It finds the least member of each symmetry orbit of
 pairs directly: a unit scales each entry of the exponent triple
 (r, s, -(r+s)) down to its gcd with N and no lower, the genus fixes the
 sum of the three gcds, and so the least members come from the divisor
-triples of N alone.  The raw listing is the union of their orbits.
-Both listings build their entries from the pairs' gcd triples
-(`_kummer_entries`).  `verify_sasaki_bound` stays exhaustive, one order
-at a time as int16 arrays.  `primitive_pairs`, `canonical_pair` and
-`kummer_genus` work one pair at a time and are the independent check of
-both.  Orders stop at 2897, where the pairs of one order would pass
+triples of N alone.  The raw listing expands their orbits, one sum test
+per unit (`_pair_orbit`), into keys r*N + s sorted once.  Both listings
+read the pairs' gcds from a table per order and check primitivity and
+the genus once per gcd triple (`_kummer_entries`).  `verify_sasaki_bound`
+stays exhaustive, one order at a time as int16 arrays; with it,
+`primitive_pairs` and `kummer_genus` are the independent check of both.
+Orders stop at 2897, where the pairs of one order would pass
 `TABLE_LIMIT`.  Everything here is pure and deterministic: entries come
-out ordered by N, family and spec values, with no sort.
+out ordered by N, family and spec values.
 
 `enumerate_signatures(n, g)` lists every tame ramification type
 (g0; e_1..e_k) that a degree-n cyclic cover of genus g can have,
@@ -41,6 +42,7 @@ exception) are asserted by the test suite, not imposed here.
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -133,16 +135,6 @@ class ClassificationEntry:
     orbits = property(lambda e: e.model.ramification() if e.wild else None)
 
 
-def _check_characteristic(p):
-    if p == 0:
-        return
-    if p == 2:
-        raise UnsupportedCharacteristic("characteristic 2 unsupported")
-    if p < 0 or not is_prime(p):
-        raise UnsupportedCharacteristic(
-            f"characteristic must be 0 or an odd prime, got {p}")
-
-
 def primitive_pairs(n: int):
     """Yield every primitive pair (r, s) for exponent n, in
     lexicographic order.  One object at a time: the independent check of
@@ -174,21 +166,30 @@ def _pair_triangle(n):
     return (n + 2 - a[keep] - b[keep] - gcds[r + s]) // 2, r, s
 
 
-def _pair_orbit(n, r, s):
-    # Unit scalings commute with permutations of the exponent triple
-    # (r, s, t), t = -(r+s) mod n, so the full symmetry orbit is
-    # {permutation of u * triple}; swapping r and s is one of the
-    # permutations.  Only members back inside r + s <= n - 1 are kept.
-    t = (-(r + s)) % n
-    out = set()
-    for u in range(1, n):
-        if gcd(u, n) != 1:
-            continue
-        a, b, c = u * r % n, u * s % n, u * t % n
-        for pair in ((a, b), (a, c), (b, a), (b, c), (c, a), (c, b)):
-            if pair[0] + pair[1] <= n - 1:
-                out.add(pair)
-    return out
+@lru_cache(maxsize=_CACHE_SIZE)
+def _order_gcds(n):
+    """gcd(n, x) for x < n: each divisor, ascending, marks its multiples."""
+    gcds = [1] * n
+    for d in divisors(n)[1:]:
+        gcds[::d] = [d] * -(-n // d)
+    return tuple(gcds)
+
+
+def _pair_orbit(n, *pairs):
+    """Keys r * n + s of the in-range members of the pairs' symmetry orbits,
+    the permutations of u * (r, s, n - r - s) mod n: for one of the units u
+    and -u it sums to n, and all six are in range, for the other to 2n."""
+    keys, gcds = set(), _order_gcds(n)
+    units = [u for u in range(1, (n + 1) // 2) if gcds[u] == 1]
+    for r, s in pairs:
+        for u in units:
+            a, b = u * r % n, u * s % n
+            if a + b > n:
+                a, b = n - a, n - b
+            c = n - a - b
+            an, bn, cn = a * n, b * n, c * n
+            keys.update((an + b, an + c, bn + a, bn + c, cn + a, cn + b))
+    return keys
 
 
 def canonical_pair(n: int, r: int, s: int) -> PrimitivePair:
@@ -202,10 +203,10 @@ def canonical_pair(n: int, r: int, s: int) -> PrimitivePair:
     claim is made that distinct orbits are never isomorphic.
     """
     PrimitivePair(n, r, s)
-    best = min(_pair_orbit(n, r, s))
-    return PrimitivePair(n, best[0], best[1])
+    return PrimitivePair(n, *divmod(min(_pair_orbit(n, (r, s))), n))
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _orbit_minima(n, g):
     """The least in-range member of every symmetry orbit of primitive
     pairs of genus g at order n, in lexicographic order."""
@@ -213,35 +214,35 @@ def _orbit_minima(n, g):
     # down to its gcd with n and no lower; those gcds a, b, c are
     # pairwise coprime, and the genus fixes a + b + c = n + 2 - 2g.  So
     # an orbit's least member is (m, s) with m the least gcd, b = gcd(n, s)
-    # and c = gcd(n, m + s) the other two.
-    ds = divisors(n)
+    # and c = gcd(n, m + s) the other two: s = 0 (mod b), s = -m (mod c).
+    ds, gcds = divisors(n), _order_gcds(n)
     out = []
-    for m in ds:
-        for b in ds:
+    for i, m in enumerate(ds):
+        for b in ds[i:]:
             c = n + 2 - 2 * g - m - b
             if c < m:
                 break
-            if b < m or gcd(m, b) != 1 or n % c:
+            if gcd(m, b) != 1 or n % c or gcd(b, c) != 1:
                 continue
-            out += [(m, s) for s in range(b, n - m, b)
-                    if gcd(n, s) == b and gcd(n, m + s) == c
-                    and _least_in_orbit(n, m, s)]
-    return sorted(out)
+            out += [(m, s) for s in range(b * (-m * pow(b, -1, c) % c or c),
+                                          n - m, b * c)
+                    if gcds[s] == b and gcds[m + s] == c
+                    and _least_in_orbit(n, gcds, m, s)]
+    return tuple(sorted(out))
 
 
-def _least_in_orbit(n, m, s):
+def _least_in_orbit(n, gcds, m, s):
     # The members of (m, s)'s orbit that start with m come from the units
     # u = (x/m)^-1 (mod n/m), at most m of them, that send a coordinate x
     # of gcd m to m; (m, s) is least unless one has a smaller second
     # coordinate.  A scaled triple is in range when it sums to n.
-    triple = (m, s, n - m - s)
-    k = n // m
+    triple, k = (m, s, n - m - s), n // m
     for i, x in enumerate(triple):
-        if gcd(n, x) != m:
+        if gcds[x] != m:
             continue
         y, w = triple[:i] + triple[i + 1:]
         for u in range(pow(x // m, -1, k), n, k):
-            if gcd(u, n) == 1:
+            if gcds[u] == 1:
                 uy, uw = u * y % n, u * w % n
                 if m + uy + uw == n and min(uy, uw) < s:
                     return False
@@ -250,9 +251,9 @@ def _least_in_orbit(n, m, s):
 
 def _genus_pairs(n, g):
     """Every primitive pair of genus g at order n, in lexicographic
-    order: the union of the orbits of `_orbit_minima(n, g)`."""
-    return sorted(set().union(*(_pair_orbit(n, r, s)
-                                for r, s in _orbit_minima(n, g))))
+    order, lazily: the orbits of `_orbit_minima(n, g)`, sorted as keys."""
+    return map(divmod, sorted(_pair_orbit(n, *_orbit_minima(n, g))),
+               repeat(n))
 
 
 # Each slot descriptor's `__set__` writes its slot of a frozen instance
@@ -266,18 +267,19 @@ def _genus_pairs(n, g):
 
 def _kummer_entries(n, g, pairs):
     """`ClassificationEntry(Kummer.of(n, r, s))` for each pair (r, s) of
-    genus g: range and primitivity are checked per pair, and the genus,
-    which the gcd triple fixes, by Riemann-Hurwitz once per signature
-    type.  No constructor runs: the slots are filled directly, and the
-    pairs of a type share a `Signature`."""
+    genus g, with the range checked per pair, primitivity per gcd triple
+    (from the order's table) and the genus per signature, by Riemann-Hurwitz.
+    No constructor runs, and the pairs of a signature share a `Signature`."""
     if g < 2 or n < 2 * g + 1:
         raise ValueError(f"no Kummer entry of genus {g} at order {n}")
-    new, branch = object.__new__, Kummer.branch
+    new, branch, gcds = object.__new__, Kummer.branch, _order_gcds(n)
     types, signatures, out = {}, {}, []
     for r, s in pairs:
-        a, b, c = abc = primitive_gcds(n, r, s)
-        signature = types.get(abc)
+        if r < 1 or s < 1 or r + s >= n:
+            primitive_gcds(n, r, s)  # raises NotPrimitive
+        signature = types.get(abc := (gcds[r], gcds[s], gcds[r + s]))
         if signature is None:
+            a, b, c = primitive_gcds(n, r, s)
             sig = Signature(0, (n // a, n // b, n // c))
             signature = types[abc] = signatures.setdefault(sig, sig)
             if signature is sig and (rh := rh_genus_tame(n, 0, sig)) != g:
@@ -402,10 +404,8 @@ def _index_multisets(ds, terms, count, start, remaining):
 
 
 def _signature_ok(n, g0, indices):
-    if g0 == 0 and len(indices) < 3:
-        return False
     m = lcm(*indices)
-    if g0 == 0 and m != n:
+    if g0 == 0 and (len(indices) < 3 or m != n):
         return False
     for i in range(len(indices)):
         if i > 0 and indices[i] == indices[i - 1]:
@@ -425,7 +425,11 @@ def classify(p: int, g: int, *, raw_pairs: bool = False,
     every genus-matching primitive pair gets its own entry.  An
     optional n restricts the output to that group order.
     """
-    _check_characteristic(p)
+    if p == 2:
+        raise UnsupportedCharacteristic("characteristic 2 unsupported")
+    if p and not is_prime(p):
+        raise UnsupportedCharacteristic(
+            f"characteristic must be 0 or an odd prime, got {p}")
     if g < 2:
         raise BadGenus(f"genus must be >= 2, got {g}")
     if n is not None and (isinstance(n, bool) or not isinstance(n, int)

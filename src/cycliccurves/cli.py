@@ -180,20 +180,20 @@ def _cmd_pairs(args):
 def _pair_records(args):
     # pairs come in lexicographic order and an orbit keeps the genus, so
     # an orbit's first pair is its canonical one
-    canonical = {}
-    for pair in primitive_pairs(args.n):
+    n, canonical = args.n, {}
+    for pair in primitive_pairs(n):
         if args.genus not in (None, pair.genus):
             continue
-        key = (pair.r, pair.s)
+        key = pair.r * n + pair.s
         if key not in canonical:
-            canonical.update(dict.fromkeys(_pair_orbit(args.n, *key), key))
+            canonical |= dict.fromkeys(_pair_orbit(n, (pair.r, pair.s)), key)
         if not args.canonical or canonical[key] == key:
             yield _record("pairs", {
                 "n": pair.n,
                 "r": pair.r,
                 "s": pair.s,
                 "genus": pair.genus,
-                "canonical": list(canonical[key]),
+                "canonical": list(divmod(canonical[key], n)),
             })
 
 

@@ -44,10 +44,6 @@ from .ramification import FiltrationProfile, OrbitDatum, Signature
 
 Param = int | str
 
-# Least characteristic in which the two Artin-Schreier families are
-# listed: at p = 3 the wild branch is not settled here.
-_AS_MIN_P = 5
-
 
 class NotPrimitive(ValueError):
     """(r, s) is not a primitive exponent pair for the given N."""
@@ -391,8 +387,8 @@ class ASPower(CurveModel):
     b: Param
 
     def __post_init__(self):
-        if self.p < _AS_MIN_P or not is_prime(self.p):
-            raise DegenerateModel(f"odd prime p != 3 required, got {self.p}")
+        if self.p == 2 or not is_prime(self.p):
+            raise DegenerateModel(f"odd prime required, got {self.p}")
         if self.m < 2 or gcd(self.m, self.p) != 1:
             raise DegenerateModel(
                 f"m={self.m} must be > 1 and coprime to p={self.p}")
@@ -419,7 +415,7 @@ class ASPower(CurveModel):
     @classmethod
     def of_genus(cls, p, g):
         # g = (p-1)(m-1)/2 solved for m
-        if p >= _AS_MIN_P and 2 * g % (p - 1) == 0:
+        if p and 2 * g % (p - 1) == 0:
             m = 2 * g // (p - 1) + 1
             if m > 1 and m % p:
                 yield cls(p, m, "a", "b")
@@ -456,8 +452,8 @@ class ASRational(CurveModel):
     c: Param
 
     def __post_init__(self):
-        if self.p < _AS_MIN_P or not is_prime(self.p):
-            raise DegenerateModel(f"odd prime p != 3 required, got {self.p}")
+        if self.p == 2 or not is_prime(self.p):
+            raise DegenerateModel(f"odd prime required, got {self.p}")
         for name, v in (("a", self.a), ("b", self.b), ("c", self.c)):
             if _is_zero_residue(v, self.p):
                 raise DegenerateModel(f"coefficient {name} must be nonzero")
@@ -480,7 +476,7 @@ class ASRational(CurveModel):
 
     @classmethod
     def of_genus(cls, p, g):
-        if p >= _AS_MIN_P and g == p - 1:
+        if p and g == p - 1:
             yield cls(p, "a", "b", "c")
 
     def equation(self, fld):

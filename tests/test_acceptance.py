@@ -131,12 +131,11 @@ def test_criterion_4_classification_self_consistency():
                     if e.wild:
                         assert p >= 3
                         if e.branch == "II-ASPower":
-                            assert p >= 5
                             m = e.model.m
+                            assert m > 1 and m % p
                             assert g == (p - 1) * (m - 1) // 2
                             assert e.n == p * m
                         elif e.branch == "II-ASRational":
-                            assert p >= 5
                             assert g == p - 1 and e.n == 2 * p
                         else:
                             assert e.branch == "III-Homma"

@@ -248,10 +248,24 @@ def test_classify_char5_genus2_raw_pairs():
 
 def test_classify_char3_genus3():
     entries = classify(3, 3)
-    assert all(e.branch.startswith("I-") for e in entries)  # no wild branches
-    assert all(e.n % 3 for e in entries)
+    # the one wild entry is y^3 - y = a(x^4 - b), N = 12; the tame
+    # orders are prime to 3
+    assert [(e.n, e.branch) for e in entries if e.wild] == [(12, "II-ASPower")]
+    assert all(e.n % 3 for e in entries if not e.wild)
     assert (7, "I-Kummer", (1, 1)) in _summary(entries)
     assert not any(e.branch == "I-Hyperelliptic" for e in entries)  # g odd
+
+
+def test_classify_char3_lists_the_wild_families():
+    # p = 3 is in the paper's scope, every p != 2: ASRational at g = p - 1
+    # and ASPower at m = g + 1 whenever 3 does not divide m
+    for g in range(2, 41):
+        wild = [(e.branch, e.n, e.model.spec_values()[:2])
+                for e in classify(3, g) if e.wild]
+        want = [("II-ASPower", 3 * (g + 1), (3, g + 1))] if g % 3 != 2 else []
+        if g == 2:
+            want.append(("II-ASRational", 6, (3, "a")))
+        assert sorted(wild) == sorted(want), g
 
 
 def test_classify_characteristic_zero():
@@ -361,6 +375,8 @@ def test_caches_are_bounded():
         intmath.prime_factors: lambda i: (i + 1,),
         intmath.divisors: lambda i: (i + 1,),
         classify_module._canonical_genus_entries: lambda i: (5 + i, 2),
+        classify_module._orbit_minima: lambda i: (5 + i, 2),
+        classify_module._order_gcds: lambda i: (3 + i,),
         families._triangle_signature: lambda i: ((2, 2, 2 + i),),
     }
     try:
@@ -371,29 +387,78 @@ def test_caches_are_bounded():
                 cache(*args(i))
             assert cache.cache_info().currsize <= bound
     finally:
-        classify_module._canonical_genus_entries.cache_clear()
-        families._triangle_signature.cache_clear()
+        for cache in list(arguments)[2:]:
+            cache.cache_clear()
 
 
 # --- Kummer pair search ---------------------------------------------------------
 
 
+def test_order_gcds_are_the_gcds():
+    for n in range(1, 400):
+        assert classify_module._order_gcds(n) == tuple(
+            gcd(n, x) for x in range(n)), n
+
+
+def _walked_orbit(n, r, s):
+    # every unit scaling of the exponent triple, each of its six
+    # permutations tested for the range on its own, as keys r * n + s
+    t = n - r - s
+    out = set()
+    for u in range(1, n):
+        if gcd(u, n) == 1:
+            a, b, c = u * r % n, u * s % n, u * t % n
+            out.update(x * n + y for x, y in ((a, b), (a, c), (b, a),
+                                              (b, c), (c, a), (c, b))
+                       if x + y <= n - 1)
+    return out
+
+
 def test_orbit_minima_match_an_orbit_walk():
-    # the divisor-triple search against walking the orbit of every
-    # primitive pair, one pair at a time
+    # the divisor-triple search and the one-sum-test orbits against
+    # walking the orbit of every primitive pair, one pair at a time
     for n in range(3, 131):
         by_genus, minima, seen = {}, {}, set()
         for pair in primitive_pairs(n):
             rs = (pair.r, pair.s)
             by_genus.setdefault(pair.genus, []).append(rs)
-            if rs not in seen:
-                orbit = classify_module._pair_orbit(n, *rs)
+            if pair.r * n + pair.s not in seen:
+                orbit = _walked_orbit(n, *rs)
+                assert classify_module._pair_orbit(n, rs) == orbit, (n, rs)
                 seen |= orbit
-                minima.setdefault(pair.genus, []).append(min(orbit))
+                minima.setdefault(pair.genus, []).append(divmod(min(orbit), n))
         for g in range(n):
-            assert classify_module._orbit_minima(n, g) == sorted(minima.get(g, [])), \
-                (n, g)
-            assert classify_module._genus_pairs(n, g) == by_genus.get(g, []), (n, g)
+            assert classify_module._orbit_minima(n, g) == tuple(
+                sorted(minima.get(g, []))), (n, g)
+            assert list(classify_module._genus_pairs(n, g)) == \
+                by_genus.get(g, []), (n, g)
+
+
+def _triangle_pairs(triangle, g):
+    # the pairs of genus g in the Sasaki check's exhaustive pair list
+    genus, r, s = triangle
+    keep = genus == g
+    return list(zip(r[keep].tolist(), s[keep].tolist()))
+
+
+def test_raw_listing_matches_the_pair_triangle_at_large_orders():
+    # the exhaustive pair list against the orbit search, far above the
+    # orders of the orbit walk: every order of genus 60, and every genus
+    # at three highly composite orders
+    triangles = {n: classify_module._pair_triangle(n) for n in range(121, 245)}
+    raw = classify(0, 60, raw_pairs=True)
+    assert [(e.n, e.model.pair.r, e.model.pair.s) for e in raw
+            if e.branch == Kummer.branch] == [
+        (n, r, s) for n in range(121, 243)
+        for r, s in _triangle_pairs(triangles[n], 60)]
+    for n in (243, 244):
+        assert list(classify_module._genus_pairs(n, 60)) == \
+            _triangle_pairs(triangles[n], 60)
+    for n in (210, 360, 420):
+        triangle = classify_module._pair_triangle(n)
+        for g in range(2, (n - 1) // 2 + 1):
+            assert list(classify_module._genus_pairs(n, g)) == \
+                _triangle_pairs(triangle, g), (n, g)
 
 
 def test_kummer_entries_equal_the_constructed_ones():
@@ -401,7 +466,7 @@ def test_kummer_entries_equal_the_constructed_ones():
     # equal, with the same repr and hash, canonical and raw
     for n in range(5, 131):
         for g in range(2, (n - 1) // 2 + 1):
-            for pairs in (classify_module._genus_pairs(n, g),
+            for pairs in (list(classify_module._genus_pairs(n, g)),
                           classify_module._orbit_minima(n, g)):
                 built = classify_module._kummer_entries(n, g, pairs)
                 want = [ClassificationEntry(Kummer.of(n, r, s))

@@ -123,7 +123,9 @@ def test_degenerate_models_rejected():
     with pytest.raises(DegenerateModel):
         Hyperelliptic(2, 1)
     with pytest.raises(DegenerateModel):
-        ASPower(3, 2, 1, 0)  # p = 3 excluded
+        ASPower(2, 3, 1, 0)  # p = 2 excluded
+    with pytest.raises(DegenerateModel):
+        ASRational(2, 1, 1, 1)
     with pytest.raises(DegenerateModel):
         ASPower(5, 10, 1, 0)  # m not coprime to p
     with pytest.raises(DegenerateModel):
@@ -143,10 +145,9 @@ def test_extension_field_coefficients_are_nonzero():
     assert ASRational(7, 7, 14, 21).c == 21
 
 
-def test_aspower_checks_its_genus(monkeypatch):
-    # with the characteristic guard opened to p = 3, the genus check
-    # alone refuses y^3 - y = x^2, of genus 1
-    monkeypatch.setattr(families, "_AS_MIN_P", 3)
+def test_aspower_checks_its_genus():
+    # p = 3 passes the characteristic guard, so the genus check alone
+    # refuses y^3 - y = x^2, of genus 1
     with pytest.raises(DegenerateModel, match="genus 1 < 2"):
         ASPower(3, 2, 1, 0)
     assert ASPower(3, 4, 1, 0).genus() == 3
