@@ -20,6 +20,7 @@ from cycliccurves.families import (
 )
 from cycliccurves.fforacle import (
     count_series, field, verify_automorphism, zeta_genus, OrderMismatch,
+    PreconditionViolated,
 )
 
 # (model, counting field (p, k), orbit-check field (p, k))
@@ -37,7 +38,7 @@ BATTERY = [
     (Hyperelliptic(2, 11), (5, 2), (5, 2)),
     (ASPower(5, 2, 5, 2), (5, 2), (5, 2)),
     # characteristic 3: F_9 holds no element of order 4, F_81 does; F_3
-    # gives ASRational no affine point, so its order check reads 1 there
+    # gives ASRational no affine point, so its order check is refused there
     (ASPower(3, 4, 1, 0), (3, 2), (3, 4)),
     (ASRational(3, 1, 1, 2), (3, 2), (3, 2)),
 ]
@@ -51,7 +52,7 @@ def check(model, count_field, orbit_field):
     try:
         report = verify_automorphism(model, orbit_field)
         order = report.order
-    except OrderMismatch as exc:
+    except (OrderMismatch, PreconditionViolated) as exc:
         order = str(exc)
     elapsed = time.perf_counter() - t0
     status = "OK" if inferred == g and order == model.cyclic_order() else "FAIL"

@@ -20,7 +20,10 @@ root of unity in the field (`point_map`, `affine_fixed`); and the
 command-line spec `name:field,...` (`name`, `spec_fields`).
 Classification, counting, automorphism checks (`fforacle`) and spec
 parsing (`cli`) are generic over these, so adding a family means adding
-one class to `FAMILIES`.
+one class to `FAMILIES`.  The wild ones, b*y^p + c*y = f(x), share the
+base `ArtinSchreier`: each lists its short or polar x-orbits (`places`),
+from which one rule (Stichtenoth, Prop. 3.7.8) derives N, the filtration
+data and the rational places over the poles of f.
 
 Models are field-agnostic value objects: parameters are either plain
 integers (residues below p, base-p encodings of field elements in
@@ -371,13 +374,46 @@ class Hyperelliptic(CurveModel):
         return lambda pt: (fld.mul(zeta, pt[0]), fld.neg(pt[1]))
 
 
+class ArtinSchreier(CurveModel):
+    """b*y^p + c*y = f(x), p an odd prime; `sides` reads b, c and f in a
+    field.  `places()` gives (e, m) per short or polar x-orbit: the order
+    of its tame stabiliser, and that of each pole of f on it (0: none)."""
+
+    wild = True
+    missing_x: ClassVar[tuple] = ()
+
+    def __post_init__(self):
+        if self.p == 2 or not is_prime(self.p):
+            raise DegenerateModel(f"odd prime required, got {self.p}")
+
+    def cyclic_order(self):
+        # p times the order of the tame part, which fixes two x when > 1
+        return self.p * max(e for e, _ in self.places())
+
+    def ramification(self):
+        # a pole of order m, prime to p, is one totally ramified place
+        # with lower jump m (Stichtenoth, Prop. 3.7.8)
+        p, n = self.p, self.cyclic_order()
+        profiles = [FiltrationProfile(p, (e * p,) + (p,) * m if m else (e,))
+                    for e, m in self.places()]
+        return tuple([OrbitDatum(f, n // f.o0) for f in profiles])
+
+    def equation(self, fld):
+        _require_characteristic(self.p, fld)
+        b, c, f = self.sides(fld)
+        # one rational place over each pole, N/(e*p) poles on an orbit
+        t = self.cyclic_order() // self.p
+        return Equation(fld, *_additive_lhs(fld, b, c), rhs=f,
+                        extra=sum(t // e for e, m in self.places() if m),
+                        missing_x=self.missing_x)
+
+
 @dataclass(frozen=True)
-class ASPower(CurveModel):
+class ASPower(ArtinSchreier):
     """y^p - y = a(x^m - b) with m > 1 coprime to p and a nonzero."""
 
     name = "aspower"
     branch = "II-ASPower"
-    wild = True
     spec_fields = ("p", "m", "a", "b")
     coefficients = 2
 
@@ -387,8 +423,7 @@ class ASPower(CurveModel):
     b: Param
 
     def __post_init__(self):
-        if self.p == 2 or not is_prime(self.p):
-            raise DegenerateModel(f"odd prime required, got {self.p}")
+        super().__post_init__()
         if self.m < 2 or gcd(self.m, self.p) != 1:
             raise DegenerateModel(
                 f"m={self.m} must be > 1 and coprime to p={self.p}")
@@ -401,16 +436,9 @@ class ASPower(CurveModel):
     def genus(self):
         return (self.p - 1) * (self.m - 1) // 2
 
-    def cyclic_order(self):
-        return self.p * self.m
-
-    def ramification(self):
-        # infinity is fixed; the p places over x = 0 have stabiliser m
-        p, m = self.p, self.m
-        return (
-            OrbitDatum(FiltrationProfile(p, (p * m,) + (p,) * m), 1),
-            OrbitDatum(FiltrationProfile(p, (m,)), p),
-        )
+    def places(self):
+        # x -> zeta*x fixes infinity, a pole of order m, and 0
+        return ((self.m, self.m), (self.m, 0))
 
     @classmethod
     def of_genus(cls, p, g):
@@ -420,15 +448,9 @@ class ASPower(CurveModel):
             if m > 1 and m % p:
                 yield cls(p, m, "a", "b")
 
-    def equation(self, fld):
-        _require_characteristic(self.p, fld)
-        a = _bind(self.a, fld)
-        b = _bind(self.b, fld)
-        m = self.m
-        # one place at infinity, totally ramified
-        return Equation(
-            fld, *_additive_lhs(fld, 1, fld.p - 1),
-            rhs=lambda x: fld.mul(a, fld.sub(fld.pow(x, m), b)), extra=1)
+    def sides(self, fld):
+        a, b, m = _bind(self.a, fld), _bind(self.b, fld), self.m
+        return 1, fld.p - 1, lambda x: fld.mul(a, fld.sub(fld.pow(x, m), b))
 
     def point_map(self, eq):
         fld = eq.fld
@@ -437,14 +459,14 @@ class ASPower(CurveModel):
 
 
 @dataclass(frozen=True)
-class ASRational(CurveModel):
+class ASRational(ArtinSchreier):
     """b*y^p + c*y = a*x + 1/x with a, b, c nonzero."""
 
     name = "asrational"
     branch = "II-ASRational"
-    wild = True
     spec_fields = ("p", "a", "b", "c")
     coefficients = 3
+    missing_x = (0,)
 
     p: int
     a: Param
@@ -452,8 +474,7 @@ class ASRational(CurveModel):
     c: Param
 
     def __post_init__(self):
-        if self.p == 2 or not is_prime(self.p):
-            raise DegenerateModel(f"odd prime required, got {self.p}")
+        super().__post_init__()
         for name, v in (("a", self.a), ("b", self.b), ("c", self.c)):
             if _is_zero_residue(v, self.p):
                 raise DegenerateModel(f"coefficient {name} must be nonzero")
@@ -461,34 +482,18 @@ class ASRational(CurveModel):
     def genus(self):
         return self.p - 1
 
-    def cyclic_order(self):
-        return 2 * self.p
-
-    def ramification(self):
-        # x = 0 and infinity swap; over each fixed x of x -> 1/(a*x) lie
-        # p places with stabiliser 2
-        p = self.p
-        return (
-            OrbitDatum(FiltrationProfile(p, (p, p)), 2),
-            OrbitDatum(FiltrationProfile(p, (2,)), p),
-            OrbitDatum(FiltrationProfile(p, (2,)), p),
-        )
+    def places(self):
+        # 1/(a*x) swaps the simple poles 0, infinity and fixes two x
+        return ((1, 1), (2, 0), (2, 0))
 
     @classmethod
     def of_genus(cls, p, g):
         if p and g == p - 1:
             yield cls(p, "a", "b", "c")
 
-    def equation(self, fld):
-        _require_characteristic(self.p, fld)
-        a = _bind(self.a, fld)
-        b = _bind(self.b, fld)
-        c = _bind(self.c, fld)
-        # one place over x = 0 and one over infinity
-        return Equation(
-            fld, *_additive_lhs(fld, b, c),
-            rhs=lambda x: fld.add(fld.mul(a, x), fld.inv(x)),
-            extra=2, missing_x=(0,))
+    def sides(self, fld):
+        a, b, c = (_bind(v, fld) for v in (self.a, self.b, self.c))
+        return b, c, lambda x: fld.add(fld.mul(a, x), fld.inv(x))
 
     def point_map(self, eq):
         fld = eq.fld
@@ -504,43 +509,34 @@ class ASRational(CurveModel):
 
 
 @dataclass(frozen=True)
-class Homma(CurveModel):
+class Homma(ArtinSchreier):
     """y^p - y = x^2, carrying a cyclic group of order exactly p."""
 
     name = "homma"
     branch = "III-Homma"
-    wild = True
     spec_fields = ("p",)
 
     p: int
 
     def __post_init__(self):
-        if not is_prime(self.p) or self.p == 2:
-            raise DegenerateModel(f"odd prime required, got {self.p}")
+        super().__post_init__()
         if self.p < 5:
             raise DegenerateModel(f"p={self.p} gives genus < 2")
 
     def genus(self):
         return (self.p - 1) // 2
 
-    def cyclic_order(self):
-        return self.p
-
-    def ramification(self):
-        # one place, at infinity, totally ramified
-        p = self.p
-        return (OrbitDatum(FiltrationProfile(p, (p, p, p)), 1),)
+    def places(self):
+        # the group fixes x; infinity is a pole of order 2
+        return ((1, 2),)
 
     @classmethod
     def of_genus(cls, p, g):
         if p == 2 * g + 1:
             yield cls(p)
 
-    def equation(self, fld):
-        _require_characteristic(self.p, fld)
-        # one place at infinity, totally ramified
-        return Equation(fld, *_additive_lhs(fld, 1, fld.p - 1),
-                        rhs=lambda x: fld.mul(x, x), extra=1)
+    def sides(self, fld):
+        return 1, fld.p - 1, lambda x: fld.mul(x, x)
 
     def point_map(self, eq):
         fld = eq.fld

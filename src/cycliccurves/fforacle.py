@@ -618,12 +618,15 @@ def verify_automorphism(model: CurveModel, fld: FiniteField) -> OrbitReport:
     eq = model.equation(fld)
     generator = model.point_map(eq)  # raises before any point is listed
     xs, ys, at_x, rank = _affine_point_arrays(eq)
+    if not len(xs):  # no permutation order to read
+        raise PreconditionViolated(
+            f"F_{fld.q} has no affine point to check the order on")
     image_xs, image_ys = (_int64(a) for a in generator((xs, ys)))
     # an encoding outside [0, q) is off the curve; clipped, it still
     # indexes the tables.  The image of point i is point index[i].
     q, n = fld.q, len(xs)
     cx, cy = image_xs.clip(0, q - 1), image_ys.clip(0, q - 1)
-    index = (at_x[cx] + rank[cy]).clip(max=max(n - 1, 0))
+    index = (at_x[cx] + rank[cy]).clip(max=n - 1)
     keys = xs * q + ys
     off_curve = np.flatnonzero((keys[index] != cx * q + cy)
                                | (cx != image_xs) | (cy != image_ys))

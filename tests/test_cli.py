@@ -348,6 +348,21 @@ def test_verify_missing_root_of_unity_is_usage_error(capsys):
     assert "no element of order 3" in err
 
 
+def test_verify_field_without_affine_points_is_usage_error(capsys):
+    # asrational:3,1,1,2 has its two rational places over x = 0 and
+    # infinity only, so F_3 leaves no order to check: the field is
+    # refused, not the generator, whose order 6 shows over F_9
+    code, out, err = run(capsys, "verify", "--model", "asrational:3,1,1,2",
+                         "--q", "3")
+    assert (code, out) == (2, "")
+    assert "F_3 has no affine point to check the order on" in err
+    code, out, _ = run(capsys, "verify", "--model", "asrational:3,1,1,2",
+                       "--q", "9")
+    assert code == 0
+    by_check = {r["check"]: r for r in json_lines(out)}
+    assert by_check["automorphism"]["order"] == 6
+
+
 def test_verify_extension_field_parameter(capsys):
     # lambda = 3 + x in F_49, written as a dotted coefficient string
     code, out, _ = run(capsys, "verify", "--model", "hyper:2,3.1", "--q", "49")

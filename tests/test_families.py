@@ -182,7 +182,15 @@ def test_hyperelliptic_genus_is_parameter_free(half_g, lam):
 # --- place in the classification --------------------------------------------
 
 CHARACTERISTICS = [0] + [p for p in range(3, 32) if is_prime(p)]
-WILD_PRIMES = [p for p in CHARACTERISTICS if p >= 5]
+WILD_PRIMES = CHARACTERISTICS[1:]
+
+
+def _accepted(family, *params):
+    """[the model], or [] where the constructor rejects the parameters."""
+    try:
+        return [family(*params)]
+    except DegenerateModel:
+        return []
 
 
 def _sweep_models():
@@ -194,12 +202,24 @@ def _sweep_models():
                 yield Kummer(pair)
     for g in range(2, 41, 2):
         yield Hyperelliptic(g, "lambda")
-    for p in WILD_PRIMES:
-        for m in range(2, 13):
-            if m % p:
-                yield ASPower(p, m, "a", "b")
-        yield ASRational(p, "a", "b", "c")
-        yield Homma(p)
+    for p in WILD_PRIMES:  # Homma(3) has genus 1 and is refused
+        for m in range(2, 41):
+            yield from _accepted(ASPower, p, m, "a", "b")
+        yield from _accepted(ASRational, p, "a", "b", "c")
+        yield from _accepted(Homma, p)
+
+
+def _stated_orbits(model):
+    """N and the (orders, orbit size) of every short orbit, as each wild
+    family stated them by hand before one rule derived them from the
+    poles of f."""
+    p = model.p
+    if isinstance(model, ASPower):
+        m = model.m
+        return p * m, (((p * m,) + (p,) * m, 1), ((m,), p))
+    if isinstance(model, ASRational):
+        return 2 * p, (((p, p), 2), ((2,), p), ((2,), p))
+    return p, (((p, p, p), 1),)
 
 
 def test_ramification_gives_the_genus():
@@ -208,20 +228,24 @@ def test_ramification_gives_the_genus():
         seen.add(type(model))
         n, ram = model.cyclic_order(), model.ramification()
         if model.wild:
-            assert n % model.p == 0
+            p = model.p
+            assert n % p == 0
             assert rh_genus_wild(n, 0, ram) == model.genus(), model
+            assert (n, tuple((o.filtration.orders, o.orbit_size)
+                             for o in ram)) == _stated_orbits(model), model
+            # Stichtenoth, Prop. 3.7.8: each pole of f of order m, prime
+            # to p, adds m + 1; an orbit of stabiliser e*p holds N/(e*p)
+            poles = [m for e, m in model.places() if m
+                     for _ in range(n // (e * p))]
+            assert all(m % p for m in poles), model
+            assert (p - 1) * (sum(m + 1 for m in poles) - 2) == (
+                2 * model.genus()), model
         else:
             assert isinstance(ram, Signature) and lcm(*ram.indices) == n
             assert rh_genus_tame(n, ram.g0, ram) == model.genus(), model
     assert seen == set(FAMILIES)
-
-
-def _accepted(family, *params):
-    """[the model], or [] where the constructor rejects the parameters."""
-    try:
-        return [family(*params)]
-    except DegenerateModel:
-        return []
+    assert {(type(m), m.p) for m in _sweep_models() if m.wild} >= {
+        (ASPower, 3), (ASRational, 3)}
 
 
 def _accepted_models(p):

@@ -895,11 +895,14 @@ def test_orbit_walk_on_single_cycles():
 
 
 def test_orbit_walk_on_fixed_points_and_no_points():
-    for n in (0, 1, 2, 17):
+    for n in (1, 2, 17):
         check_walk(list(range(n)))
-    report = verify_automorphism(PointList(()), field(5, 1))
-    assert (report.point_count, report.order) == (0, 1)
-    assert report.orbit_sizes == report.fixed_points == ()
+    # no point leaves no permutation order to compare with the claim, even
+    # a claim of 1: the field is refused, not the generator
+    for fld in (field(3, 1), field(5, 1)):
+        with pytest.raises(PreconditionViolated,
+                           match=f"F_{fld.q} has no affine point"):
+            verify_automorphism(PointList(()), fld)
 
 
 def family_models(p):
@@ -924,7 +927,7 @@ def family_models(p):
 def check_against_reference(model, fld):
     """Compare verify_automorphism (and the point listing) with a plain
     listing and cycle walk: "report" or "mismatch" for the outcome they
-    agree on, None where the field refuses the model."""
+    agree on, None where the field refuses the model or has no point."""
     try:
         eq = model.equation(fld)
         generator = model.point_map(eq)
@@ -938,6 +941,10 @@ def check_against_reference(model, fld):
               for y in ys_of.get(v, [])]
     xs, ys, _, _ = _affine_point_arrays(eq)
     assert list(zip(xs.tolist(), ys.tolist())) == points
+    if not points:
+        with pytest.raises(PreconditionViolated, match="no affine point"):
+            verify_automorphism(model, fld)
+        return None
     image_xs, image_ys = generator(
         (np.array([x for x, _ in points], dtype=np.int64),
          np.array([y for _, y in points], dtype=np.int64)))
