@@ -23,9 +23,10 @@ read the pairs' gcds from a table per order and check primitivity and
 the genus once per gcd triple (`_kummer_entries`).  `verify_sasaki_bound`
 stays exhaustive, one order at a time as int16 arrays; with it,
 `primitive_pairs` and `kummer_genus` are the independent check of both.
-Orders stop at 2897, where the pairs of one order would pass
-`TABLE_LIMIT`.  Everything here is pure and deterministic: entries come
-out ordered by N, family and spec values.
+Orders stop at 2897: it bounds the pairs that `primitive_pairs` and
+`verify_sasaki_bound` walk by `TABLE_LIMIT`, and classify's gcd tables
+by N entries an order, 256 orders kept.  All here is pure and
+deterministic: entries come out ordered by N, family and spec values.
 
 `enumerate_signatures(n, g)` lists every tame ramification type
 (g0; e_1..e_k) that a degree-n cyclic cover of genus g can have,
@@ -40,7 +41,7 @@ exception) are asserted by the test suite, not imposed here.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, isqrt, lcm
@@ -76,8 +77,8 @@ class BadOrder(ValueError):
 
 
 class OrderTooLarge(ValueError):
-    """An order is beyond the supported range: more exponent pairs than
-    `TABLE_LIMIT`, or a signature order above `N_CAP`."""
+    """An order is beyond the supported range: above `_MAX_ORDER`, or a
+    signature order above `N_CAP`."""
 
 
 class TooManyIndices(ValueError):
@@ -97,23 +98,21 @@ _MAX_ORDER = (isqrt(8 * TABLE_LIMIT + 1) + 3) // 2
 def _check_order(n, context=""):
     if n > _MAX_ORDER:
         raise OrderTooLarge(
-            f"{context}order {n} has {(n - 1) * (n - 2) // 2} exponent "
-            f"pairs, above the {TABLE_LIMIT} of a pair table; orders up "
-            f"to {_MAX_ORDER} are supported")
+            f"{context}order {n} is past the cap that bounds a pair walk by "
+            f"{TABLE_LIMIT} pairs and classify's gcd tables by {_MAX_ORDER} "
+            f"entries an order; orders up to {_MAX_ORDER} are supported")
 
 
 @dataclass(frozen=True, slots=True)
 class ClassificationEntry:
     """One family in the classification, built from its model alone.
 
-    It keeps N and the branch; `genus`, `wild`, `signature` (a tame
-    model's ramification type, else None) and `orbits` (a wild model's
-    filtration data of every short orbit, else None) are the model's.
+    It keeps only the model: `n`, `branch`, `genus`, `wild`, `signature`
+    (a tame model's ramification type, else None) and `orbits` (a wild
+    model's filtration data of every short orbit, else None) are its.
     Construction checks N >= 2g + 1 and the genus by Riemann-Hurwitz.
     """
 
-    n: int = field(init=False)
-    branch: str = field(init=False)
     model: CurveModel
 
     def __post_init__(self):
@@ -126,9 +125,9 @@ class ClassificationEntry:
         if rh != g:
             raise ValueError(
                 f"ramification data of {model} gives genus {rh}, not {g}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "branch", model.branch)
 
+    n = property(lambda e: e.model.cyclic_order())
+    branch = property(lambda e: e.model.branch)
     genus = property(lambda e: e.model.genus())
     wild = property(lambda e: e.model.wild)
     signature = property(lambda e: None if e.wild else e.model.ramification())
@@ -259,10 +258,10 @@ def _genus_pairs(n, g):
 # Each slot descriptor's `__set__` writes its slot of a frozen instance
 # without the class's `__setattr__`; `__slots__` lists the fields in order.
 (_set_pair_n, _set_pair_r, _set_pair_s, _set_pair_genus, _set_pair_signature,
- _set_kummer_pair, _set_entry_n, _set_entry_branch,
- _set_entry_model) = (getattr(cls, name).__set__
-                      for cls in (PrimitivePair, Kummer, ClassificationEntry)
-                      for name in cls.__slots__)
+ _set_kummer_pair, _set_entry_model) = (
+    getattr(cls, name).__set__
+    for cls in (PrimitivePair, Kummer, ClassificationEntry)
+    for name in cls.__slots__)
 
 
 def _kummer_entries(n, g, pairs):
@@ -272,7 +271,7 @@ def _kummer_entries(n, g, pairs):
     No constructor runs, and the pairs of a signature share a `Signature`."""
     if g < 2 or n < 2 * g + 1:
         raise ValueError(f"no Kummer entry of genus {g} at order {n}")
-    new, branch, gcds = object.__new__, Kummer.branch, _order_gcds(n)
+    new, gcds = object.__new__, _order_gcds(n)
     types, signatures, out = {}, {}, []
     for r, s in pairs:
         if r < 1 or s < 1 or r + s >= n:
@@ -294,8 +293,6 @@ def _kummer_entries(n, g, pairs):
         model = new(Kummer)
         _set_kummer_pair(model, pair)
         entry = new(ClassificationEntry)
-        _set_entry_n(entry, n)
-        _set_entry_branch(entry, branch)
         _set_entry_model(entry, model)
         out.append(entry)
     return out
@@ -440,9 +437,10 @@ def classify(p: int, g: int, *, raw_pairs: bool = False,
     orders = range(2 * g + 1, (4 * g + 4 if p else 4 * g + 2) + 1)
     if n is not None:
         orders = [n] if n in orders else []
-    # the other families' entries, at most one each, follow Kummer's at N
-    others = [ClassificationEntry(model) for family in FAMILIES[1:]
-              for model in family.of_genus(p, g)]
+    others = {}  # the other families' entries, at most one each, by N
+    for entry in [ClassificationEntry(model) for family in FAMILIES[1:]
+                  for model in family.of_genus(p, g)]:
+        others.setdefault(entry.n, []).append(entry)
     entries = []
     for big_n in orders:
         if not p or big_n % p:
@@ -450,7 +448,7 @@ def classify(p: int, g: int, *, raw_pairs: bool = False,
                 entries += _kummer_entries(big_n, g, _genus_pairs(big_n, g))
             else:
                 entries += _canonical_genus_entries(big_n, g)
-        entries += [entry for entry in others if entry.n == big_n]
+        entries += others.get(big_n, ())  # after Kummer's at N
     return entries
 
 

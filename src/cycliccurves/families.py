@@ -139,11 +139,6 @@ def _is_zero_residue(value, p):
     return isinstance(value, int) and value < p and value % p == 0
 
 
-def _require_characteristic(p, fld):
-    _require(fld.p == p,
-             f"curve lives in characteristic {p}, field has {fld.p}")
-
-
 # The two left sides, each with its fibre rule: the number of y in the
 # field with lhs(y) = v, in closed form.
 
@@ -258,9 +253,9 @@ class CurveModel:
         return self.of(*values[:k], *(fld.lift_from(_bind(v, src), src)
                                       for v in values[k:]))
 
-    def point_map(self, eq: Equation) -> Callable:
-        """The generator, of order `cyclic_order()`, on affine points of
-        `eq`; PreconditionViolated if `eq.fld` lacks its root of unity."""
+    def point_map(self, fld) -> Callable:
+        """The generator, of order `cyclic_order()`, on affine points over
+        `fld`; PreconditionViolated if `fld` lacks its root of unity."""
         raise NotImplementedError
 
 
@@ -298,6 +293,8 @@ class Kummer(CurveModel):
 
     def equation(self, fld):
         n, r, s = self.pair.n, self.pair.r, self.pair.s
+        _require(n % fld.p, f"p={fld.p} divides n={n}; y^n = x^r(1-x)^s is "
+                 "purely inseparable over the x-line here")
         # Over x = 0, 1 and infinity the rational places correspond to
         # the roots in F_q of z^d = u, where d is gcd(n, ord) and u is
         # the value of the local unit part: 1 over x = 0 and (-1)^s over
@@ -311,8 +308,7 @@ class Kummer(CurveModel):
             rhs=lambda x: fld.mul(fld.pow(x, r), fld.pow(fld.sub(1, x), s)),
             extra=extra)
 
-    def point_map(self, eq):
-        fld = eq.fld
+    def point_map(self, fld):
         zeta = fld.element_of_order(self.pair.n)
         return lambda pt: (pt[0], fld.mul(zeta, pt[1]))
 
@@ -368,8 +364,7 @@ class Hyperelliptic(CurveModel):
         # at infinity
         return Equation(fld, *_power_lhs(fld, 2), rhs=rhs, extra=2)
 
-    def point_map(self, eq):
-        fld = eq.fld
+    def point_map(self, fld):
         zeta = fld.element_of_order(self.g + 1)
         return lambda pt: (fld.mul(zeta, pt[0]), fld.neg(pt[1]))
 
@@ -399,7 +394,8 @@ class ArtinSchreier(CurveModel):
         return tuple([OrbitDatum(f, n // f.o0) for f in profiles])
 
     def equation(self, fld):
-        _require_characteristic(self.p, fld)
+        _require(fld.p == self.p,
+                 f"curve lives in characteristic {self.p}, field has {fld.p}")
         b, c, f = self.sides(fld)
         # one rational place over each pole, N/(e*p) poles on an orbit
         t = self.cyclic_order() // self.p
@@ -452,8 +448,7 @@ class ASPower(ArtinSchreier):
         a, b, m = _bind(self.a, fld), _bind(self.b, fld), self.m
         return 1, fld.p - 1, lambda x: fld.mul(a, fld.sub(fld.pow(x, m), b))
 
-    def point_map(self, eq):
-        fld = eq.fld
+    def point_map(self, fld):
         zeta = fld.element_of_order(self.m)
         return lambda pt: (fld.mul(zeta, pt[0]), fld.add(pt[1], 1))
 
@@ -495,8 +490,7 @@ class ASRational(ArtinSchreier):
         a, b, c = (_bind(v, fld) for v in (self.a, self.b, self.c))
         return b, c, lambda x: fld.add(fld.mul(a, x), fld.inv(x))
 
-    def point_map(self, eq):
-        fld = eq.fld
+    def point_map(self, fld):
         a, b, c = (_bind(v, fld) for v in (self.a, self.b, self.c))
         # lhs is additive, so y -> y + gamma preserves it when
         # lhs(gamma) = 0; gamma is the least nonzero such y
@@ -538,8 +532,7 @@ class Homma(ArtinSchreier):
     def sides(self, fld):
         return 1, fld.p - 1, lambda x: fld.mul(x, x)
 
-    def point_map(self, eq):
-        fld = eq.fld
+    def point_map(self, fld):
         return lambda pt: (pt[0], fld.add(pt[1], 1))
 
 

@@ -616,7 +616,7 @@ def verify_automorphism(model: CurveModel, fld: FiniteField) -> OrbitReport:
     is refused, and the cycles are found by pointer doubling on the
     image indices, with no loop over points."""
     eq = model.equation(fld)
-    generator = model.point_map(eq)  # raises before any point is listed
+    generator = model.point_map(fld)  # raises before any point is listed
     xs, ys, at_x, rank = _affine_point_arrays(eq)
     if not len(xs):  # no permutation order to read
         raise PreconditionViolated(

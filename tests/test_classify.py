@@ -341,7 +341,7 @@ def test_entry_fields_are_the_models():
                     ram = e.model.ramification()
                     assert (e.signature, e.orbits) == (
                         (None, ram) if e.wild else (ram, None))
-    assert ClassificationEntry.__slots__ == ("n", "branch", "model")
+    assert ClassificationEntry.__slots__ == ("model",)
 
 
 def test_entry_validation_rejects_inconsistencies():

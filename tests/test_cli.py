@@ -236,6 +236,13 @@ def test_verify_precondition_failure_is_usage_error(capsys, monkeypatch):
     assert "no element of order 5" in err
 
 
+def test_verify_refuses_a_kummer_order_divisible_by_p(capsys):
+    code, out, err = run(capsys, "verify", "--model", "kummer:5,1,1",
+                         "--q", "5")
+    assert (code, out) == (2, "")
+    assert "p=5 divides n=5; y^n = x^r(1-x)^s is purely inseparable" in err
+
+
 def test_failed_zeta_fit_names_the_count(capsys, monkeypatch):
     # one count over F_125 broken by 2: genus 2 predicts it, and the
     # record names it; the other records are unchanged

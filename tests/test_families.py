@@ -285,7 +285,7 @@ def test_point_map_roots_of_unity():
     # the generator scales y (Kummer) or x by a root of unity of order
     # n, g + 1 and m; the other two families need none
     def image_of_one_one(model, p):
-        return model.point_map(model.equation(field(p, 1)))((1, 1))
+        return model.point_map(field(p, 1))((1, 1))
 
     def order(z, p):
         return next(k for k in range(1, p) if pow(int(z), k, p) == 1)

@@ -556,6 +556,21 @@ def test_counting_preconditions():
         count_places(Hyperelliptic(6, 3), field(7, 1))  # p divides g + 1
 
 
+def test_kummer_refuses_a_characteristic_dividing_n():
+    # where p divides n, y^n = x^r(1-x)^s is purely inseparable over the
+    # x-line, not the Kummer curve: F_5 once counted 6 places on
+    # kummer:5,1,1 and fitted genus 0 to its tower, against genus 2
+    for model, p in ((Kummer.of(5, 1, 1), 5), (Kummer.of(6, 1, 1), 3)):
+        for k in (1, 2):
+            fld = field(p, k)
+            for check in (lambda: count_places(model, fld),
+                          lambda: count_series(model, fld, 4),
+                          lambda: verify_automorphism(model, fld)):
+                with pytest.raises(PreconditionViolated,
+                                   match=f"^p={p} divides n={model.pair.n};"):
+                    check()
+
+
 def test_count_series_and_caps():
     series = count_series(Homma(5), field(5, 1), 4)
     assert series.counts == (6, 6, 126, 526)
@@ -743,6 +758,26 @@ def test_order_mismatch_detected():
         verify_automorphism(ASPower(5, 2, 1, 0), field(5, 1))
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_homma_is_the_square_of_aspower(p):
+    # y^p - y = x^2 is the curve of ASPower(p, 2, 1, 0) and of Homma(p):
+    # the same places and affine points, and Homma's generator
+    # (x, y + 1) is sigma^(p + 1) for ASPower's sigma(x, y) = (-x, y + 1)
+    aspower, homma = ASPower(p, 2, 1, 0), Homma(p)
+    for k in (1, 2):
+        fld = field(p, k)
+        assert count_places(aspower, fld) == count_places(homma, fld)
+        xs, ys, _, _ = _affine_point_arrays(homma.equation(fld))
+        assert all(np.array_equal(a, b) for a, b in zip(
+            _affine_point_arrays(aspower.equation(fld))[:2], (xs, ys)))
+        assert len(xs) >= p
+        sigma, image = aspower.point_map(fld), (xs, ys)
+        for _ in range(p + 1):
+            image = sigma(image)
+        want = homma.point_map(fld)((xs, ys))
+        assert all(np.array_equal(a, b) for a, b in zip(image, want))
+
+
 def test_aspower_order_realized_in_larger_field():
     report = verify_automorphism(ASPower(5, 2, 1, 0), field(5, 3))
     assert report.order == 10
@@ -751,9 +786,9 @@ def test_aspower_order_realized_in_larger_field():
 class CubeRootKummer(Kummer):
     """y^5 = x(1-x) with y scaled by a cube root of unity instead."""
 
-    def point_map(self, eq):
-        zeta = eq.fld.element_of_order(3)
-        return lambda pt: (pt[0], eq.fld.mul(zeta, pt[1]))
+    def point_map(self, fld):
+        zeta = fld.element_of_order(3)
+        return lambda pt: (pt[0], fld.mul(zeta, pt[1]))
 
 
 def test_not_an_automorphism_detected():
@@ -847,7 +882,7 @@ class PointList(CurveModel):
         return Equation(fld, lambda y: y, None, lambda x: 0 * x, extra=0,
                         missing_x=tuple(range(len(self.images), fld.q)))
 
-    def point_map(self, eq):
+    def point_map(self, fld):
         xs, ys = np.array(self.images, dtype=np.int64).reshape(-1, 2).T
         return lambda pt: (xs[pt[0]], ys[pt[0]])
 
@@ -930,7 +965,7 @@ def check_against_reference(model, fld):
     agree on, None where the field refuses the model or has no point."""
     try:
         eq = model.equation(fld)
-        generator = model.point_map(eq)
+        generator = model.point_map(fld)
     except PreconditionViolated:
         return None
     ys_of = {}
@@ -985,8 +1020,8 @@ def test_point_lookup_past_int32_keys():
 def moving_every_point_to(family, x):
     """`family` with a generator that sends every point to (x, y)."""
     return type(f"{family.__name__}To{x}", (family,),
-                {"point_map": lambda self, eq: lambda pt: (0 * pt[0] + x,
-                                                           pt[1])})
+                {"point_map": lambda self, fld: lambda pt: (0 * pt[0] + x,
+                                                            pt[1])})
 
 
 def test_a_generator_that_hits_a_point_twice_is_refused():

@@ -9,6 +9,9 @@ file again, run `PYTHONPATH=src python tests/test_golden_cli.py`.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,6 +73,24 @@ def test_golden_set_matches_invocations(golden):
                          ids=lambda i: " ".join(INVOCATIONS[i]))
 def test_cli_output_is_byte_identical(golden, index):
     assert run(INVOCATIONS[index]) == golden[index]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--p", "0", "--genus", "2"],
+    ["verify", "--model", "kummer:5,1,1", "--q", "7"],  # exit 2
+], ids=" ".join)
+def test_module_entry_point_matches_golden(golden, argv):
+    # `python -m cycliccurves.cli` runs main() under the __main__ guard,
+    # whose return value must become the process's exit code
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "cycliccurves.cli", *argv],
+        capture_output=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=60)
+    want = golden[INVOCATIONS.index(argv)]
+    assert (done.returncode, done.stdout) == (
+        want["code"], want["stdout"].encode())
 
 
 if __name__ == "__main__":
