@@ -7,14 +7,16 @@ cyclic generator acts with its full order.  Every check is exact.
 
 Example:
     python3 scripts/zeta_crosscheck.py
-    python3 scripts/zeta_crosscheck.py --model kummer:5,1,2 --q 11
+
+One model over one field is checked by the CLI instead:
+    cycliccurves verify --model kummer:5,1,2 --q 11 --zeta-depth 4
 """
 
 import argparse
 import sys
 import time
 
-from cycliccurves.cli import model_to_spec, parse_model_spec, _parse_prime_power
+from cycliccurves.cli import model_to_spec
 from cycliccurves.families import (
     ASPower, ASRational, Homma, Hyperelliptic, Kummer,
 )
@@ -63,20 +65,7 @@ def check(model, count_field, orbit_field):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--model", help="check a single model spec instead")
-    ap.add_argument("--q", type=int, help="base field for --model")
-    args = ap.parse_args()
-
-    if args.model:
-        if not args.q:
-            ap.error("--model requires --q")
-        p, k = _parse_prime_power(args.q)
-        model = parse_model_spec(args.model, p)
-        fld = field(p, k)
-        ok = check(model, fld, fld)
-        return 0 if ok else 1
-
+    argparse.ArgumentParser(description=__doc__).parse_args()
     ok = True
     for model, (p, k), (po, ko) in BATTERY:
         ok &= check(model, field(p, k), field(po, ko))

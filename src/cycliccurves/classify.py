@@ -266,24 +266,22 @@ def _genus_pairs(n, g):
 
 def _kummer_entries(n, g, pairs):
     """`ClassificationEntry(Kummer.of(n, r, s))` for each pair (r, s) of
-    genus g, with the range checked per pair, primitivity per gcd triple
-    (from the order's table) and the genus per signature, by Riemann-Hurwitz.
-    No constructor runs, and the pairs of a signature share a `Signature`."""
+    genus g, with the range checked per pair, and primitivity and the genus
+    (by Riemann-Hurwitz) on one `PrimitivePair` per gcd triple of the
+    order's table; its interned `Signature` serves every pair of a type."""
     if g < 2 or n < 2 * g + 1:
         raise ValueError(f"no Kummer entry of genus {g} at order {n}")
     new, gcds = object.__new__, _order_gcds(n)
-    types, signatures, out = {}, {}, []
+    types, out = {}, []
     for r, s in pairs:
         if r < 1 or s < 1 or r + s >= n:
             primitive_gcds(n, r, s)  # raises NotPrimitive
         signature = types.get(abc := (gcds[r], gcds[s], gcds[r + s]))
         if signature is None:
-            a, b, c = primitive_gcds(n, r, s)
-            sig = Signature(0, (n // a, n // b, n // c))
-            signature = types[abc] = signatures.setdefault(sig, sig)
-            if signature is sig and (rh := rh_genus_tame(n, 0, sig)) != g:
-                raise ValueError(f"ramification data {sig} of ({r}, {s}) "
-                                 f"mod {n} gives genus {rh}, not {g}")
+            signature = types[abc] = PrimitivePair(n, r, s).signature
+            if (rh := rh_genus_tame(n, 0, signature)) != g:
+                raise ValueError(f"ramification data {signature} of ({r}, "
+                                 f"{s}) mod {n} gives genus {rh}, not {g}")
         pair = new(PrimitivePair)
         _set_pair_n(pair, n)
         _set_pair_r(pair, r)

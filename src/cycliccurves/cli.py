@@ -216,48 +216,34 @@ def _cmd_verify(args):
     if args.zeta_depth:  # a bad tower is refused before any field is built
         fforacle.check_tower(args.q, args.zeta_depth, g)
     fld = fforacle.field(p, k)
-    ok = True
-    records = []
 
     # the generator first: a missing root of unity fails before the count
     try:
         report = fforacle.verify_automorphism(model, fld)
-        fixed_ok = report.fixed_points == model.affine_fixed
-        ok &= fixed_ok
-        records.append(_record("verify", {
-            "check": "automorphism", "model": args.model, "q": args.q,
+        automorphism = {
             "order": report.order, "expected_order": model.cyclic_order(),
             "affine_points": report.point_count,
             "fixed_points": [list(pt) for pt in report.fixed_points],
-            "ok": fixed_ok}))
+            "ok": report.fixed_points == model.affine_fixed}
     except (fforacle.NotAnAutomorphism, fforacle.OrderMismatch) as exc:
-        ok = False
-        records.append(_record("verify", {
-            "check": "automorphism", "model": args.model, "q": args.q,
-            "error": str(exc), "ok": False}))
-
+        automorphism = {"error": str(exc), "ok": False}
     count = fforacle.count_places(model, fld)
-    hw_ok = fforacle.within_hasse_weil(count, args.q, g)
-    ok &= hw_ok
-    records.insert(0, _record("verify", {
-        "check": "places", "model": args.model, "q": args.q,
-        "count": count, "genus_formula": g, "ok": hw_ok}))
-
+    checks = {"places": {"count": count, "genus_formula": g,
+                         "ok": fforacle.within_hasse_weil(count, args.q, g)},
+              "automorphism": automorphism}
     if args.zeta_depth:
         series = fforacle.count_series(model, fld, args.zeta_depth)
         inferred, reason = fforacle.zeta_fit(series, g_max=g)
-        zeta_ok = inferred == g
-        ok &= zeta_ok
-        records.append(_record("verify", {
-            "check": "zeta", "model": args.model, "q": args.q,
+        checks["zeta"] = {
             "counts": list(series.counts),
             "inferred_genus": -1 if inferred is None else inferred,
-            "genus_formula": g, "ok": zeta_ok,
-            **({"reason": reason} if reason else {})}))
-
-    records.append(_record("verify", {
-        "check": "summary", "model": args.model, "q": args.q, "ok": ok}))
-    _emit(records, "json")
+            "genus_formula": g, "ok": inferred == g,
+            **({"reason": reason} if reason else {})}
+    ok = all(fields["ok"] for fields in checks.values())
+    checks["summary"] = {"ok": ok}
+    _emit((_record("verify", {"check": name, "model": args.model,
+                              "q": args.q, **fields})
+           for name, fields in checks.items()), "json")
     return 0 if ok else 1
 
 

@@ -60,7 +60,7 @@ class PreconditionViolated(ValueError):
     """A model/field precondition fails (divisibility, zero parameter...)."""
 
 
-# (0; indices): pairs share these, immutable and dearer to build than a pair
+# (0; sorted indices): immutable, shared by pairs, dearer to build than one
 _triangle_signature = lru_cache(maxsize=1024)(partial(Signature, 0))
 
 
@@ -86,8 +86,8 @@ class PrimitivePair:
         total = n + 2 - a - b - c
         assert total % 2 == 0, (n, self.r, self.s)
         object.__setattr__(self, "genus", total // 2)
-        object.__setattr__(self, "signature",
-                           _triangle_signature((n // a, n // b, n // c)))
+        object.__setattr__(self, "signature", _triangle_signature(
+            tuple(sorted((n // a, n // b, n // c)))))
 
 
 def primitive_gcds(n: int, r: int, s: int) -> tuple[int, int, int]:

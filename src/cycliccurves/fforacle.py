@@ -179,7 +179,7 @@ class FiniteField:
     logarithms", IEEE Trans. Inf. Theory 36, 1990).  A zero log makes
     every index sum pass n, and `_wrap` clips it to the zero slot; a
     zero summand puts |log a - log b| past n, clipped to Z = 0, so the
-    sum is the other one.  `_exp` and `_zech` are the first n entries.
+    sum is the other one.  `_exp` is the first n entries of `_expz`.
     The tables are built from C, the matrix of x mod the modulus, stored
     once: the matrix of multiplication by c has the rows digits(c) C^i.
 
@@ -252,7 +252,7 @@ class FiniteField:
         if log[1] != 0 or (log[1:] == LOG_ZERO).any():
             raise RuntimeError("discrete log table construction failed")
         self._expz, self._log, self._exp = exp, log, exp[:n]
-        self._zechz = self._zech = None
+        self._zechz = None
         if k >= 2:
             # 1 + g^i changes only the lowest digit, which wraps from
             # p - 1 to 0; log[0] = LOG_ZERO marks the i where 1 + g^i = 0,
@@ -260,7 +260,6 @@ class FiniteField:
             one_plus = exp + 1
             one_plus[exp % p == p - 1] -= p
             self._zechz = log[one_plus]
-            self._zech = self._zechz[:n]
 
     def _extension_exp(self, g, exp):
         """Fill exp with g^0, ..., g^(q-2) for k >= 2, in runs: each run
@@ -657,8 +656,6 @@ def verify_automorphism(model: CurveModel, fld: FiniteField) -> OrbitReport:
     if order != claimed:
         raise OrderMismatch(
             f"permutation has order {order}, cyclic_order is {claimed}")
-    assert sum(s * m for s, m in zip(sizes, mult)) == n
-    assert all(order % size == 0 for size in sizes)
     fixed = np.flatnonzero(index == np.arange(n))  # in point order: sorted
     return OrbitReport(
         q=q, point_count=n, order=order,

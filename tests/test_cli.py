@@ -268,6 +268,42 @@ def test_failed_zeta_fit_names_the_count(capsys, monkeypatch):
     assert code == 0 and "reason" not in json_lines(out)[2]
 
 
+def test_count_out_of_bounds_fails_the_places_record(capsys, monkeypatch):
+    # genus 2 over F_5 allows 6 +- 8.9 places, so 15 is out of bounds;
+    # the generator's record still passes
+    monkeypatch.setattr("cycliccurves.fforacle.count_places",
+                        lambda model, fld: 15)
+    code, out, _ = run(capsys, "verify", "--model", "homma:5", "--q", "5")
+    assert code == 1
+    assert out == (
+        '{"check":"places","command":"verify","count":15,"genus_formula":2,'
+        '"model":"homma:5","ok":false,"q":5,"schema_version":"1"}\n'
+        '{"affine_points":5,"check":"automorphism","command":"verify",'
+        '"expected_order":5,"fixed_points":[],"model":"homma:5","ok":true,'
+        '"order":5,"q":5,"schema_version":"1"}\n'
+        '{"check":"summary","command":"verify","model":"homma:5","ok":false,'
+        '"q":5,"schema_version":"1"}\n')
+
+
+def test_unexpected_fixed_points_fail_the_automorphism_record(
+        capsys, monkeypatch):
+    # the generator fixes (0, 0) and (1, 0); a model that claims no
+    # fixed point fails on them, with the order still right
+    monkeypatch.setattr(Kummer, "affine_fixed", ())
+    code, out, _ = run(capsys, "verify", "--model", "kummer:5,1,1",
+                       "--q", "11")
+    assert code == 1
+    assert out == (
+        '{"check":"places","command":"verify","count":13,"genus_formula":2,'
+        '"model":"kummer:5,1,1","ok":true,"q":11,"schema_version":"1"}\n'
+        '{"affine_points":12,"check":"automorphism","command":"verify",'
+        '"expected_order":5,"fixed_points":[[0,0],[1,0]],'
+        '"model":"kummer:5,1,1","ok":false,"order":5,"q":11,'
+        '"schema_version":"1"}\n'
+        '{"check":"summary","command":"verify","model":"kummer:5,1,1",'
+        '"ok":false,"q":11,"schema_version":"1"}\n')
+
+
 def test_successive_calls_share_no_options(capsys):
     # one parser serves every call of the process; no option may carry
     # over from one call to the next
