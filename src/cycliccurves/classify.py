@@ -73,7 +73,7 @@ class BadGenus(ValueError):
 
 
 class BadOrder(ValueError):
-    """The requested group order is not an integer >= 3."""
+    """The requested group order is not an int, or too small."""
 
 
 class OrderTooLarge(ValueError):
@@ -88,6 +88,11 @@ class TooManyIndices(ValueError):
 
 class TooManyCandidates(ValueError):
     """A signature search would test, or count, past its budget."""
+
+
+def _is_int(value):
+    # a float or a bool would pass the range checks and then compute
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # Largest order whose exponent pairs, one for every (r, s) with
@@ -138,8 +143,8 @@ def primitive_pairs(n: int):
     """Yield every primitive pair (r, s) for exponent n, in
     lexicographic order.  One object at a time: the independent check of
     classify's pair search and verify_sasaki_bound's triangles."""
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    if not _is_int(n) or n < 3:
+        raise BadOrder(f"n must be an int >= 3, got {n!r}")
     _check_order(n)
     for r in range(1, n - 1):
         for s in range(1, n - r):
@@ -305,10 +310,10 @@ def _canonical_genus_entries(n, g):
 def enumerate_signatures(n: int, g: int) -> list[Signature]:
     """All tame ramification types of a degree-n cyclic cover with
     total-space genus g, sorted by (g0, indices)."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if g < 2:
-        raise BadGenus(f"genus must be >= 2, got {g}")
+    if not _is_int(n) or n < 2:
+        raise BadOrder(f"n must be an int >= 2, got {n!r}")
+    if not _is_int(g) or g < 2:
+        raise BadGenus(f"genus must be an int >= 2, got {g!r}")
     if n > N_CAP:
         raise OrderTooLarge(f"order {n} is above the cap of 2**32")
     # each index contributes at least n/2 to the largest target, at g0 = 0
@@ -420,15 +425,12 @@ def classify(p: int, g: int, *, raw_pairs: bool = False,
     every genus-matching primitive pair gets its own entry.  An
     optional n restricts the output to that group order.
     """
-    if p == 2:
-        raise UnsupportedCharacteristic("characteristic 2 unsupported")
-    if p and not is_prime(p):
+    if not _is_int(p) or p == 2 or p and not is_prime(p):
         raise UnsupportedCharacteristic(
-            f"characteristic must be 0 or an odd prime, got {p}")
-    if g < 2:
-        raise BadGenus(f"genus must be >= 2, got {g}")
-    if n is not None and (isinstance(n, bool) or not isinstance(n, int)
-                          or n < 3):
+            f"characteristic {p!r} unsupported: must be 0 or an odd prime")
+    if not _is_int(g) or g < 2:
+        raise BadGenus(f"genus must be an int >= 2, got {g!r}")
+    if n is not None and (not _is_int(n) or n < 3):
         raise BadOrder(f"group order must be None or an int >= 3, got {n!r}")
     ceiling = 4 * g + 4  # the Kummer search's largest order
     _check_order(ceiling, f"genus {g} reaches order {ceiling}; ")
@@ -462,8 +464,8 @@ class SasakiReport:
 
 def verify_sasaki_bound(n_max: int) -> SasakiReport:
     """Check N >= 2*genus + 1 over every primitive pair with N <= n_max."""
-    if n_max < 3:
-        raise ValueError(f"n_max must be >= 3, got {n_max}")
+    if not _is_int(n_max) or n_max < 3:
+        raise BadOrder(f"n_max must be an int >= 3, got {n_max!r}")
     _check_order(n_max)
     checked = tight = 0
     violations = []

@@ -35,7 +35,7 @@ from .classify import (
     primitive_pairs,
 )
 from .families import FAMILIES
-from .intmath import TABLE_LIMIT, prime_factors
+from .intmath import prime_factors
 
 SCHEMA_VERSION = "1"
 
@@ -84,9 +84,7 @@ def parse_model_spec(spec, p):
 def _parse_prime_power(q):
     if q < 3:
         raise ValueError(f"q must be an odd prime power >= 3, got {q}")
-    if q > TABLE_LIMIT:
-        # checked before factoring, which is trial division
-        raise fforacle.FieldTooLarge(f"q = {q} exceeds the field ceiling 2^22")
+    fforacle.check_ceiling(q, 1, f"q = {q}")  # before trial division
     p, *others = prime_factors(q)  # distinct
     if others:
         raise ValueError(f"q={q} is not a prime power")
@@ -232,13 +230,17 @@ def _cmd_verify(args):
                          "ok": fforacle.within_hasse_weil(count, args.q, g)},
               "automorphism": automorphism}
     if args.zeta_depth:
-        series = fforacle.count_series(model, fld, args.zeta_depth)
-        inferred, reason = fforacle.zeta_fit(series, g_max=g)
-        checks["zeta"] = {
-            "counts": list(series.counts),
-            "inferred_genus": -1 if inferred is None else inferred,
-            "genus_formula": g, "ok": inferred == g,
-            **({"reason": reason} if reason else {})}
+        try:
+            series = fforacle.count_series(model, fld, args.zeta_depth)
+        except fforacle.HasseWeilViolation as exc:  # names the count
+            checks["zeta"] = {"error": str(exc), "ok": False}
+        else:
+            inferred, reason = fforacle.zeta_fit(series, g_max=g)
+            checks["zeta"] = {
+                "counts": list(series.counts),
+                "inferred_genus": -1 if inferred is None else inferred,
+                "genus_formula": g, "ok": inferred == g,
+                **({"reason": reason} if reason else {})}
     ok = all(fields["ok"] for fields in checks.values())
     checks["summary"] = {"ok": ok}
     _emit((_record("verify", {"check": name, "model": args.model,

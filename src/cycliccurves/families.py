@@ -22,8 +22,9 @@ Classification, counting, automorphism checks (`fforacle`) and spec
 parsing (`cli`) are generic over these, so adding a family means adding
 one class to `FAMILIES`.  The wild ones, b*y^p + c*y = f(x), share the
 base `ArtinSchreier`: each lists its short or polar x-orbits (`places`),
-from which one rule (Stichtenoth, Prop. 3.7.8) derives N, the filtration
-data and the rational places over the poles of f.
+from which one rule (Stichtenoth, Prop. 3.7.8) derives N, the genus, the
+filtration data and the rational places over the poles of f; the base
+alone refuses a genus below 2.
 
 Models are field-agnostic value objects: parameters are either plain
 integers (residues below p, base-p encodings of field elements in
@@ -372,7 +373,8 @@ class Hyperelliptic(CurveModel):
 class ArtinSchreier(CurveModel):
     """b*y^p + c*y = f(x), p an odd prime; `sides` reads b, c and f in a
     field.  `places()` gives (e, m) per short or polar x-orbit: the order
-    of its tame stabiliser, and that of each pole of f on it (0: none)."""
+    of its tame stabiliser, and that of each pole of f on it (0: none);
+    N, the genus (at least 2) and the filtration data derive from it."""
 
     wild = True
     missing_x: ClassVar[tuple] = ()
@@ -380,6 +382,14 @@ class ArtinSchreier(CurveModel):
     def __post_init__(self):
         if self.p == 2 or not is_prime(self.p):
             raise DegenerateModel(f"odd prime required, got {self.p}")
+        if (g := self.genus()) < 2:
+            raise DegenerateModel(f"{self!r} has genus {g} < 2")
+
+    def genus(self):
+        # each pole of order m adds m + 1, t/e of them on an orbit, t = N/p
+        p, t = self.p, self.cyclic_order() // self.p
+        return (p - 1) * (sum(t // e * (m + 1) for e, m in self.places()
+                              if m) - 2) // 2
 
     def cyclic_order(self):
         # p times the order of the tame part, which fixes two x when > 1
@@ -419,18 +429,11 @@ class ASPower(ArtinSchreier):
     b: Param
 
     def __post_init__(self):
-        super().__post_init__()
-        if self.m < 2 or gcd(self.m, self.p) != 1:
-            raise DegenerateModel(
-                f"m={self.m} must be > 1 and coprime to p={self.p}")
-        if self.genus() < 2:
-            raise DegenerateModel(
-                f"p={self.p}, m={self.m} gives genus {self.genus()} < 2")
+        super().__post_init__()  # the genus floor refuses m < 2
+        if gcd(self.m, self.p) != 1:
+            raise DegenerateModel(f"m={self.m} must be coprime to p={self.p}")
         if _is_zero_residue(self.a, self.p):
             raise DegenerateModel("coefficient a must be nonzero")
-
-    def genus(self):
-        return (self.p - 1) * (self.m - 1) // 2
 
     def places(self):
         # x -> zeta*x fixes infinity, a pole of order m, and 0
@@ -474,9 +477,6 @@ class ASRational(ArtinSchreier):
             if _is_zero_residue(v, self.p):
                 raise DegenerateModel(f"coefficient {name} must be nonzero")
 
-    def genus(self):
-        return self.p - 1
-
     def places(self):
         # 1/(a*x) swaps the simple poles 0, infinity and fixes two x
         return ((1, 1), (2, 0), (2, 0))
@@ -511,14 +511,6 @@ class Homma(ArtinSchreier):
     spec_fields = ("p",)
 
     p: int
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.p < 5:
-            raise DegenerateModel(f"p={self.p} gives genus < 2")
-
-    def genus(self):
-        return (self.p - 1) // 2
 
     def places(self):
         # the group fixes x; infinity is a pole of order 2

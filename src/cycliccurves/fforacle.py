@@ -192,10 +192,8 @@ class FiniteField:
             raise PreconditionViolated(f"odd prime expected, got p={p}")
         if k < 1:
             raise PreconditionViolated(f"extension degree must be >= 1: {k}")
-        q = p**k
-        if q > TABLE_LIMIT:
-            raise FieldTooLarge(f"q = {p}^{k} exceeds the field ceiling 2^22")
-        self.p, self.k, self.q = p, k, q
+        check_ceiling(p, k, f"q = {p}^{k}")
+        self.p, self.k, self.q = p, k, p**k
         self.modulus = _least_irreducible(p, k)
         self._x = _companion(self.modulus, p)  # C, the matrix of x
         self._pvec = p ** np.arange(k, dtype=np.int64)
@@ -469,15 +467,20 @@ class PlaceCountSeries:
                     f"N_{j}={nj} outside Hasse-Weil bound for genus {g}")
 
 
+def check_ceiling(base: int, degree: int, name: str) -> None:
+    """Refuse `name`, of base^degree elements (base >= 2), past the field
+    ceiling 2^22; a degree past 22 is refused before the power is taken."""
+    if degree > 22 or base**degree > TABLE_LIMIT:
+        raise FieldTooLarge(f"{name} exceeds the field ceiling 2^22")
+
+
 def check_tower(q: int, depth: int, g_max: int = 0) -> None:
     """Refuse, before any field is built, a tower F_q, ..., F_q^depth of
-    negative depth, one past the field ceiling 2^22 (as any depth above
-    22 is, since q >= 3), or one too short to fit a genus up to g_max."""
+    negative depth, one past the field ceiling 2^22, or one too short to
+    fit a genus up to g_max."""
     if depth < 0:
         raise ValueError(f"tower depth must be >= 0, got {depth}")
-    if depth > 22 or q**depth > TABLE_LIMIT:
-        raise FieldTooLarge(
-            f"the tower to F_{q}^{depth} exceeds the field ceiling 2^22")
+    check_ceiling(q, depth, f"the tower to F_{q}^{depth}")
     _check_length(depth, g_max)
 
 

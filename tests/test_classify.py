@@ -289,6 +289,29 @@ def test_classify_errors():
         classify(5, 1)
 
 
+@pytest.mark.parametrize("call, error, bad", [
+    (lambda: classify(3.0, 2), UnsupportedCharacteristic, 3.0),
+    (lambda: classify(False, 2), UnsupportedCharacteristic, False),
+    (lambda: classify("3", 2), UnsupportedCharacteristic, "3"),
+    (lambda: classify(0, 3.0), BadGenus, 3.0),
+    (lambda: classify(5, True), BadGenus, True),
+    (lambda: enumerate_signatures(7, 3.0), BadGenus, 3.0),
+    (lambda: enumerate_signatures(7.0, 3), BadOrder, 7.0),
+    (lambda: enumerate_signatures(True, 3), BadOrder, True),
+    (lambda: list(primitive_pairs(5.0)), BadOrder, 5.0),
+    (lambda: verify_sasaki_bound(10.0), BadOrder, 10.0),
+], ids=["classify-p-float", "classify-p-bool", "classify-p-str",
+        "classify-g-float", "classify-g-bool", "signatures-g-float",
+        "signatures-n-float", "signatures-n-bool", "pairs-n-float",
+        "sasaki-n-float"])
+def test_non_int_arguments_get_typed_errors(call, error, bad):
+    # a float passes the range and primality tests (is_prime(3.0) holds)
+    # and a bool is an int: each is refused, and named, before any
+    # arithmetic
+    with pytest.raises(error, match=re.escape(repr(bad))):
+        call()
+
+
 def test_classify_n_filter():
     entries = classify(5, 2, n=6)
     assert {e.n for e in entries} == {6}

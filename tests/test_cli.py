@@ -285,6 +285,27 @@ def test_count_out_of_bounds_fails_the_places_record(capsys, monkeypatch):
         '"q":5,"schema_version":"1"}\n')
 
 
+def test_count_out_of_bounds_fails_the_zeta_record(capsys, monkeypatch):
+    # the same count over the tower: the zeta record fails and names it,
+    # and every record is still printed
+    monkeypatch.setattr("cycliccurves.fforacle.count_places",
+                        lambda model, fld: 15)
+    code, out, _ = run(capsys, "verify", "--model", "homma:5", "--q", "5",
+                       "--zeta-depth", "4")
+    assert code == 1
+    assert out == (
+        '{"check":"places","command":"verify","count":15,"genus_formula":2,'
+        '"model":"homma:5","ok":false,"q":5,"schema_version":"1"}\n'
+        '{"affine_points":5,"check":"automorphism","command":"verify",'
+        '"expected_order":5,"fixed_points":[],"model":"homma:5","ok":true,'
+        '"order":5,"q":5,"schema_version":"1"}\n'
+        '{"check":"zeta","command":"verify",'
+        '"error":"N_1=15 outside Hasse-Weil bound for genus 2",'
+        '"model":"homma:5","ok":false,"q":5,"schema_version":"1"}\n'
+        '{"check":"summary","command":"verify","model":"homma:5","ok":false,'
+        '"q":5,"schema_version":"1"}\n')
+
+
 def test_unexpected_fixed_points_fail_the_automorphism_record(
         capsys, monkeypatch):
     # the generator fixes (0, 0) and (1, 0); a model that claims no

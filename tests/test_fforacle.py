@@ -97,6 +97,11 @@ def test_irreducible_count_is_gauss_count(p, k):
 def test_field_caps_and_validation():
     with pytest.raises(FieldTooLarge):
         FiniteField(3, 21)  # 3^21 > 2^31
+    # the degree is tested before 3^k, a 16-million-bit power, is computed
+    start = time.perf_counter()
+    with pytest.raises(FieldTooLarge, match=r"^q = 3\^10000000 exceeds"):
+        FiniteField(3, 10**7)
+    assert time.perf_counter() - start < 1
     with pytest.raises(PreconditionViolated):
         FiniteField(4, 1)
     with pytest.raises(PreconditionViolated):
