@@ -36,7 +36,7 @@ def main():
                     continue
                 ram = str(e.signature) if e.signature else " + ".join(
                     f"{o.orbit_size}x{list(o.filtration.orders)}"
-                    for o in e.orbits)
+                    for o in e.ramification)
                 print(f"  g={g:>2}  N={e.n:>3}  {e.branch:<16} "
                       f"{model_to_spec(e.model):<24} {ram}")
         print()

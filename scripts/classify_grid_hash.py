@@ -7,10 +7,12 @@ in {False, True}.  Every entry feeds one line into a sha256:
     repr((p, g, raw, n, branch, spec, genus, wild, repr(signature),
           repr(orbits)))
 
-with spec the entry's command-line model spec.  The script exits 1 unless
-the grid has PINNED_ENTRIES entries and the hash is PINNED_SHA256.  A
-change that alters the classification on purpose updates both values and
-says why.
+with spec the entry's command-line model spec, signature its
+`signature` view (None for a wild entry) and orbits its `ramification`,
+the orbit data, for a wild entry (None for a tame one).  The script
+exits 1 unless the grid has PINNED_ENTRIES entries and the hash is
+PINNED_SHA256.  A change that alters the classification on purpose
+updates both values and says why.
 
 Example:
     PYTHONPATH=src python3 scripts/classify_grid_hash.py
@@ -40,7 +42,8 @@ def grid_hash():
                 for e in classify(p, g, raw_pairs=raw):
                     digest.update(repr((
                         p, g, raw, e.n, e.branch, model_to_spec(e.model),
-                        e.genus, e.wild, repr(e.signature), repr(e.orbits),
+                        e.genus, e.wild, repr(e.signature),
+                        repr(e.ramification if e.wild else None),
                     )).encode())
                     entries += 1
     return entries, digest.hexdigest()

@@ -11,10 +11,11 @@ Kummer pairs itself, asks every other family for its models and builds
 each entry from its model alone, so adding a family means adding one
 class to `FAMILIES`.
 
-The Kummer search over N is bounded by the abelian ceiling 4g + 4
-(4g + 2 in characteristic 0), which guarantees termination and
-completeness.  It finds the least member of each symmetry orbit of
-pairs directly: a unit scales each entry of the exponent triple
+The search over N stops at 4g + 2, which guarantees termination and
+completeness: a Kummer pair's gcds, pairwise coprime proper divisors of
+N, sum to N + 2 - 2g, and no other family's N (2g + 2, pm, 2p or p)
+exceeds it.  The Kummer search finds the least member of each symmetry
+orbit of pairs directly: a unit scales each entry of the exponent triple
 (r, s, -(r+s)) down to its gcd with N and no lower, the genus fixes the
 sum of the three gcds, and so the least members come from the divisor
 triples of N alone.  The raw listing expands their orbits, one sum test
@@ -48,10 +49,10 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from .intmath import TABLE_LIMIT, divisors, is_prime
+from .intmath import TABLE_LIMIT, divisors, is_int, is_prime
 from .families import (FAMILIES, CurveModel, Kummer, PrimitivePair,
                        primitive_gcds)
-from .ramification import N_CAP, Signature, rh_genus_tame, rh_genus_wild
+from .ramification import N_CAP, Signature, rh_genus_wild, tame_signature
 
 # Orbit decompositions kept: classify(p, g) reads at most 2g + 4 of them,
 # so 256 holds one genus's working set up to g = 50.
@@ -90,11 +91,6 @@ class TooManyCandidates(ValueError):
     """A signature search would test, or count, past its budget."""
 
 
-def _is_int(value):
-    # a float or a bool would pass the range checks and then compute
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # Largest order whose exponent pairs, one for every (r, s) with
 # r + s <= n - 1, stay within TABLE_LIMIT: 2897.
 _MAX_ORDER = (isqrt(8 * TABLE_LIMIT + 1) + 3) // 2
@@ -112,22 +108,20 @@ def _check_order(n, context=""):
 class ClassificationEntry:
     """One family in the classification, built from its model alone.
 
-    It keeps only the model: `n`, `branch`, `genus`, `wild`, `signature`
-    (a tame model's ramification type, else None) and `orbits` (a wild
-    model's filtration data of every short orbit, else None) are its.
-    Construction checks N >= 2g + 1 and the genus by Riemann-Hurwitz.
+    It keeps only the model: `n`, `branch`, `genus`, `wild` and
+    `ramification` (every short orbit) are its, and `signature` is a tame
+    model's type read off them (None for a wild one).  Construction
+    checks N >= 2g + 1 and the genus by Riemann-Hurwitz.
     """
 
     model: CurveModel
 
     def __post_init__(self):
         model = self.model
-        n, g, ram = model.cyclic_order(), model.genus(), model.ramification()
+        n, g = model.cyclic_order(), model.genus()
         if n < 2 * g + 1:
             raise ValueError(f"N={n} below 2g+1={2 * g + 1}")
-        rh = (rh_genus_wild(n, 0, ram) if model.wild
-              else rh_genus_tame(n, ram.g0, ram))
-        if rh != g:
+        if (rh := rh_genus_wild(n, 0, model.ramification())) != g:
             raise ValueError(
                 f"ramification data of {model} gives genus {rh}, not {g}")
 
@@ -135,15 +129,16 @@ class ClassificationEntry:
     branch = property(lambda e: e.model.branch)
     genus = property(lambda e: e.model.genus())
     wild = property(lambda e: e.model.wild)
-    signature = property(lambda e: None if e.wild else e.model.ramification())
-    orbits = property(lambda e: e.model.ramification() if e.wild else None)
+    ramification = property(lambda e: e.model.ramification())
+    signature = property(
+        lambda e: None if e.wild else tame_signature(e.ramification))
 
 
 def primitive_pairs(n: int):
     """Yield every primitive pair (r, s) for exponent n, in
     lexicographic order.  One object at a time: the independent check of
     classify's pair search and verify_sasaki_bound's triangles."""
-    if not _is_int(n) or n < 3:
+    if not is_int(n) or n < 3:
         raise BadOrder(f"n must be an int >= 3, got {n!r}")
     _check_order(n)
     for r in range(1, n - 1):
@@ -262,7 +257,7 @@ def _genus_pairs(n, g):
 
 # Each slot descriptor's `__set__` writes its slot of a frozen instance
 # without the class's `__setattr__`; `__slots__` lists the fields in order.
-(_set_pair_n, _set_pair_r, _set_pair_s, _set_pair_genus, _set_pair_signature,
+(_set_pair_n, _set_pair_r, _set_pair_s, _set_pair_genus, _set_pair_orbits,
  _set_kummer_pair, _set_entry_model) = (
     getattr(cls, name).__set__
     for cls in (PrimitivePair, Kummer, ClassificationEntry)
@@ -273,7 +268,7 @@ def _kummer_entries(n, g, pairs):
     """`ClassificationEntry(Kummer.of(n, r, s))` for each pair (r, s) of
     genus g, with the range checked per pair, and primitivity and the genus
     (by Riemann-Hurwitz) on one `PrimitivePair` per gcd triple of the
-    order's table; its interned `Signature` serves every pair of a type."""
+    order's table; its interned orbit data serve every pair of a type."""
     if g < 2 or n < 2 * g + 1:
         raise ValueError(f"no Kummer entry of genus {g} at order {n}")
     new, gcds = object.__new__, _order_gcds(n)
@@ -281,18 +276,19 @@ def _kummer_entries(n, g, pairs):
     for r, s in pairs:
         if r < 1 or s < 1 or r + s >= n:
             primitive_gcds(n, r, s)  # raises NotPrimitive
-        signature = types.get(abc := (gcds[r], gcds[s], gcds[r + s]))
-        if signature is None:
-            signature = types[abc] = PrimitivePair(n, r, s).signature
-            if (rh := rh_genus_tame(n, 0, signature)) != g:
-                raise ValueError(f"ramification data {signature} of ({r}, "
-                                 f"{s}) mod {n} gives genus {rh}, not {g}")
+        orbits = types.get(abc := (gcds[r], gcds[s], gcds[r + s]))
+        if orbits is None:
+            orbits = types[abc] = PrimitivePair(n, r, s).orbits
+            if (rh := rh_genus_wild(n, 0, orbits)) != g:
+                raise ValueError(f"ramification data {tame_signature(orbits)}"
+                                 f" of ({r}, {s}) mod {n} gives genus {rh}, "
+                                 f"not {g}")
         pair = new(PrimitivePair)
         _set_pair_n(pair, n)
         _set_pair_r(pair, r)
         _set_pair_s(pair, s)
         _set_pair_genus(pair, g)
-        _set_pair_signature(pair, signature)
+        _set_pair_orbits(pair, orbits)
         model = new(Kummer)
         _set_kummer_pair(model, pair)
         entry = new(ClassificationEntry)
@@ -310,9 +306,9 @@ def _canonical_genus_entries(n, g):
 def enumerate_signatures(n: int, g: int) -> list[Signature]:
     """All tame ramification types of a degree-n cyclic cover with
     total-space genus g, sorted by (g0, indices)."""
-    if not _is_int(n) or n < 2:
+    if not is_int(n) or n < 2:
         raise BadOrder(f"n must be an int >= 2, got {n!r}")
-    if not _is_int(g) or g < 2:
+    if not is_int(g) or g < 2:
         raise BadGenus(f"genus must be an int >= 2, got {g!r}")
     if n > N_CAP:
         raise OrderTooLarge(f"order {n} is above the cap of 2**32")
@@ -425,16 +421,15 @@ def classify(p: int, g: int, *, raw_pairs: bool = False,
     every genus-matching primitive pair gets its own entry.  An
     optional n restricts the output to that group order.
     """
-    if not _is_int(p) or p == 2 or p and not is_prime(p):
+    if not is_int(p) or p == 2 or p and not is_prime(p):
         raise UnsupportedCharacteristic(
             f"characteristic {p!r} unsupported: must be 0 or an odd prime")
-    if not _is_int(g) or g < 2:
+    if not is_int(g) or g < 2:
         raise BadGenus(f"genus must be an int >= 2, got {g!r}")
-    if n is not None and (not _is_int(n) or n < 3):
+    if n is not None and (not is_int(n) or n < 3):
         raise BadOrder(f"group order must be None or an int >= 3, got {n!r}")
-    ceiling = 4 * g + 4  # the Kummer search's largest order
-    _check_order(ceiling, f"genus {g} reaches order {ceiling}; ")
-    orders = range(2 * g + 1, (4 * g + 4 if p else 4 * g + 2) + 1)
+    _check_order(4 * g + 2, f"genus {g} reaches order {4 * g + 2}; ")
+    orders = range(2 * g + 1, 4 * g + 3)
     if n is not None:
         orders = [n] if n in orders else []
     others = {}  # the other families' entries, at most one each, by N
@@ -464,7 +459,7 @@ class SasakiReport:
 
 def verify_sasaki_bound(n_max: int) -> SasakiReport:
     """Check N >= 2*genus + 1 over every primitive pair with N <= n_max."""
-    if not _is_int(n_max) or n_max < 3:
+    if not is_int(n_max) or n_max < 3:
         raise BadOrder(f"n_max must be an int >= 3, got {n_max!r}")
     _check_order(n_max)
     checked = tight = 0

@@ -137,19 +137,6 @@ def _emit(records, fmt):
         print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
 
 
-def _signature_payload(sig):
-    if sig is None:
-        return None
-    return {"g0": sig.g0, "indices": list(sig.indices)}
-
-
-def _orbits_payload(orbits):
-    if orbits is None:
-        return None
-    return [{"orders": list(o.filtration.orders), "size": o.orbit_size}
-            for o in orbits]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -164,8 +151,11 @@ def _cmd_classify(args):
         "branch": entry.branch,
         "wild": entry.wild,
         "model": model_to_spec(entry.model),
-        "signature": _signature_payload(entry.signature),
-        "orbits": _orbits_payload(entry.orbits),
+        "signature": None if entry.wild else {
+            "g0": entry.signature.g0,
+            "indices": list(entry.signature.indices)},
+        "orbits": [{"orders": list(o.filtration.orders), "size": o.orbit_size}
+                   for o in entry.ramification] if entry.wild else None,
     }) for entry in entries), args.format)
     return 0
 

@@ -11,8 +11,9 @@ cyclic automorphism group of order N >= 2g + 1:
 
 Each family is one frozen dataclass, the one place its equation and
 generator are stated: invariants (`genus`, `cyclic_order`); its branch
-of the classification (`branch`, `wild`), `ramification` data and, but
-for Kummer, its models of genus g in characteristic p (`of_genus`); the
+of the classification (`branch`, `wild`), its short orbits with their
+stabilisers' filtrations (`ramification`) and, but for Kummer, its
+models of genus g in characteristic p (`of_genus`); the
 curve as lhs(y) = rhs(x) over one finite field, with preconditions,
 x-domain, the fibre sizes of lhs and the places the affine points do
 not give (`equation`); the generator on affine points, which finds its
@@ -37,14 +38,14 @@ Constructors reject parameters that give genus < 2 or a zero coefficient.
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
 from math import gcd
 from typing import Any, ClassVar
 
 import numpy as np
 
-from .intmath import is_prime
-from .ramification import FiltrationProfile, OrbitDatum, Signature
+from .intmath import is_int, is_prime
+from .ramification import (FiltrationProfile, OrbitDatum, Signature,
+                           tame_orbits, tame_signature)
 
 Param = int | str
 
@@ -61,25 +62,23 @@ class PreconditionViolated(ValueError):
     """A model/field precondition fails (divisibility, zero parameter...)."""
 
 
-# (0; sorted indices): immutable, shared by pairs, dearer to build than one
-_triangle_signature = lru_cache(maxsize=1024)(partial(Signature, 0))
-
-
 @dataclass(frozen=True, slots=True)
 class PrimitivePair:
     """Exponent pair (r, s) for y^n = x^r (1-x)^s.
 
     Requires r, s >= 1, r + s <= n - 1 and gcd(r, s, n) = 1.  `genus`
-    is (n + 2 - gcd(n,r) - gcd(n,s) - gcd(n,r+s)) / 2, and `signature`
-    is (0; n/gcd over x = 0, 1, infinity); both are worked out once at
-    construction from the same gcd triple that checks primitivity.
+    is (n + 2 - gcd(n,r) - gcd(n,s) - gcd(n,r+s)) / 2, and `orbits` has
+    gcd(n, r) places over x = 0 with stabiliser n/gcd(n, r), and so for s
+    and r + s over 1 and infinity (`signature` is their view); both come
+    once at construction from the same gcd triple that checks primitivity.
     """
 
     n: int
     r: int
     s: int
     genus: int = field(init=False, repr=False, compare=False)
-    signature: Signature = field(init=False, repr=False, compare=False)
+    orbits: tuple = field(init=False, repr=False, compare=False)
+    signature = property(lambda pair: tame_signature(pair.orbits))
 
     def __post_init__(self):
         n = self.n
@@ -87,8 +86,8 @@ class PrimitivePair:
         total = n + 2 - a - b - c
         assert total % 2 == 0, (n, self.r, self.s)
         object.__setattr__(self, "genus", total // 2)
-        object.__setattr__(self, "signature", _triangle_signature(
-            tuple(sorted((n // a, n // b, n // c)))))
+        object.__setattr__(self, "orbits", tame_orbits(
+            n, tuple(sorted((n // a, n // b, n // c)))))
 
 
 def primitive_gcds(n: int, r: int, s: int) -> tuple[int, int, int]:
@@ -227,9 +226,10 @@ class CurveModel:
     def cyclic_order(self) -> int:
         raise NotImplementedError
 
-    def ramification(self) -> Signature | tuple[OrbitDatum, ...]:
-        """The tame signature, or the filtration data of every short
-        orbit of a wild group."""
+    def ramification(self) -> tuple[OrbitDatum, ...]:
+        """Every short orbit over the x-line (quotient genus 0): its size
+        and its stabiliser's lower-numbering filtration, in the tame form
+        p = 0 where the family does not fix p."""
         raise NotImplementedError
 
     @classmethod
@@ -290,7 +290,7 @@ class Kummer(CurveModel):
         return self.pair.n
 
     def ramification(self):
-        return self.pair.signature
+        return self.pair.orbits
 
     def equation(self, fld):
         n, r, s = self.pair.n, self.pair.r, self.pair.s
@@ -327,8 +327,8 @@ class Hyperelliptic(CurveModel):
     lam: Param
 
     def __post_init__(self):
-        if self.g < 2 or self.g % 2:
-            raise DegenerateModel(f"genus must be even and >= 2, got {self.g}")
+        if not is_int(self.g) or self.g < 2 or self.g % 2:
+            raise DegenerateModel(f"genus {self.g!r} is not an even int >= 2")
         if isinstance(self.lam, int) and self.lam in (0, 1):
             raise DegenerateModel(f"lambda={self.lam} degenerates the family")
 
@@ -341,8 +341,7 @@ class Hyperelliptic(CurveModel):
     def ramification(self):
         # stabilisers: 2 at the roots of each factor of the right side,
         # g + 1 at the places over x = 0 and over infinity
-        g = self.g
-        return Signature(0, (2, 2, g + 1, g + 1))
+        return tame_orbits(2 * self.g + 2, (2, 2, self.g + 1, self.g + 1))
 
     @classmethod
     def of_genus(cls, p, g):
@@ -380,8 +379,8 @@ class ArtinSchreier(CurveModel):
     missing_x: ClassVar[tuple] = ()
 
     def __post_init__(self):
-        if self.p == 2 or not is_prime(self.p):
-            raise DegenerateModel(f"odd prime required, got {self.p}")
+        if not is_int(self.p) or self.p == 2 or not is_prime(self.p):
+            raise DegenerateModel(f"odd prime required, got {self.p!r}")
         if (g := self.genus()) < 2:
             raise DegenerateModel(f"{self!r} has genus {g} < 2")
 
@@ -430,8 +429,8 @@ class ASPower(ArtinSchreier):
 
     def __post_init__(self):
         super().__post_init__()  # the genus floor refuses m < 2
-        if gcd(self.m, self.p) != 1:
-            raise DegenerateModel(f"m={self.m} must be coprime to p={self.p}")
+        if not is_int(self.m) or gcd(self.m, self.p) != 1:
+            raise DegenerateModel(f"m={self.m!r} must be an int coprime to p")
         if _is_zero_residue(self.a, self.p):
             raise DegenerateModel("coefficient a must be nonzero")
 

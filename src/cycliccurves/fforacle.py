@@ -57,7 +57,7 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from .intmath import TABLE_LIMIT, is_prime, prime_factors
+from .intmath import TABLE_LIMIT, is_int, is_prime, prime_factors
 from .families import CurveModel, PreconditionViolated
 
 
@@ -188,10 +188,10 @@ class FiniteField:
     """
 
     def __init__(self, p, k=1):
-        if p < 3 or not is_prime(p):
-            raise PreconditionViolated(f"odd prime expected, got p={p}")
-        if k < 1:
-            raise PreconditionViolated(f"extension degree must be >= 1: {k}")
+        if not is_int(p) or p < 3 or not is_prime(p):
+            raise PreconditionViolated(f"odd prime expected, got p={p!r}")
+        if not is_int(k) or k < 1:
+            raise PreconditionViolated(f"degree {k!r} is not an int >= 1")
         check_ceiling(p, k, f"q = {p}^{k}")
         self.p, self.k, self.q = p, k, p**k
         self.modulus = _least_irreducible(p, k)

@@ -17,6 +17,12 @@ _CACHE_SIZE = 1024  # arguments kept by each factoring cache below
 TABLE_LIMIT = 1 << 22
 
 
+def is_int(value) -> bool:
+    """True for an int but not a bool: a float or bool would pass range
+    checks and then compute."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n < 3.3e24."""
     if n < 2:
@@ -77,9 +83,9 @@ def divisors(n: int) -> tuple[int, ...]:
 
 
 def is_power_of(n: int, p: int) -> bool:
-    """True iff n is p**e for some e >= 0."""
+    """True iff n is p**e for some e >= 0 (for p = 0: n = 1)."""
     if n < 1:
         return False
-    while n % p == 0:
+    while p and n % p == 0:
         n //= p
     return n == 1

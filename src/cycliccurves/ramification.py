@@ -1,10 +1,11 @@
 """Exact Riemann-Hurwitz arithmetic for cyclic covers.
 
 The objects here are the raw combinatorial data of a cyclic cover of
-curves: ramification signatures (quotient genus plus a multiset of
-ramification indices), higher-ramification filtrations at wildly
-ramified points (stored as the list of subgroup orders |G_P^(i)|), and
-orbit data pairing a filtration with the number of points sharing it.
+curves: higher-ramification filtrations at ramified points (stored as
+the list of subgroup orders |G_P^(i)|, p = 0 for a tame one), orbit
+data pairing a filtration with the number of points sharing it, and
+ramification signatures (quotient genus plus a multiset of indices),
+the tame view of that data.  `rh_genus_wild` reads every genus.
 
 All operations are pure functions of their inputs, return exact Python
 integers, and raise rather than silently round when the genus formula
@@ -16,8 +17,9 @@ enumeration, not asymptotics.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .intmath import is_power_of, is_prime
+from .intmath import is_int, is_power_of, is_prime
 
 N_CAP = 2**32
 
@@ -75,6 +77,7 @@ class FiltrationProfile:
 
     Trailing 1s are normalized away, so equality compares only the
     nontrivial levels; orders beyond the stored list are implicitly 1.
+    p = 0 is the tame form, whose one level is the stabilizer's order.
     Structural invariants of cyclic stabilizers in characteristic p are
     enforced at construction:
 
@@ -87,33 +90,30 @@ class FiltrationProfile:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        if self.p < 3 or not is_prime(self.p):
-            raise InvalidFiltration(f"odd prime expected, got p={self.p}")
-        orders = tuple(self.orders)
-        if any(o < 1 for o in orders):
-            raise InvalidFiltration(f"orders must be positive: {orders}")
+        p, orders = self.p, tuple(self.orders)
+        if not is_int(p) or p and (p < 3 or not is_prime(p)):
+            raise InvalidFiltration(f"0 or an odd prime expected, got p={p!r}")
+        if not all(map(is_int, orders)) or min(orders, default=1) < 1:
+            raise InvalidFiltration(f"orders must be positive ints: {orders}")
         while orders and orders[-1] == 1:
             orders = orders[:-1]
-        if any(orders[i] < orders[i + 1] for i in range(len(orders) - 1)):
+        if list(orders) != sorted(orders, reverse=True):
             raise InvalidFiltration(f"orders must be non-increasing: {orders}")
         o0 = orders[0] if orders else 1
         _check_group_order(o0)
-        o1 = orders[1] if len(orders) > 1 else 1
-        if not is_power_of(o1, self.p):
-            raise InvalidFiltration(
-                f"level-1 order {o1} is not a power of p={self.p}")
-        for o in orders[2:]:
-            if not is_power_of(o, self.p):
+        for o in orders[1:]:
+            if not is_power_of(o, p):
                 raise InvalidFiltration(
-                    f"order {o} at level >= 1 is not a power of p={self.p}")
-        if o0 % o1 != 0 or (o0 // o1) % self.p == 0:
+                    f"order {o} at level >= 1 is not a power of p={p}")
+        o1 = orders[1] if len(orders) > 1 else 1
+        if o0 % o1 or p and (o0 // o1) % p == 0:
             raise InvalidFiltration(
                 f"level-0 order {o0} must be (prime-to-p) * {o1}")
         object.__setattr__(self, "orders", orders)
         jumps = self.jumps()
-        if any((i - jumps[0]) % self.p for i in jumps[1:]):
+        if any((i - jumps[0]) % p for i in jumps[1:]):
             raise InvalidFiltration(
-                f"jump indices {jumps} not congruent modulo p={self.p}")
+                f"jump indices {jumps} not congruent modulo p={p}")
 
     @property
     def o0(self) -> int:
@@ -127,12 +127,8 @@ class FiltrationProfile:
                      if orders[i] > orders[i + 1])
 
 
-def validate_filtration(p: int, orders) -> FiltrationProfile:
-    """Normalize and validate raw filtration orders.
-
-    Returns the canonical FiltrationProfile, or raises InvalidFiltration.
-    """
-    return FiltrationProfile(p, tuple(orders))
+# raw orders in, the canonical profile out, or InvalidFiltration
+validate_filtration = FiltrationProfile
 
 
 @dataclass(frozen=True)
@@ -149,56 +145,70 @@ class OrbitDatum:
 
 def different_exponent(profile: FiltrationProfile) -> int:
     """Local different exponent: the sum of (order - 1) over all levels."""
-    return sum(o - 1 for o in profile.orders)
+    return sum(profile.orders) - len(profile.orders)
 
 
-def _rh_genus(group_order, g0, terms):
-    """2g - 2 = N(2*g0 - 2) + sum of size * exponent over the (orbit size,
-    different exponent) terms, which are checked as they are read; an
-    odd or negative-genus outcome is rejected loudly."""
-    _check_group_order(group_order)
-    if g0 < 0:
-        raise Inconsistent(f"quotient genus {g0} < 0")
-    rhs = group_order * (2 * g0 - 2) + sum(size * d for size, d in terms)
-    if rhs % 2:
-        raise Inconsistent(f"2g - 2 = {rhs} is odd")
-    if rhs < -2:
-        raise Inconsistent(f"2g - 2 = {rhs} gives negative genus")
-    return (rhs + 2) // 2
+# Both caches hold immutable data, dearer to build than to look up, shared
+# by the covers of one order with that index (a datum) or type (a tuple).
+@lru_cache(maxsize=1024)
+def _tame_orbit(group_order, e):
+    return OrbitDatum(FiltrationProfile(0, (e,)), group_order // e)
+
+
+@lru_cache(maxsize=1024)
+def tame_orbits(group_order: int, indices: tuple) -> tuple[OrbitDatum, ...]:
+    """The orbit data of a tuple of tame ramification indices: an index e
+    is an orbit of N/e points whose stabilizer, of order e, has only
+    level 0."""
+    return tuple([_tame_orbit(group_order, e) for e in indices])
+
+
+def tame_signature(orbits) -> Signature:
+    """The signature (0; e_1, ..., e_k) of orbit data over the projective
+    line: the stabilizer order of each orbit."""
+    return Signature(0, tuple(o.filtration.o0 for o in orbits))
 
 
 def rh_genus_tame(group_order: int, g0: int, sig) -> int:
-    """Genus of a degree-N tame cyclic cover from its signature: an index
-    e is an orbit of N/e points with different exponent e - 1.
+    """Genus of a degree-N tame cyclic cover from its signature: the
+    indices are checked, then `rh_genus_wild` reads their `tame_orbits`.
 
     2g - 2 = N(2*g0 - 2) + sum over indices of (N/e)(e - 1).
 
     `sig` may be a Signature (its g0 must agree with the g0 argument) or
     a bare iterable of ramification indices.
     """
-    def terms():
-        if isinstance(sig, Signature) and sig.g0 != g0:
-            raise Inconsistent(f"signature g0={sig.g0} disagrees with g0={g0}")
-        for e in (sig.indices if isinstance(sig, Signature) else tuple(sig)):
-            if e < 2:
-                raise Inconsistent(f"ramification index {e} < 2")
-            if group_order % e:
-                raise NotADivisor(f"index {e} does not divide N={group_order}")
-            yield group_order // e, e - 1
-    return _rh_genus(group_order, g0, terms())
+    _check_group_order(group_order)
+    if isinstance(sig, Signature) and sig.g0 != g0:
+        raise Inconsistent(f"signature g0={sig.g0} disagrees with g0={g0}")
+    indices = sig.indices if isinstance(sig, Signature) else tuple(sig)
+    for e in indices:
+        if e < 2:
+            raise Inconsistent(f"ramification index {e} < 2")
+        if group_order % e:
+            raise NotADivisor(f"index {e} does not divide N={group_order}")
+    return rh_genus_wild(group_order, g0, tame_orbits(group_order, indices))
 
 
 def rh_genus_wild(group_order: int, g0: int, orbits) -> int:
-    """Genus of a degree-N cyclic cover from per-orbit filtration data.
+    """Genus of a degree-N cyclic cover from per-orbit filtration data,
+    tame or wild; an odd or negative-genus outcome is rejected loudly.
 
     2g - 2 = N(2*g0 - 2) + sum over orbits of size * different_exponent.
     Each orbit must satisfy orbit_size * o0 = N.
     """
-    def terms():
-        for orbit in orbits:
-            if orbit.orbit_size * orbit.filtration.o0 != group_order:
-                raise Inconsistent(
-                    f"orbit size {orbit.orbit_size} x stabilizer "
-                    f"{orbit.filtration.o0} != N={group_order}")
-            yield orbit.orbit_size, different_exponent(orbit.filtration)
-    return _rh_genus(group_order, g0, terms())
+    _check_group_order(group_order)
+    if g0 < 0:
+        raise Inconsistent(f"quotient genus {g0} < 0")
+    rhs = group_order * (2 * g0 - 2)
+    for orbit in orbits:
+        if orbit.orbit_size * orbit.filtration.o0 != group_order:
+            raise Inconsistent(
+                f"orbit size {orbit.orbit_size} x stabilizer "
+                f"{orbit.filtration.o0} != N={group_order}")
+        rhs += orbit.orbit_size * different_exponent(orbit.filtration)
+    if rhs % 2:
+        raise Inconsistent(f"2g - 2 = {rhs} is odd")
+    if rhs < -2:
+        raise Inconsistent(f"2g - 2 = {rhs} gives negative genus")
+    return (rhs + 2) // 2

@@ -27,13 +27,17 @@ from cycliccurves.classify import (
     _MultisetCounts,
 )
 import cycliccurves.classify as classify_module
-from cycliccurves import families, intmath
-from cycliccurves.families import FAMILIES, Homma, Kummer, kummer_genus
+from cycliccurves import families, intmath, ramification
+from cycliccurves.families import (FAMILIES, ASPower, ASRational,
+                                   DegenerateModel, Homma, Hyperelliptic,
+                                   Kummer, kummer_genus)
+from cycliccurves.fforacle import FiniteField, PreconditionViolated
 from cycliccurves.intmath import divisors
 from cycliccurves.ramification import (
     N_CAP,
     FiltrationProfile,
     Inconsistent,
+    InvalidFiltration,
     NotADivisor,
     OrbitDatum,
     Signature,
@@ -300,16 +304,41 @@ def test_classify_errors():
     (lambda: enumerate_signatures(True, 3), BadOrder, True),
     (lambda: list(primitive_pairs(5.0)), BadOrder, 5.0),
     (lambda: verify_sasaki_bound(10.0), BadOrder, 10.0),
+    (lambda: Homma(5.0), DegenerateModel, 5.0),
+    (lambda: ASRational(5.0, 1, 1, 4), DegenerateModel, 5.0),
+    (lambda: ASPower(5.0, 2, 1, 0), DegenerateModel, 5.0),
+    (lambda: ASPower(5, 2.0, 1, 0), DegenerateModel, 2.0),
+    (lambda: Hyperelliptic(4.0, "l"), DegenerateModel, 4.0),
+    (lambda: FiltrationProfile(5.0, (5.0, 5.0)), InvalidFiltration, 5.0),
+    (lambda: FiltrationProfile(5, (5.0, 5.0)), InvalidFiltration, 5.0),
+    (lambda: FiniteField(5.0, 1), PreconditionViolated, 5.0),
+    (lambda: FiniteField(5, 1.0), PreconditionViolated, 1.0),
 ], ids=["classify-p-float", "classify-p-bool", "classify-p-str",
         "classify-g-float", "classify-g-bool", "signatures-g-float",
         "signatures-n-float", "signatures-n-bool", "pairs-n-float",
-        "sasaki-n-float"])
+        "sasaki-n-float", "homma-p-float", "asrational-p-float",
+        "aspower-p-float", "aspower-m-float", "hyper-g-float",
+        "profile-p-float", "profile-orders-float",
+        "field-p-float", "field-k-float"])
 def test_non_int_arguments_get_typed_errors(call, error, bad):
     # a float passes the range and primality tests (is_prime(3.0) holds)
     # and a bool is an int: each is refused, and named, before any
     # arithmetic
     with pytest.raises(error, match=re.escape(repr(bad))):
         call()
+
+
+def test_no_entry_lies_above_4g_plus_2():
+    # A Kummer pair's gcds are pairwise coprime proper divisors of N that
+    # sum to N + 2 - 2g, which leaves no pair of genus g above 4g + 2;
+    # classify's search stops there, so the next two orders must be empty
+    for g in range(2, 31):
+        for n in (4 * g + 3, 4 * g + 4):
+            assert not np.any(classify_module._pair_triangle(n)[0] == g), n
+        for p in (0, 3, 5, 7, 11, 13):
+            assert all(model.cyclic_order() <= 4 * g + 2
+                       for family in FAMILIES[1:]
+                       for model in family.of_genus(p, g)), (p, g)
 
 
 def test_classify_n_filter():
@@ -362,15 +391,20 @@ def test_entry_fields_are_the_models():
                     assert e.branch == type(e.model).branch
                     assert e.wild == type(e.model).wild
                     ram = e.model.ramification()
-                    assert (e.signature, e.orbits) == (
-                        (None, ram) if e.wild else (ram, None))
+                    assert (e.signature, e.ramification) == (
+                        (None, ram) if e.wild else (_signature_of(ram), ram))
     assert ClassificationEntry.__slots__ == ("model",)
+
+
+def _signature_of(orbits):
+    """The tame signature (0; stabiliser orders) of orbit data."""
+    return Signature(0, tuple(o.filtration.o0 for o in orbits))
 
 
 def test_entry_validation_rejects_inconsistencies():
     class WrongSignature(Kummer):
-        def ramification(self):
-            return Signature(0, (7, 7, 7, 7))  # genus 6
+        def ramification(self):  # the signature (0; 7,7,7,7): genus 6
+            return (OrbitDatum(FiltrationProfile(0, (7,)), 1),) * 4
 
     class WrongOrder(Kummer):
         def cyclic_order(self):
@@ -388,7 +422,7 @@ def test_entry_validation_rejects_inconsistencies():
         ClassificationEntry(WrongSignature(Kummer.of(7, 1, 1).pair))
     with pytest.raises(ValueError, match="below 2g"):
         ClassificationEntry(WrongOrder(Kummer.of(7, 1, 1).pair))
-    assert ClassificationEntry(Homma(5)).orbits is not None
+    assert ClassificationEntry(Homma(5)).ramification is not None
     with pytest.raises(ValueError, match="gives genus 0, not 2"):
         ClassificationEntry(WrongOrbits(5))
 
@@ -400,7 +434,8 @@ def test_caches_are_bounded():
         classify_module._canonical_genus_entries: lambda i: (5 + i, 2),
         classify_module._orbit_minima: lambda i: (5 + i, 2),
         classify_module._order_gcds: lambda i: (3 + i,),
-        families._triangle_signature: lambda i: ((2, 2, 2 + i),),
+        ramification.tame_orbits: lambda i: (4 + 2 * i, (2, 2, 2 + i)),
+        ramification._tame_orbit: lambda i: (2 * i + 2, 2),
     }
     try:
         for cache, args in arguments.items():
@@ -545,11 +580,11 @@ def test_kummer_entries_check_every_pair(monkeypatch):
     # Riemann-Hurwitz runs once on each signature type, not only the first
     calls = []
 
-    def wrong_rh(n, g0, sig):
-        calls.append(sig)
-        return 4 if sig == Signature(0, (3, 4, 12)) else 3
+    def wrong_rh(n, g0, orbits):
+        calls.append(_signature_of(orbits))
+        return 4 if calls[-1] == Signature(0, (3, 4, 12)) else 3
 
-    monkeypatch.setattr(classify_module, "rh_genus_tame", wrong_rh)
+    monkeypatch.setattr(classify_module, "rh_genus_wild", wrong_rh)
     with pytest.raises(ValueError, match=r"\(0; 3,4,12\) of \(1, 3\) mod 12 "
                        r"gives genus 4, not 3"):
         entries(12, 3, [(1, 5), (5, 1), (1, 3)])
@@ -561,7 +596,7 @@ def test_kummer_entries_share_a_signature_per_type():
         entries = classify_module._kummer_entries(n, g, classify_module._genus_pairs(n, g))
         by_type = {}
         for e in entries:
-            by_type.setdefault(e.signature, set()).add(id(e.signature))
+            by_type.setdefault(e.ramification, set()).add(id(e.ramification))
         assert all(len(ids) == 1 for ids in by_type.values()), (n, g)
         assert len(by_type) == (1 if n == 60 else 2)
         # the pairs of one type have gcd triples in different orders
@@ -620,16 +655,16 @@ def test_pair_table_is_compact():
 
 def test_oversized_orders_fail_fast():
     start = time.perf_counter()
-    with pytest.raises(OrderTooLarge, match="order 3204"):
+    with pytest.raises(OrderTooLarge, match="order 3202"):
         classify(0, 800)
     with pytest.raises(OrderTooLarge):
         verify_sasaki_bound(2898)
     with pytest.raises(OrderTooLarge):
         next(primitive_pairs(100_000))
     assert time.perf_counter() - start < 1
-    # the largest genus reaches order 4 * 723 + 4 = 2896 <= 2897
+    # the largest genus reaches order 4 * 723 + 2 = 2894 <= 2897
     assert classify(0, 723, n=3) == []
-    with pytest.raises(OrderTooLarge, match="genus 724 reaches order 2900"):
+    with pytest.raises(OrderTooLarge, match="genus 724 reaches order 2898"):
         classify(0, 724, n=3)
 
 

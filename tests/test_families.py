@@ -98,6 +98,28 @@ def test_signature_and_genus_formula_agree_exhaustively():
             assert rh_genus_tame(n, 0, sig) == kummer_genus(n, pair.r, pair.s)
 
 
+def test_tame_orbits_are_the_stated_ones():
+    from cycliccurves.classify import primitive_pairs
+
+    # over x = 0 lie gcd(n, r) places, each with stabiliser n / gcd(n, r),
+    # and so for s over x = 1 and r + s over infinity
+    for n in range(3, 61):
+        for pair in primitive_pairs(n):
+            stated = sorted(((n // d,), d) for d in (
+                gcd(n, pair.r), gcd(n, pair.s), gcd(n, pair.r + pair.s)))
+            assert sorted((o.filtration.orders, o.orbit_size)
+                          for o in pair.orbits) == stated, pair
+            assert {o.filtration.p for o in pair.orbits} == {0}, pair
+            if pair.genus >= 2:
+                assert Kummer(pair).ramification() is pair.orbits
+    # two orbits of g + 1 roots with stabiliser 2, and two of size 2 over
+    # x = 0 and infinity with stabiliser g + 1
+    for g in range(2, 41, 2):
+        assert sorted((o.filtration.p, o.filtration.orders, o.orbit_size)
+                      for o in Hyperelliptic(g, "l").ramification()) == sorted(
+            [(0, (2,), g + 1)] * 2 + [(0, (g + 1,), 2)] * 2), g
+
+
 # --- model constructors and genus formulas ----------------------------------
 
 
@@ -255,18 +277,22 @@ def test_ramification_gives_the_genus():
     for model in _sweep_models():
         seen.add(type(model))
         n, ram = model.cyclic_order(), model.ramification()
+        assert rh_genus_wild(n, 0, ram) == model.genus(), model
         if model.wild:
             p = model.p
             assert n % p == 0
-            assert rh_genus_wild(n, 0, ram) == model.genus(), model
             assert (n, tuple((o.filtration.orders, o.orbit_size)
                              for o in ram)) == _stated_orbits(model), model
             assert model.genus() == _stated_genus(model), model
             # Stichtenoth, Prop. 3.7.8 needs every pole of f prime to p
             assert all(m % p for _, m in model.places() if m), model
         else:
-            assert isinstance(ram, Signature) and lcm(*ram.indices) == n
-            assert rh_genus_tame(n, ram.g0, ram) == model.genus(), model
+            # tame: one level each, in the form that does not fix p
+            assert all(o.filtration.p == 0 and len(o.filtration.orders) == 1
+                       for o in ram), model
+            sig = Signature(0, tuple(o.filtration.o0 for o in ram))
+            assert lcm(*sig.indices) == n
+            assert rh_genus_tame(n, sig.g0, sig) == model.genus(), model
     assert seen == set(FAMILIES)
     assert {(type(m), m.p) for m in _sweep_models() if m.wild} >= {
         (ASPower, 3), (ASRational, 3)}

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -64,8 +66,9 @@ def wild_profiles(draw):
 
 @st.composite
 def tame_profiles(draw):
-    p = draw(st.sampled_from(SMALL_PRIMES))
-    e = draw(st.integers(1, 50).filter(lambda v: v % p))
+    # p = 0 is the tame form of a cover that does not fix p
+    p = draw(st.sampled_from((0,) + SMALL_PRIMES))
+    e = draw(st.integers(1, 50).filter(lambda v: not p or v % p))
     return FiltrationProfile(p, (e,))
 
 
@@ -73,6 +76,18 @@ def test_trailing_ones_are_normalized():
     assert validate_filtration(5, [5, 5, 5, 1, 1]) == validate_filtration(
         5, [5, 5, 5])
     assert validate_filtration(5, [1]).orders == ()
+
+
+def test_tame_form_is_p_zero():
+    for e in range(1, 60):
+        profile = FiltrationProfile(0, (e, 1, 1))
+        assert profile == FiltrationProfile(0, (e,)) == validate_filtration(
+            0, [e])
+        assert (profile.o0, profile.jumps()) == (e, ())
+        assert different_exponent(profile) == e - 1
+        for f in range(2, e + 1):
+            with pytest.raises(InvalidFiltration):
+                FiltrationProfile(0, (e, f))
 
 
 def test_different_exponent_examples():
@@ -95,6 +110,12 @@ def test_wrong_level_count_is_rejected():
     (5, (50, 5)),           # prime-to-p part 10 is divisible by p... (50/5=10)
     (3, (18, 9, 9, 3)),     # 18/9 = 2 fine, but jumps at 2 and 3: 2 != 3 mod 3
     (4, (4,)),              # p must be an odd prime
+    (1, (3,)),
+    (2, (2,)),
+    (-3, (3,)),
+    (0, (4, 4)),            # the tame form has one level
+    (0, (6, 2)),
+    (0, (6, 2, 2, 1)),
 ])
 def test_invalid_profiles(p, orders):
     with pytest.raises(InvalidFiltration):
@@ -172,9 +193,8 @@ def test_wild_agrees_with_tame_exhaustively():
     from itertools import combinations_with_replacement
 
     for n in range(2, 31):
-        p = _next_coprime_prime(n)
         ds = [e for e in divisors(n) if e >= 2]
-        for g0 in (0, 1, 2):
+        for p, g0 in itertools.product((0, _next_coprime_prime(n)), (0, 1, 2)):
             for k in (0, 1, 2, 3):
                 for combo in combinations_with_replacement(ds, k):
                     orbits = [OrbitDatum(FiltrationProfile(p, (e,)), n // e)
@@ -198,8 +218,8 @@ def test_wild_agrees_with_tame_exhaustively():
 def test_tame_indices_as_level_zero_orbits(n, g0, indices):
     # an index e is an orbit of N/e points whose stabiliser, of order e
     # prime to p, has only level 0: different exponent e - 1
-    for p in (3, 5, 7, 11, 13):
-        if n % p == 0:
+    for p in (0, 3, 5, 7, 11, 13):
+        if p and n % p == 0:
             continue
         orbits = [OrbitDatum(FiltrationProfile(p, (e,)), n // e)
                   for e in indices]
