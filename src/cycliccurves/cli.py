@@ -205,17 +205,20 @@ def _cmd_verify(args):
         fforacle.check_tower(args.q, args.zeta_depth, g)
     fld = fforacle.field(p, k)
 
-    # the generator first: a missing root of unity fails before the count
+    # one listing of the affine points serves both records; the generator
+    # comes first, so a missing root of unity fails before any point is
+    # listed, and a refused map still reports the listing's places
     try:
         report = fforacle.verify_automorphism(model, fld)
+        count = report.places
         automorphism = {
             "order": report.order, "expected_order": model.cyclic_order(),
             "affine_points": report.point_count,
             "fixed_points": [list(pt) for pt in report.fixed_points],
             "ok": report.fixed_points == model.affine_fixed}
     except (fforacle.NotAnAutomorphism, fforacle.OrderMismatch) as exc:
+        count = exc.places
         automorphism = {"error": str(exc), "ok": False}
-    count = fforacle.count_places(model, fld)
     checks = {"places": {"count": count, "genus_formula": g,
                          "ok": fforacle.within_hasse_weil(count, args.q, g)},
               "automorphism": automorphism}

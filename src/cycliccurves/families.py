@@ -66,11 +66,12 @@ class PreconditionViolated(ValueError):
 class PrimitivePair:
     """Exponent pair (r, s) for y^n = x^r (1-x)^s.
 
-    Requires r, s >= 1, r + s <= n - 1 and gcd(r, s, n) = 1.  `genus`
-    is (n + 2 - gcd(n,r) - gcd(n,s) - gcd(n,r+s)) / 2, and `orbits` has
-    gcd(n, r) places over x = 0 with stabiliser n/gcd(n, r), and so for s
-    and r + s over 1 and infinity (`signature` is their view); both come
-    once at construction from the same gcd triple that checks primitivity.
+    Requires ints with r, s >= 1, r + s <= n - 1 and gcd(r, s, n) = 1.
+    `genus` is (n + 2 - gcd(n,r) - gcd(n,s) - gcd(n,r+s)) / 2, and
+    `orbits` has gcd(n, r) places over x = 0 with stabiliser n/gcd(n, r),
+    and so for s and r + s over 1 and infinity (`signature` is their
+    view); both come once at construction from the same gcd triple that
+    checks primitivity.
     """
 
     n: int
@@ -81,10 +82,12 @@ class PrimitivePair:
     signature = property(lambda pair: tame_signature(pair.orbits))
 
     def __post_init__(self):
-        n = self.n
-        a, b, c = primitive_gcds(n, self.r, self.s)
+        n, r, s = self.n, self.r, self.s
+        if not (is_int(n) and is_int(r) and is_int(s)):
+            raise NotPrimitive(f"(n, r, s)=({n!r}, {r!r}, {s!r}) must be ints")
+        a, b, c = primitive_gcds(n, r, s)
         total = n + 2 - a - b - c
-        assert total % 2 == 0, (n, self.r, self.s)
+        assert total % 2 == 0, (n, r, s)
         object.__setattr__(self, "genus", total // 2)
         object.__setattr__(self, "orbits", tame_orbits(
             n, tuple(sorted((n // a, n // b, n // c)))))
@@ -193,7 +196,8 @@ class Equation:
     def affine_xs(self):
         """The x values of the affine model, as an array (field elements
         are enumerated by encoding, so x sits at index x)."""
-        return np.delete(self.fld.elements(), self.missing_x)
+        xs = self.fld.elements()
+        return np.delete(xs, self.missing_x) if self.missing_x else xs
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +310,7 @@ class Kummer(CurveModel):
                     + fld.num_nth_roots(minus_one_s, gcd(n, r + s))) - 2
         return Equation(
             fld, *_power_lhs(fld, n),
-            rhs=lambda x: fld.mul(fld.pow(x, r), fld.pow(fld.sub(1, x), s)),
+            rhs=lambda x: fld.pow_product(x, r, fld.sub(1, x), s),
             extra=extra)
 
     def point_map(self, fld):

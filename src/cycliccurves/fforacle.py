@@ -22,9 +22,13 @@ the curve families by exact computation over small finite fields:
     fitting a Weil polynomial via Newton's identities and the
     functional equation, demanding exact integer agreement; `zeta_fit`
     also says why no genus fits.
+  * `affine_points` lists the rational points of the affine part once,
+    with the tables that locate them; with the extra places it gives
+    the same count as `count_places`.
   * `verify_automorphism` runs the family's generator (`point_map`) on
-    the rational points and checks that it is a permutation of order
-    exactly `cyclic_order()`, reporting orbit structure and fixed points.
+    that listing and checks that it is a permutation of order exactly
+    `cyclic_order()`, reporting orbit structure and fixed points, and
+    the listing's place count, so that one listing serves `verify`.
 
 Both counts and `verify_automorphism` are generic: the equation, its
 x-domain, its fibre sizes, the extra places and the generator's action
@@ -39,12 +43,13 @@ its tower and moves them into each extension (`CurveModel.lifted`).
 Counting evaluates each side of the equation once over the whole
 field, as an array: the fast count sums the closed-form fibre sizes of
 rhs over all x (`fibre(rhs(xs)).sum()`), the naive count compares lhs
-over all y with each rhs value, and the automorphism check maps every
-affine point in one call, finds the images by dense lookups and walks
-the orbits by pointer doubling.  Every use of a field enumerates all
-of it, and memory beyond the field tables is a few vectors of length
-q, so every field, prime or not, stops at `TABLE_LIMIT` elements
-(2^22), the ceiling of the tables.
+over all y with each rhs value, the listing sorts the y by lhs(y) and
+pairs each x with the y of value rhs(x), and the automorphism check
+maps every listed point in one call, finds the images by dense lookups
+and walks the orbits by pointer doubling.  Every use of a field
+enumerates all of it, and memory beyond the field tables is a few
+vectors of length q, so every field, prime or not, stops at
+`TABLE_LIMIT` elements (2^22), the ceiling of the tables.
 
 Everything is a pure function of its inputs; fields cache their own
 tables but are immutable once constructed, so all operations are safe
@@ -66,11 +71,13 @@ class FieldTooLarge(ValueError):
 
 
 class NotAnAutomorphism(RuntimeError):
-    """The instantiated map does not permute the rational points."""
+    """The instantiated map does not permute the rational points.
+    Raised by `verify_automorphism`, it carries the listing's `places`."""
 
 
 class OrderMismatch(RuntimeError):
-    """The permutation order differs from the claimed order."""
+    """The permutation order differs from the claimed order.  Raised by
+    `verify_automorphism`, it carries the listing's `places`."""
 
 
 class InsufficientCounts(ValueError):
@@ -146,6 +153,21 @@ def _int64(a):
     return np.asarray(a, dtype=np.int64)
 
 
+def _mod(t, m):
+    """t mod m in place, for a fresh int64 t (or numpy scalar): numpy
+    divides an array by a scalar with libdivide, about three times as
+    fast as it takes a remainder."""
+    t -= t // m * m
+    return t
+
+
+def _fold(s, p):
+    """s in (-p, p) folded into [0, p): prime-field residues in int64,
+    with no modulo."""
+    s += (s >> 63) & p
+    return s
+
+
 def _wrap(s, n):
     """s - n, folded into [0, n) where s < 2n and clipped to n, the zero
     slot of the exp table, where s carries a zero log: int32 throughout."""
@@ -166,11 +188,13 @@ class FiniteField:
     a numpy scalar back.  Every field holds two int32 tables over a
     primitive element g, n = q - 1, 8 bytes per element: `_expz[i] =
     g^i` for i < n with a zero slot `_expz[n] = 0`, and `_log[a]`, with
-    the sentinel `LOG_ZERO` = 2^28 at a = 0.  a^e is `_exp[log(a) * e
-    mod n]` in int64, c is an n-th power exactly when gcd(n, q - 1)
-    divides log(c), and the elements of order n are the g^(j(q-1)/n)
-    with j prime to n.  Prime fields add and multiply in int64 modular
-    arithmetic (q <= 2^22, so every product fits).  Extension fields
+    the sentinel `LOG_ZERO` = 2^28 at a = 0.  a^e is `_expz[log(a) * e
+    mod n]` in int64 (and a^r b^s one exp of r log a + s log b), the zero
+    log's bit 28 sending 0^e to the zero slot; c is an n-th power exactly
+    when gcd(n, q - 1) divides log(c), and the elements of order n are
+    the g^(j(q-1)/n) with j prime to n.  Prime fields add, subtract and
+    multiply in int64 modular arithmetic (q <= 2^22, so every product
+    fits), a sum folded into [0, p) with no modulo.  Extension fields
     hold a third int32 table, the Zech log `_zechz[i] = log(1 + g^i)`
     (`LOG_ZERO` where 1 + g^i = 0, and 0 in the slot i = n), 12 bytes
     per element in all, and compute in int32 with no modulo and no zero
@@ -239,14 +263,16 @@ class FiniteField:
             g += 1
         exp = np.zeros(q, dtype=np.int32)
         if k == 1:
-            # g^(i*t + j) = (g^t)^i * g^j: giant steps times baby steps
+            # g^(i*t + j) = (g^t)^i * g^j: giant steps times baby steps,
+            # in int64, which also scatters the logs faster than int32
             t = isqrt(n) + 1
             baby, giant = _powers(g, t, p), _powers(pow(g, t, p), t, p)
-            exp[:n] = (giant[:, None] * baby % p).ravel()[:n]
+            exp[:n] = powers = _mod(giant[:, None] * baby, p).ravel()[:n]
         else:
             self._extension_exp(g, exp[:n])
+            powers = exp[:n]
         log = np.full(q, LOG_ZERO, dtype=np.int32)
-        log[exp[:n]] = np.arange(n, dtype=np.int32)
+        log[powers] = np.arange(n, dtype=np.int32)
         if log[1] != 0 or (log[1:] == LOG_ZERO).any():
             raise RuntimeError("discrete log table construction failed")
         self._expz, self._log, self._exp = exp, log, exp[:n]
@@ -305,15 +331,19 @@ class FiniteField:
 
     def add(self, a, b):
         if self.k == 1:
-            return (_int64(a) + _int64(b)) % self.p
+            return _fold(_int64(a) + _int64(b) - self.p, self.p)
         la, lb = self._log[a], self._log[b]
         z = self._zechz[np.minimum(abs(la - lb), self.q - 1)]
         return self._expz[_wrap(np.minimum(la, lb) + z, self.q - 1)]
 
     def neg(self, a):
+        if self.k == 1:
+            return _fold(-_int64(a), self.p)
         return self.scale(-1, a)
 
     def sub(self, a, b):
+        if self.k == 1:
+            return _fold(_int64(a) - _int64(b), self.p)
         return self.add(a, self.neg(b))
 
     def scale(self, c, a):
@@ -322,15 +352,24 @@ class FiniteField:
 
     def mul(self, a, b):
         if self.k == 1:
-            return _int64(a) * _int64(b) % self.p
+            return _mod(_int64(a) * _int64(b), self.p)
         return self._expz[_wrap(self._log[a] + self._log[b], self.q - 1)]
 
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
-        n = self.q - 1
-        return np.where(a == 0, int(e == 0),
-                        self._exp[self._log[a].astype(np.int64) * (e % n) % n])
+        n, la = self.q - 1, self._log[a]
+        t = _mod(_int64(la) * (e % n), n)
+        if e:  # 0^e = 0: the zero log's bit 28 sends it past n
+            t |= la & LOG_ZERO
+        return self._expz[np.minimum(t, n)]
+
+    def pow_product(self, a, r, b, s):
+        """a^r * b^s for r, s >= 1, one exp of r log a + s log b."""
+        n, la, lb = self.q - 1, self._log[a], self._log[b]
+        t = _mod(_int64(la) * (r % n) + _int64(lb) * (s % n), n)
+        t |= (la | lb) & LOG_ZERO
+        return self._expz[np.minimum(t, n)]
 
     def inv(self, a):
         if (np.asarray(a) == 0).any():
@@ -367,9 +406,15 @@ class FiniteField:
     def num_nth_roots(self, c, n):
         """Number of y with y^n = c: gcd(n, q-1) for a nonzero n-th
         power (a log divisible by the gcd), 0 for a nonzero non-power,
-        1 for zero."""
-        d = gcd(n, self.q - 1)
-        return np.where(c == 0, 1, np.where(self._log[c] % d == 0, d, 0))
+        1 for zero.  An array reads a table over the logs, whose slot
+        q - 1 is the zero log's; one element needs no table."""
+        d, m = gcd(n, self.q - 1), self.q - 1
+        if np.ndim(c) == 0:
+            lc = int(self._log[c])
+            return 1 if lc == LOG_ZERO else d * (lc % d == 0)
+        roots = np.zeros(self.q, dtype=np.int32)
+        roots[:m:d], roots[m] = d, 1
+        return roots[np.minimum(self._log[c], m)]
 
     def nth_root(self, c, n):
         """A y with y^n = c for nonzero c, or None if c is no n-th power:
@@ -580,35 +625,63 @@ def _affine_point_arrays(eq):
     """The rational points of eq's affine model as arrays (x, y), sorted
     by x and then y, and the dense tables at_x and rank that locate
     them: point (x, y) is number at_x[x] + rank[y]."""
-    q = eq.fld.q
-    xs = eq.affine_xs()
-    lhs = eq.lhs(eq.fld.elements())
+    q, ys = eq.fld.q, eq.fld.elements()
+    xs, lhs = eq.affine_xs(), eq.lhs(ys)
     counts = np.bincount(lhs, minlength=q)  # fibre size of each value
-    first = np.cumsum(counts) - counts
-    # y sorted by (lhs(y), y), read off the sorted keys lhs(y) * q + y
-    ys = np.sort(_int64(lhs) * q + eq.fld.elements()) % q
-    rank = np.empty(q, dtype=np.int64)  # y's place among its value's ys
-    rank[ys] = np.arange(q) - np.repeat(first, counts)
-    rhs = eq.rhs(xs)
-    sizes = counts[rhs]
-    # the i-th x pairs with ys[first[rhs[i]]], ... and those points land
-    # at starts[i], ... in the output
-    starts = np.cumsum(sizes) - sizes
-    at = np.arange(int(sizes.sum())) + np.repeat(first[rhs] - starts, sizes)
+    # ys sorted by (lhs(y), y), read off the sorted keys lhs(y) 2^22 + y;
+    # rank[y] is y's place among them
+    keys = np.sort(_int64(lhs) << 22 | ys)
+    ys = keys & (TABLE_LIMIT - 1)
+    rank = np.empty(q, dtype=np.int64)
+    rank[ys] = np.arange(q)
+    rhs = _int64(eq.rhs(xs))
+    sizes = counts.take(rhs)
+    # the i-th x pairs with the sizes[i] ys of value rhs[i], which end
+    # before ys[cumsum(counts)[rhs[i]]], and its points end before point
+    # cumsum(sizes)[i]: point (x, y) is number at_x[x] + rank[y] for
+    # at_x[x] the difference of the two ends
     at_x = np.zeros(q, dtype=np.int64)
-    at_x[xs] = starts
-    return np.repeat(xs, sizes), ys[at], at_x, rank
+    at_x[xs] = shift = np.cumsum(sizes) - np.cumsum(counts).take(rhs)
+    at = np.arange(int(sizes.sum())) - np.repeat(shift, sizes)
+    return np.repeat(xs, sizes), ys.take(at), at_x, rank
+
+
+@dataclass(frozen=True)
+class AffinePoints:
+    """The rational points of an equation's affine model, listed once:
+    arrays (xs, ys) sorted by x and then y, the dense tables at_x and
+    rank that locate them (point (x, y) is number at_x[x] + rank[y]),
+    and `places`, their number plus the equation's `extra` places: the
+    count that `count_places` sums fibre by fibre."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    at_x: np.ndarray
+    rank: np.ndarray
+    places: int
+
+    def __len__(self):
+        return len(self.xs)
+
+
+def affine_points(eq) -> AffinePoints:
+    """List the rational points of eq's affine model, once for both the
+    place count and the orbit walk of `verify_automorphism`."""
+    xs, ys, at_x, rank = _affine_point_arrays(eq)
+    return AffinePoints(xs, ys, at_x, rank, len(xs) + eq.extra)
 
 
 @dataclass(frozen=True)
 class OrbitReport:
-    """Orbit structure of a verified automorphism on affine points."""
+    """Orbit structure of a verified automorphism on affine points, and
+    the rational places of the listing it was checked on."""
 
     q: int
     point_count: int
     order: int
     fixed_points: tuple
     orbit_sizes: tuple  # ((size, multiplicity), ...) ascending
+    places: int
 
 
 def verify_automorphism(model: CurveModel, fld: FiniteField) -> OrbitReport:
@@ -616,51 +689,70 @@ def verify_automorphism(model: CurveModel, fld: FiniteField) -> OrbitReport:
     with order exactly `model.cyclic_order()`, and report the orbit
     structure: each image is found by dense lookup, a point hit twice
     is refused, and the cycles are found by pointer doubling on the
-    image indices, with no loop over points."""
+    image indices, with no loop over points.  A refusal
+    (`NotAnAutomorphism`, `OrderMismatch`) carries the listing's
+    `places` as the report does."""
     eq = model.equation(fld)
     generator = model.point_map(fld)  # raises before any point is listed
-    xs, ys, at_x, rank = _affine_point_arrays(eq)
-    if not len(xs):  # no permutation order to read
+    points = affine_points(eq)
+    if not len(points):  # no permutation order to read
         raise PreconditionViolated(
             f"F_{fld.q} has no affine point to check the order on")
+    try:
+        return _orbits(model, generator, points, fld.q)
+    except (NotAnAutomorphism, OrderMismatch) as exc:
+        exc.places = points.places
+        raise
+
+
+def _orbits(model, generator, points, q):
+    """The orbit report of `generator` on the listed points over F_q, or
+    the refusal of `verify_automorphism`."""
+    xs, ys, n = points.xs, points.ys, len(points)
     image_xs, image_ys = (_int64(a) for a in generator((xs, ys)))
-    # an encoding outside [0, q) is off the curve; clipped, it still
-    # indexes the tables.  The image of point i is point index[i].
-    q, n = fld.q, len(xs)
-    cx, cy = image_xs.clip(0, q - 1), image_ys.clip(0, q - 1)
-    index = (at_x[cx] + rank[cy]).clip(max=n - 1)
-    keys = xs * q + ys
-    off_curve = np.flatnonzero((keys[index] != cx * q + cy)
-                               | (cx != image_xs) | (cy != image_ys))
-    if len(off_curve):
-        i = off_curve[0]
+    # the image of point i is point index[i].  Read unsigned and bounded,
+    # an encoding outside [0, q) and an index outside [0, n) still index
+    # the tables, and no listed point matches them
+    cx, cy = (np.minimum(a.view(np.uint64), q - 1).view(np.int64)
+              for a in (image_xs, image_ys))
+    index = points.at_x.take(cx) + points.rank.take(cy)
+    index = np.minimum(index.view(np.uint64), n - 1).view(np.int64)
+    off_curve = (xs.take(index) != image_xs) | (ys.take(index) != image_ys)
+    if off_curve.any():
+        i = off_curve.nonzero()[0][0]
         raise NotAnAutomorphism(
             f"image {(int(image_xs[i]), int(image_ys[i]))} of "
             f"{(int(xs[i]), int(ys[i]))} is not on the curve")
-    shared = np.flatnonzero(np.bincount(index, minlength=n) > 1)
-    if len(shared):
-        j = shared[0]
-        i, i2 = np.flatnonzero(index == j)[:2]
+    hits = np.bincount(index, minlength=n)
+    if hits.max() > 1:
+        j = (hits > 1).nonzero()[0][0]
+        i, i2 = (index == j).nonzero()[0][:2]
         raise NotAnAutomorphism(
             f"{(int(xs[i]), int(ys[i]))} and {(int(xs[i2]), int(ys[i2]))} "
             f"both map to {(int(xs[j]), int(ys[j]))}")
     # pointer doubling: after k rounds label[i] is the least index among
-    # i, s(i), ..., s^(2^k - 1)(i) for s: i -> index[i].  A round that
-    # changes no label ends the walk, as the point 2^k steps before the
-    # least point of a longer cycle would still change.
-    label, jump = np.arange(n), index
-    while not np.array_equal(label, new := np.minimum(label, label[jump])):
-        label, jump = new, jump[jump]
-    cycles = np.bincount(label)  # at each cycle's least point, its length
-    sizes, mult = np.unique(cycles[cycles > 0], return_counts=True)
-    sizes, mult = sizes.tolist(), mult.tolist()
-    order = lcm(*sizes)
+    # i, s(i), ..., s^(2^k - 1)(i) for s: i -> index[i].  As many rounds
+    # as the claimed order has bits cover every cycle of a right claim.
+    # A label constant along its cycle is the cycle's least index, which
+    # the window starting there holds, so a round is added only while
+    # some label differs from its image's.
     claimed = model.cyclic_order()
+    label, jump, rounds = np.arange(n), index, claimed.bit_length()
+    while rounds:
+        for _ in range(rounds):
+            np.minimum(label, label.take(jump), out=label)
+            jump = jump.take(jump)
+        rounds = int((label != label.take(index)).any())
+    cycles = np.bincount(label)  # at each cycle's least point, its length
+    by_size = np.bincount(cycles)
+    sizes = by_size[1:].nonzero()[0] + 1
+    sizes, mult = sizes.tolist(), by_size[sizes].tolist()
+    order = lcm(*sizes)
     if order != claimed:
         raise OrderMismatch(
             f"permutation has order {order}, cyclic_order is {claimed}")
-    fixed = np.flatnonzero(index == np.arange(n))  # in point order: sorted
+    fixed = (cycles == 1).nonzero()[0]  # each a cycle's least point
     return OrbitReport(
         q=q, point_count=n, order=order,
         fixed_points=tuple(zip(xs[fixed].tolist(), ys[fixed].tolist())),
-        orbit_sizes=tuple(zip(sizes, mult)))
+        orbit_sizes=tuple(zip(sizes, mult)), places=points.places)

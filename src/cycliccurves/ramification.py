@@ -148,8 +148,9 @@ def different_exponent(profile: FiltrationProfile) -> int:
     return sum(profile.orders) - len(profile.orders)
 
 
-# Both caches hold immutable data, dearer to build than to look up, shared
-# by the covers of one order with that index (a datum) or type (a tuple).
+# The three caches hold immutable data, dearer to build than to look up,
+# shared by the covers of one order with that index (a datum) or type (a
+# tuple and its signature).
 @lru_cache(maxsize=1024)
 def _tame_orbit(group_order, e):
     return OrbitDatum(FiltrationProfile(0, (e,)), group_order // e)
@@ -163,9 +164,11 @@ def tame_orbits(group_order: int, indices: tuple) -> tuple[OrbitDatum, ...]:
     return tuple([_tame_orbit(group_order, e) for e in indices])
 
 
+@lru_cache(maxsize=1024)
 def tame_signature(orbits) -> Signature:
     """The signature (0; e_1, ..., e_k) of orbit data over the projective
-    line: the stabilizer order of each orbit."""
+    line: the stabilizer order of each orbit, one object per tuple of
+    orbit data (those of `tame_orbits` are interned)."""
     return Signature(0, tuple(o.filtration.o0 for o in orbits))
 
 

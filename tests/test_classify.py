@@ -30,7 +30,8 @@ import cycliccurves.classify as classify_module
 from cycliccurves import families, intmath, ramification
 from cycliccurves.families import (FAMILIES, ASPower, ASRational,
                                    DegenerateModel, Homma, Hyperelliptic,
-                                   Kummer, kummer_genus)
+                                   Kummer, NotPrimitive, PrimitivePair,
+                                   kummer_genus)
 from cycliccurves.fforacle import FiniteField, PreconditionViolated
 from cycliccurves.intmath import divisors
 from cycliccurves.ramification import (
@@ -313,13 +314,17 @@ def test_classify_errors():
     (lambda: FiltrationProfile(5, (5.0, 5.0)), InvalidFiltration, 5.0),
     (lambda: FiniteField(5.0, 1), PreconditionViolated, 5.0),
     (lambda: FiniteField(5, 1.0), PreconditionViolated, 1.0),
+    (lambda: PrimitivePair(5.0, 1, 1), NotPrimitive, 5.0),
+    (lambda: PrimitivePair(True, 1, 1), NotPrimitive, True),
+    (lambda: Kummer.of(7, 1.0, 2), NotPrimitive, 1.0),
 ], ids=["classify-p-float", "classify-p-bool", "classify-p-str",
         "classify-g-float", "classify-g-bool", "signatures-g-float",
         "signatures-n-float", "signatures-n-bool", "pairs-n-float",
         "sasaki-n-float", "homma-p-float", "asrational-p-float",
         "aspower-p-float", "aspower-m-float", "hyper-g-float",
         "profile-p-float", "profile-orders-float",
-        "field-p-float", "field-k-float"])
+        "field-p-float", "field-k-float", "pair-n-float", "pair-n-bool",
+        "kummer-r-float"])
 def test_non_int_arguments_get_typed_errors(call, error, bad):
     # a float passes the range and primality tests (is_prime(3.0) holds)
     # and a bool is an int: each is refused, and named, before any
@@ -436,6 +441,8 @@ def test_caches_are_bounded():
         classify_module._order_gcds: lambda i: (3 + i,),
         ramification.tame_orbits: lambda i: (4 + 2 * i, (2, 2, 2 + i)),
         ramification._tame_orbit: lambda i: (2 * i + 2, 2),
+        ramification.tame_signature: lambda i: (
+            ramification.tame_orbits(4 + 2 * i, (2, 2, 2 + i)),),
     }
     try:
         for cache, args in arguments.items():
@@ -597,6 +604,8 @@ def test_kummer_entries_share_a_signature_per_type():
         by_type = {}
         for e in entries:
             by_type.setdefault(e.ramification, set()).add(id(e.ramification))
+            # the signature view is interned with its orbit data
+            assert e.signature is e.signature is e.model.pair.signature
         assert all(len(ids) == 1 for ids in by_type.values()), (n, g)
         assert len(by_type) == (1 if n == 60 else 2)
         # the pairs of one type have gcd triples in different orders

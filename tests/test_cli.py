@@ -1,11 +1,13 @@
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
 from cycliccurves.classify import canonical_pair
 from cycliccurves.cli import main, model_to_spec, parse_model_spec
 from cycliccurves.families import (
+    FAMILIES,
     ASPower,
     ASRational,
     Homma,
@@ -13,6 +15,7 @@ from cycliccurves.families import (
     Kummer,
     PrimitivePair,
 )
+from cycliccurves.fforacle import count_places, field
 
 
 def run(capsys, *argv):
@@ -268,11 +271,51 @@ def test_failed_zeta_fit_names_the_count(capsys, monkeypatch):
     assert code == 0 and "reason" not in json_lines(out)[2]
 
 
+def with_extra_places(monkeypatch, family, extra):
+    """Give every equation of `family` `extra` places beyond its affine
+    points, in the places record and in every tower count alike."""
+    equation = family.equation
+    monkeypatch.setattr(family, "equation", lambda model, fld: replace(
+        equation(model, fld), extra=extra))
+
+
+def test_verify_evaluates_the_right_side_once(capsys, monkeypatch):
+    # one listing of the affine points serves the places and the
+    # automorphism records, for every family and on a refused order
+    calls = []
+    for family in FAMILIES:
+        def counted(model, fld, equation=family.equation):
+            eq = equation(model, fld)
+            return replace(eq, rhs=lambda x: calls.append(1) or eq.rhs(x))
+        monkeypatch.setattr(family, "equation", counted)
+    for spec, q, code in (("kummer:5,1,1", "11", 0), ("hyper:2,3", "7", 0),
+                          ("aspower:5,2,1,0", "125", 0),
+                          ("aspower:5,2,1,0", "5", 1),
+                          ("asrational:5,1,1,4", "5", 0),
+                          ("homma:5", "5", 0)):
+        calls.clear()
+        assert run(capsys, "verify", "--model", spec, "--q", q)[0] == code
+        assert len(calls) == 1, spec
+
+
+def test_a_refused_generator_keeps_the_listing_count(capsys, monkeypatch):
+    # y -> zeta_3 y does not preserve y^5 = x(1 - x) over F_31: the
+    # automorphism record fails, and the places record still reads the
+    # listing, the count of count_places
+    monkeypatch.setattr(Kummer, "point_map", lambda model, fld: (
+        lambda pt: (pt[0], fld.mul(fld.element_of_order(3), pt[1]))))
+    code, out, _ = run(capsys, "verify", "--model", "kummer:5,1,1",
+                       "--q", "31")
+    places, automorphism, _ = json_lines(out)
+    assert code == 1 and "is not on the curve" in automorphism["error"]
+    assert places["count"] == count_places(Kummer.of(5, 1, 1), field(31))
+
+
 def test_count_out_of_bounds_fails_the_places_record(capsys, monkeypatch):
-    # genus 2 over F_5 allows 6 +- 8.9 places, so 15 is out of bounds;
-    # the generator's record still passes
-    monkeypatch.setattr("cycliccurves.fforacle.count_places",
-                        lambda model, fld: 15)
+    # genus 2 over F_5 allows 6 +- 8.9 places, so 5 affine points and 10
+    # extra places, 15, are out of bounds; the generator's record still
+    # passes
+    with_extra_places(monkeypatch, Homma, 10)
     code, out, _ = run(capsys, "verify", "--model", "homma:5", "--q", "5")
     assert code == 1
     assert out == (
@@ -288,8 +331,7 @@ def test_count_out_of_bounds_fails_the_places_record(capsys, monkeypatch):
 def test_count_out_of_bounds_fails_the_zeta_record(capsys, monkeypatch):
     # the same count over the tower: the zeta record fails and names it,
     # and every record is still printed
-    monkeypatch.setattr("cycliccurves.fforacle.count_places",
-                        lambda model, fld: 15)
+    with_extra_places(monkeypatch, Homma, 10)
     code, out, _ = run(capsys, "verify", "--model", "homma:5", "--q", "5",
                        "--zeta-depth", "4")
     assert code == 1

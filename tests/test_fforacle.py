@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cycliccurves.families import (
+    FAMILIES,
     ASPower,
     ASRational,
     CurveModel,
@@ -33,6 +34,7 @@ from cycliccurves.fforacle import (
     _least_irreducible,
     _newton_elementary,
     _poly_is_irreducible,
+    affine_points,
     count_places,
     count_places_naive,
     count_series,
@@ -106,6 +108,23 @@ def test_field_caps_and_validation():
         FiniteField(4, 1)
     with pytest.raises(PreconditionViolated):
         FiniteField(2, 5)
+
+
+def test_is_prime_against_a_sieve_and_strong_pseudoprimes():
+    # Miller-Rabin tests four witnesses below 3,215,031,751 and twelve
+    # from there on: each strong pseudoprime to the first 1, ..., 7 prime
+    # witnesses is refused, and every n below 10^5 agrees with a sieve
+    n_max = 10**5
+    sieve = np.ones(n_max, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, math.isqrt(n_max) + 1):
+        sieve[d * d::d] = False
+    assert [is_prime(n) for n in range(n_max)] == sieve.tolist()
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321):
+        assert not is_prime(n), n
+    for n in (4194301, 2**31 - 1, 2**61 - 1):
+        assert is_prime(n), n
 
 
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)
@@ -290,6 +309,17 @@ def test_array_pow_inv_trace_match_references(p, k):
     assert fld.trace(xs).tolist() == _ref_trace(fld, xs).tolist()
     with pytest.raises(ZeroDivisionError):
         fld.inv(xs)
+
+
+@pytest.mark.parametrize("p,k", ARRAY_FIELDS)
+def test_pow_product_is_the_product_of_powers(p, k):
+    # one exp of r log a + s log b, zero factors included
+    fld = field(p, k)
+    a, b = _operands(fld)
+    q = fld.q
+    for r, s in ((1, 1), (2, 3), (q - 1, 1), (q, 2 * q + 5)):
+        assert fld.pow_product(a, r, b, s).tolist() == _mul_array(
+            fld, _ref_pow(fld, a, r), _ref_pow(fld, b, s)).tolist(), (r, s)
 
 
 @pytest.mark.parametrize("p,k", [f for f in ARRAY_FIELDS if f[1] >= 2])
@@ -1020,6 +1050,27 @@ def test_point_lookup_past_int32_keys():
     fld = field(3, 10)
     assert check_against_reference(Kummer.of(8, 1, 1), fld) == "report"
     assert check_against_reference(Hyperelliptic(10, 2), fld) == "report"
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2),
+                                 (7, 2), (5, 3)])
+def test_the_listing_counts_the_places(p, k):
+    # verify reads its place count off the point listing, which then
+    # must be the closed-form fibre count and the brute-force one
+    fld = field(p, k)
+    checked = set()
+    for model in family_models(p):
+        try:
+            eq = model.equation(fld)
+        except PreconditionViolated:
+            continue
+        points = affine_points(eq)
+        assert len(points) == len(points.xs) == len(points.ys)
+        assert points.places == len(points) + eq.extra
+        assert points.places == count_places(model, fld) == (
+            count_places_naive(model, fld)), model
+        checked.add(type(model))
+    assert checked == set(FAMILIES)
 
 
 def moving_every_point_to(family, x):
