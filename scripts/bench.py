@@ -6,7 +6,8 @@
 
 Runs `perfbench/run.py --workload all --trace 0` for the end-to-end
 medians of every workload, then one `--trace 1` run for the per-layer
-metrics, then times the tier-1 suite (`python -m pytest -q` with `src`
+metrics, then times the tier-1 suite as CI runs it (`python -m pytest
+-q --continue-on-collection-errors -W error::RuntimeWarning` with `src`
 on the path) and counts the lines of `src/cycliccurves/*.py` as
 `wc -l` does.  Every run uses run.py's default seed 1 and 35 s per
 workload.  The output holds:
@@ -140,7 +141,7 @@ def time_tier1():
     start = perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q",
-         "--continue-on-collection-errors"],
+         "--continue-on-collection-errors", "-W", "error::RuntimeWarning"],
         cwd=ROOT, env=env, capture_output=True, text=True)
     wall = perf_counter() - start
     lines = proc.stdout.strip().splitlines()

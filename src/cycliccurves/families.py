@@ -23,9 +23,10 @@ Classification, counting, automorphism checks (`fforacle`) and spec
 parsing (`cli`) are generic over these, so adding a family means adding
 one class to `FAMILIES`.  The wild ones, b*y^p + c*y = f(x), share the
 base `ArtinSchreier`: each lists its short or polar x-orbits (`places`),
-from which one rule (Stichtenoth, Prop. 3.7.8) derives N, the genus, the
-filtration data and the rational places over the poles of f; the base
-alone refuses a genus below 2.
+from which one rule (Stichtenoth, Prop. 3.7.8) derives N, the genus and
+the rational places over the poles of f, and `ramification.orbit_datum`,
+the one constructor of orbit data, the filtration data; the base alone
+refuses a genus below 2.
 
 Models are field-agnostic value objects: parameters are either plain
 integers (residues below p, base-p encodings of field elements in
@@ -44,8 +45,8 @@ from typing import Any, ClassVar
 import numpy as np
 
 from .intmath import is_int, is_prime
-from .ramification import (FiltrationProfile, OrbitDatum, Signature,
-                           tame_orbits, tame_signature)
+from .ramification import (OrbitDatum, Signature, orbit_datum, tame_orbits,
+                           tame_signature)
 
 Param = int | str
 
@@ -399,12 +400,8 @@ class ArtinSchreier(CurveModel):
         return self.p * max(e for e, _ in self.places())
 
     def ramification(self):
-        # a pole of order m, prime to p, is one totally ramified place
-        # with lower jump m (Stichtenoth, Prop. 3.7.8)
         p, n = self.p, self.cyclic_order()
-        profiles = [FiltrationProfile(p, (e * p,) + (p,) * m if m else (e,))
-                    for e, m in self.places()]
-        return tuple([OrbitDatum(f, n // f.o0) for f in profiles])
+        return tuple([orbit_datum(p, n, e, m) for e, m in self.places()])
 
     def equation(self, fld):
         _require(fld.p == self.p,

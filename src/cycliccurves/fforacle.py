@@ -23,8 +23,8 @@ the curve families by exact computation over small finite fields:
     functional equation, demanding exact integer agreement; `zeta_fit`
     also says why no genus fits.
   * `affine_points` lists the rational points of the affine part once,
-    with the tables that locate them; with the extra places it gives
-    the same count as `count_places`.
+    as an `AffinePoints` with the tables that locate them; with the
+    extra places it gives the same count as `count_places`.
   * `verify_automorphism` runs the family's generator (`point_map`) on
     that listing and checks that it is a permutation of order exactly
     `cyclic_order()`, reporting orbit structure and fixed points, and
@@ -177,6 +177,7 @@ def _wrap(s, n):
 
 
 LOG_ZERO = 1 << 28  # log(0): any sum with it, less n, is past n < 2^22
+_TABLE_BITS = TABLE_LIMIT.bit_length() - 1  # the ceiling is 2^_TABLE_BITS
 _RUN = 1 << 14  # longest run of powers the exp build makes in one step
 
 
@@ -339,16 +340,12 @@ class FiniteField:
     def neg(self, a):
         if self.k == 1:
             return _fold(-_int64(a), self.p)
-        return self.scale(-1, a)
+        return self.mul(self.p - 1, a)
 
     def sub(self, a, b):
         if self.k == 1:
             return _fold(_int64(a) - _int64(b), self.p)
         return self.add(a, self.neg(b))
-
-    def scale(self, c, a):
-        """Multiply by a prime-subfield scalar c."""
-        return self.mul(np.asarray(c) % self.p, a)
 
     def mul(self, a, b):
         if self.k == 1:
@@ -514,9 +511,10 @@ class PlaceCountSeries:
 
 def check_ceiling(base: int, degree: int, name: str) -> None:
     """Refuse `name`, of base^degree elements (base >= 2), past the field
-    ceiling 2^22; a degree past 22 is refused before the power is taken."""
-    if degree > 22 or base**degree > TABLE_LIMIT:
-        raise FieldTooLarge(f"{name} exceeds the field ceiling 2^22")
+    ceiling `TABLE_LIMIT`, a degree past its log2 before any power."""
+    if degree > _TABLE_BITS or base**degree > TABLE_LIMIT:
+        raise FieldTooLarge(
+            f"{name} exceeds the field ceiling 2^{_TABLE_BITS}")
 
 
 def check_tower(q: int, depth: int, g_max: int = 0) -> None:
@@ -621,31 +619,6 @@ def _power_sums(e, m):
 # automorphism verification
 
 
-def _affine_point_arrays(eq):
-    """The rational points of eq's affine model as arrays (x, y), sorted
-    by x and then y, and the dense tables at_x and rank that locate
-    them: point (x, y) is number at_x[x] + rank[y]."""
-    q, ys = eq.fld.q, eq.fld.elements()
-    xs, lhs = eq.affine_xs(), eq.lhs(ys)
-    counts = np.bincount(lhs, minlength=q)  # fibre size of each value
-    # ys sorted by (lhs(y), y), read off the sorted keys lhs(y) 2^22 + y;
-    # rank[y] is y's place among them
-    keys = np.sort(_int64(lhs) << 22 | ys)
-    ys = keys & (TABLE_LIMIT - 1)
-    rank = np.empty(q, dtype=np.int64)
-    rank[ys] = np.arange(q)
-    rhs = _int64(eq.rhs(xs))
-    sizes = counts.take(rhs)
-    # the i-th x pairs with the sizes[i] ys of value rhs[i], which end
-    # before ys[cumsum(counts)[rhs[i]]], and its points end before point
-    # cumsum(sizes)[i]: point (x, y) is number at_x[x] + rank[y] for
-    # at_x[x] the difference of the two ends
-    at_x = np.zeros(q, dtype=np.int64)
-    at_x[xs] = shift = np.cumsum(sizes) - np.cumsum(counts).take(rhs)
-    at = np.arange(int(sizes.sum())) - np.repeat(shift, sizes)
-    return np.repeat(xs, sizes), ys.take(at), at_x, rank
-
-
 @dataclass(frozen=True)
 class AffinePoints:
     """The rational points of an equation's affine model, listed once:
@@ -667,8 +640,26 @@ class AffinePoints:
 def affine_points(eq) -> AffinePoints:
     """List the rational points of eq's affine model, once for both the
     place count and the orbit walk of `verify_automorphism`."""
-    xs, ys, at_x, rank = _affine_point_arrays(eq)
-    return AffinePoints(xs, ys, at_x, rank, len(xs) + eq.extra)
+    q, ys = eq.fld.q, eq.fld.elements()
+    xs, lhs = eq.affine_xs(), eq.lhs(ys)
+    counts = np.bincount(lhs, minlength=q)  # fibre size of each value
+    # ys sorted by (lhs(y), y), read off the sorted keys lhs(y) TABLE_LIMIT
+    # + y, as y < q <= TABLE_LIMIT; rank[y] is y's place among them
+    keys = np.sort(_int64(lhs) << _TABLE_BITS | ys)
+    ys = keys & (TABLE_LIMIT - 1)
+    rank = np.empty(q, dtype=np.int64)
+    rank[ys] = np.arange(q)
+    rhs = _int64(eq.rhs(xs))
+    sizes = counts.take(rhs)
+    # the i-th x pairs with the sizes[i] ys of value rhs[i], which end
+    # before ys[cumsum(counts)[rhs[i]]], and its points end before point
+    # cumsum(sizes)[i]: point (x, y) is number at_x[x] + rank[y] for
+    # at_x[x] the difference of the two ends
+    at_x = np.zeros(q, dtype=np.int64)
+    at_x[xs] = shift = np.cumsum(sizes) - np.cumsum(counts).take(rhs)
+    at = np.arange(int(sizes.sum())) - np.repeat(shift, sizes)
+    xs = np.repeat(xs, sizes)
+    return AffinePoints(xs, ys.take(at), at_x, rank, len(xs) + eq.extra)
 
 
 @dataclass(frozen=True)
@@ -676,7 +667,6 @@ class OrbitReport:
     """Orbit structure of a verified automorphism on affine points, and
     the rational places of the listing it was checked on."""
 
-    q: int
     point_count: int
     order: int
     fixed_points: tuple
@@ -753,6 +743,6 @@ def _orbits(model, generator, points, q):
             f"permutation has order {order}, cyclic_order is {claimed}")
     fixed = (cycles == 1).nonzero()[0]  # each a cycle's least point
     return OrbitReport(
-        q=q, point_count=n, order=order,
+        point_count=n, order=order,
         fixed_points=tuple(zip(xs[fixed].tolist(), ys[fixed].tolist())),
         orbit_sizes=tuple(zip(sizes, mult)), places=points.places)

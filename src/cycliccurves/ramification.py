@@ -5,7 +5,9 @@ curves: higher-ramification filtrations at ramified points (stored as
 the list of subgroup orders |G_P^(i)|, p = 0 for a tame one), orbit
 data pairing a filtration with the number of points sharing it, and
 ramification signatures (quotient genus plus a multiset of indices),
-the tame view of that data.  `rh_genus_wild` reads every genus.
+the tame view of that data.  `orbit_datum` is the one constructor of
+orbit data, tame or wild, interned per orbit; `rh_genus_wild` reads
+every genus.
 
 All operations are pure functions of their inputs, return exact Python
 integers, and raise rather than silently round when the genus formula
@@ -149,11 +151,16 @@ def different_exponent(profile: FiltrationProfile) -> int:
 
 
 # The three caches hold immutable data, dearer to build than to look up,
-# shared by the covers of one order with that index (a datum) or type (a
+# shared by the covers of one order with that orbit (a datum) or type (a
 # tuple and its signature).
 @lru_cache(maxsize=1024)
-def _tame_orbit(group_order, e):
-    return OrbitDatum(FiltrationProfile(0, (e,)), group_order // e)
+def orbit_datum(p: int, group_order: int, e: int, m: int = 0) -> OrbitDatum:
+    """A short orbit of a cyclic cover of order N, its tame stabilizer of
+    order e: one level with no pole (m = 0; p = 0 is the tame form), or,
+    at a pole of order m prime to p, one totally ramified place with
+    lower jump m, orders (e*p, p, ..., p) (Stichtenoth, Prop. 3.7.8)."""
+    profile = FiltrationProfile(p, (e * p,) + (p,) * m if m else (e,))
+    return OrbitDatum(profile, group_order // profile.o0)
 
 
 @lru_cache(maxsize=1024)
@@ -161,7 +168,7 @@ def tame_orbits(group_order: int, indices: tuple) -> tuple[OrbitDatum, ...]:
     """The orbit data of a tuple of tame ramification indices: an index e
     is an orbit of N/e points whose stabilizer, of order e, has only
     level 0."""
-    return tuple([_tame_orbit(group_order, e) for e in indices])
+    return tuple([orbit_datum(0, group_order, e) for e in indices])
 
 
 @lru_cache(maxsize=1024)

@@ -433,26 +433,27 @@ def test_entry_validation_rejects_inconsistencies():
 
 
 def test_caches_are_bounded():
-    arguments = {
-        intmath.prime_factors: lambda i: (i + 1,),
-        intmath.divisors: lambda i: (i + 1,),
-        classify_module._canonical_genus_entries: lambda i: (5 + i, 2),
-        classify_module._orbit_minima: lambda i: (5 + i, 2),
-        classify_module._order_gcds: lambda i: (3 + i,),
-        ramification.tame_orbits: lambda i: (4 + 2 * i, (2, 2, 2 + i)),
-        ramification._tame_orbit: lambda i: (2 * i + 2, 2),
-        ramification.tame_signature: lambda i: (
-            ramification.tame_orbits(4 + 2 * i, (2, 2, 2 + i)),),
-    }
+    arguments = [
+        (intmath.prime_factors, lambda i: (i + 1,)),
+        (intmath.divisors, lambda i: (i + 1,)),
+        (classify_module._canonical_genus_entries, lambda i: (5 + i, 2)),
+        (classify_module._orbit_minima, lambda i: (5 + i, 2)),
+        (classify_module._order_gcds, lambda i: (3 + i,)),
+        (ramification.tame_orbits, lambda i: (4 + 2 * i, (2, 2, 2 + i))),
+        (ramification.orbit_datum, lambda i: (0, 2 * i + 2, 2)),
+        (ramification.orbit_datum, lambda i: (5, 10 * i + 10, 2, 1)),
+        (ramification.tame_signature, lambda i: (
+            ramification.tame_orbits(4 + 2 * i, (2, 2, 2 + i)),)),
+    ]
     try:
-        for cache, args in arguments.items():
+        for cache, args in arguments:
             bound = cache.cache_info().maxsize
             assert bound is not None
             for i in range(bound + 10):
                 cache(*args(i))
             assert cache.cache_info().currsize <= bound
     finally:
-        for cache in list(arguments)[2:]:
+        for cache, _ in arguments[2:]:
             cache.cache_clear()
 
 

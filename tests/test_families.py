@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from math import gcd, lcm
 
-from cycliccurves import families
+from cycliccurves import families, ramification
 from cycliccurves.families import (
     FAMILIES,
     ASPower,
@@ -296,6 +296,32 @@ def test_ramification_gives_the_genus():
     assert seen == set(FAMILIES)
     assert {(type(m), m.p) for m in _sweep_models() if m.wild} >= {
         (ASPower, 3), (ASRational, 3)}
+
+
+def test_wild_orbit_data_are_interned():
+    # ASPower(5, 3, a, b) has one pole of order 3 at infinity whatever
+    # a and b are: both models read one datum
+    first, second = (ASPower(5, 3, 1, 0).ramification(),
+                     ASPower(5, 3, 2, 1).ramification())
+    assert first[0] is second[0]
+    assert all(a is b for a, b in zip(first, second))
+
+
+def test_repeated_ramification_builds_no_profile(monkeypatch):
+    models = [ASPower(5, 3, 1, 0), ASRational(7, 1, 1, 4), Homma(11),
+              Kummer.of(7, 1, 2), Hyperelliptic(4, "l")]
+    before = [model.ramification() for model in models]
+    built = []
+    post_init = ramification.FiltrationProfile.__post_init__
+
+    def counting(profile):
+        built.append(profile.orders)
+        post_init(profile)
+
+    monkeypatch.setattr(ramification.FiltrationProfile, "__post_init__",
+                        counting)
+    assert [model.ramification() for model in models] == before
+    assert built == []
 
 
 def _accepted_models(p):

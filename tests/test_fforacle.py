@@ -30,7 +30,6 @@ from cycliccurves.fforacle import (
     OrderMismatch,
     PlaceCountSeries,
     PreconditionViolated,
-    _affine_point_arrays,
     _least_irreducible,
     _newton_elementary,
     _poly_is_irreducible,
@@ -287,8 +286,9 @@ def test_array_add_and_mul_match_references(p, k):
     assert fld.mul(a, b).tolist() == _mul_array(fld, a, b).tolist()
     assert fld.sub(fld.add(a, b), b).tolist() == a.tolist()
     assert fld.add(a, fld.neg(a)).tolist() == [0] * len(a)
-    assert fld.scale(p - 2, a).tolist() == _mul_array(
-        fld, np.full(len(a), p - 2), a).tolist()
+    # a prime-subfield scalar times an array, and neg as the scalar p - 1
+    for c, got in ((p - 2, fld.mul(p - 2, a)), (p - 1, fld.neg(a))):
+        assert got.tolist() == _mul_array(fld, np.full(len(a), c), a).tolist()
 
 
 @pytest.mark.parametrize("p,k", ARRAY_FIELDS + [
@@ -802,9 +802,11 @@ def test_homma_is_the_square_of_aspower(p):
     for k in (1, 2):
         fld = field(p, k)
         assert count_places(aspower, fld) == count_places(homma, fld)
-        xs, ys, _, _ = _affine_point_arrays(homma.equation(fld))
+        points = affine_points(homma.equation(fld))
+        xs, ys = points.xs, points.ys
+        other = affine_points(aspower.equation(fld))
         assert all(np.array_equal(a, b) for a, b in zip(
-            _affine_point_arrays(aspower.equation(fld))[:2], (xs, ys)))
+            (other.xs, other.ys), (xs, ys)))
         assert len(xs) >= p
         sigma, image = aspower.point_map(fld), (xs, ys)
         for _ in range(p + 1):
@@ -843,8 +845,7 @@ def test_zeta_instantiation_precondition(monkeypatch):
     def no_points(eq):
         raise AssertionError("affine points listed before the generator")
 
-    monkeypatch.setattr("cycliccurves.fforacle._affine_point_arrays",
-                        no_points)
+    monkeypatch.setattr("cycliccurves.fforacle.affine_points", no_points)
     for model, p, n in ((Hyperelliptic(2, 3), 11, 3),
                         (Kummer.of(5, 1, 1), 7, 5),
                         (ASPower(5, 3, 1, 0), 5, 3)):
@@ -871,7 +872,8 @@ def test_orbit_sizes_partition_points():
 def test_affine_points_lie_on_curve():
     fld = field(7, 1)
     model = Hyperelliptic(2, 3)
-    xs, ys, at_x, rank = _affine_point_arrays(model.equation(fld))
+    points = affine_points(model.equation(fld))
+    xs, ys, at_x, rank = points.xs, points.ys, points.at_x, points.rank
     assert list(zip(xs.tolist(), ys.tolist())) == sorted(
         (x, y) for x in range(7) for y in range(7)
         if fld.mul(y, y) == fld.mul(fld.sub(fld.pow(x, 3), 1),
@@ -1009,8 +1011,8 @@ def check_against_reference(model, fld):
     xs = eq.affine_xs()
     points = [(x, y) for x, v in zip(xs.tolist(), eq.rhs(xs).tolist())
               for y in ys_of.get(v, [])]
-    xs, ys, _, _ = _affine_point_arrays(eq)
-    assert list(zip(xs.tolist(), ys.tolist())) == points
+    listed = affine_points(eq)
+    assert list(zip(listed.xs.tolist(), listed.ys.tolist())) == points
     if not points:
         with pytest.raises(PreconditionViolated, match="no affine point"):
             verify_automorphism(model, fld)
