@@ -117,20 +117,51 @@ def _companion(f, p):
     return c
 
 
+def _mul_rows(row, c, p):
+    """The rows row, row C, ..., row C^(k-1) mod p: for C the matrix of
+    x, the matrix of multiplication by the element with digits `row`."""
+    rows = [row]
+    for _ in range(len(c) - 1):
+        rows.append(rows[-1] @ c % p)
+    return np.array(rows)
+
+
+def _is_unit(m, p):
+    """det(m) != 0 mod p, by Gaussian elimination on Python ints: each
+    column takes a pivot from the rows left and clears it in the rest."""
+    rows = m.tolist()
+    for i in range(len(rows)):
+        pivot = next((r for r in rows if r[i] % p), None)
+        if pivot is None:
+            return False
+        rows.remove(pivot)
+        inv = pow(pivot[i], -1, p)
+        rows = [[(a - r[i] * inv * b) % p for a, b in zip(r, pivot)]
+                for r in rows]
+    return True
+
+
 def _poly_is_irreducible(f, p):
     """Rabin's test (M. O. Rabin, "Probabilistic algorithms in finite
     fields", SIAM J. Comput. 9, 1980) on the companion matrix C of the
-    monic f of degree k: f is irreducible exactly when C^(p^k) = C and,
-    for each prime l | k, M = C^(p^(k/l)) - C is a unit.  Once C^(p^k) =
-    C, F_p[x]/(f) is a product of fields F_{p^d}, d | k, so M is a unit
-    exactly when M^(p^k - 1) = I.  A non-monic f gives False."""
+    monic f of degree k: f is irreducible exactly when x^(p^k) = x mod f
+    and, for each prime l | k, h = x^(p^(k/l)) - x is a unit mod f, that
+    is, its multiplication matrix has a determinant prime to p.  The
+    digits of x^(p^j) are those of x times F^j, F the matrix of the
+    Frobenius a -> a^p, whose row i holds the digits of x^(ip), read off
+    C^p.  A non-monic f gives False."""
     k = len(f) - 1
     if k < 1 or f[-1] != 1:
         return False
-    c, one = _companion(f, p), np.eye(k, dtype=np.int64)
-    return (_matpow(c, p**k, p) == c).all() and all(
-        (_matpow((_matpow(c, p**(k // ell), p) - c) % p, p**k - 1, p)
-         == one).all() for ell in prime_factors(k))
+    c = _companion(f, p)
+    one = np.eye(1, k, dtype=np.int64)[0]
+    frobenius = _mul_rows(one, _matpow(c, p, p), p)
+    x = [c[0]]  # the digits of x^(p^j), from j = 0
+    for _ in range(k):
+        x.append(x[-1] @ frobenius % p)
+    return (x[k] == x[0]).all() and all(
+        _is_unit(_mul_rows((x[k // ell] - x[0]) % p, c, p), p)
+        for ell in prime_factors(k))
 
 
 def _least_irreducible(p, k):
@@ -179,6 +210,9 @@ def _wrap(s, n):
 LOG_ZERO = 1 << 28  # log(0): any sum with it, less n, is past n < 2^22
 _TABLE_BITS = TABLE_LIMIT.bit_length() - 1  # the ceiling is 2^_TABLE_BITS
 _RUN = 1 << 14  # longest run of powers the exp build makes in one step
+# the exp build's first powers as digit rows: below this many, a SWAR
+# `_times` costs more to set up than it saves; above, digit rows cost more
+_DIGIT_RUN = 1 << 11
 
 
 class FiniteField:
@@ -247,10 +281,7 @@ class FiniteField:
     def _mul_matrix(self, c):
         """The k x k matrix M over F_p with digits(a) @ M = digits(a * c):
         row i holds the digits of c * x^i, row i - 1 times C."""
-        rows = [c // self._pvec % self.p]
-        for _ in range(self.k - 1):
-            rows.append(rows[-1] @ self._x % self.p)
-        return np.array(rows)
+        return _mul_rows(c // self._pvec % self.p, self._x, self.p)
 
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
@@ -287,15 +318,22 @@ class FiniteField:
             self._zechz = log[one_plus]
 
     def _extension_exp(self, g, exp):
-        """Fill exp with g^0, ..., g^(q-2) for k >= 2, in runs: each run
-        is the one before times g^r, r its length, which doubles from 1
-        up to `_RUN` and then stays."""
-        n, step, m = self.q - 1, self._mul_matrix(g), 1
-        exp[0] = 1
+        """Fill exp with g^0, ..., g^(q-2) for k >= 2.  The first
+        min(n, `_DIGIT_RUN`) powers are digit rows, doubled from the row
+        of 1 by appending rows @ M mod p, M the matrix of g^m, squared
+        at each step, and encoded once.  Then come runs: each run is the
+        one before times g^r, r its length, which doubles up to `_RUN`
+        and then stays."""
+        n, p, step = self.q - 1, self.p, self._mul_matrix(g)
+        rows, m = np.eye(1, self.k, dtype=np.int64), min(n, _DIGIT_RUN)
+        while len(rows) < m:  # p < 2^11 for k >= 2: k products below 2^22
+            rows = np.concatenate((rows, rows @ step % p))
+            step = step @ step % p
+        exp[:m] = rows[:m] @ self._pvec
         while m < n:
             r = min(m, _RUN)
             if r == m:  # the matrix of g^r, squared for the next run
-                times, step = self._times(step), step @ step % self.p
+                times, step = self._times(step), step @ step % p
             exp[m:m + r] = times(exp[m - r:min(m, n - r)])
             m += r
 

@@ -154,11 +154,12 @@ def different_exponent(profile: FiltrationProfile) -> int:
 # shared by the covers of one order with that orbit (a datum) or type (a
 # tuple and its signature).
 @lru_cache(maxsize=1024)
-def orbit_datum(p: int, group_order: int, e: int, m: int = 0) -> OrbitDatum:
+def orbit_datum(p: int, group_order: int, e: int, m: int, /) -> OrbitDatum:
     """A short orbit of a cyclic cover of order N, its tame stabilizer of
     order e: one level with no pole (m = 0; p = 0 is the tame form), or,
     at a pole of order m prime to p, one totally ramified place with
-    lower jump m, orders (e*p, p, ..., p) (Stichtenoth, Prop. 3.7.8)."""
+    lower jump m, orders (e*p, p, ..., p) (Stichtenoth, Prop. 3.7.8).
+    Positional and required arguments give one orbit one cache key."""
     profile = FiltrationProfile(p, (e * p,) + (p,) * m if m else (e,))
     return OrbitDatum(profile, group_order // profile.o0)
 
@@ -168,7 +169,7 @@ def tame_orbits(group_order: int, indices: tuple) -> tuple[OrbitDatum, ...]:
     """The orbit data of a tuple of tame ramification indices: an index e
     is an orbit of N/e points whose stabilizer, of order e, has only
     level 0."""
-    return tuple([orbit_datum(0, group_order, e) for e in indices])
+    return tuple([orbit_datum(0, group_order, e, 0) for e in indices])
 
 
 @lru_cache(maxsize=1024)

@@ -440,7 +440,7 @@ def test_caches_are_bounded():
         (classify_module._orbit_minima, lambda i: (5 + i, 2)),
         (classify_module._order_gcds, lambda i: (3 + i,)),
         (ramification.tame_orbits, lambda i: (4 + 2 * i, (2, 2, 2 + i))),
-        (ramification.orbit_datum, lambda i: (0, 2 * i + 2, 2)),
+        (ramification.orbit_datum, lambda i: (0, 2 * i + 2, 2, 0)),
         (ramification.orbit_datum, lambda i: (5, 10 * i + 10, 2, 1)),
         (ramification.tame_signature, lambda i: (
             ramification.tame_orbits(4 + 2 * i, (2, 2, 2 + i)),)),

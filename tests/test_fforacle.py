@@ -440,6 +440,44 @@ def test_extension_tables_are_int32():
     assert len(fld._log) == fld.q
 
 
+# extension fields whose exp tables end below the first SWAR run (2^11
+# powers), just past it, and past the longest run (2^14)
+@pytest.mark.parametrize("p,k", [(3, 2), (11, 3), (3, 7), (5, 5), (3, 10),
+                                 (5, 8)])
+def test_extension_exp_is_the_power_sequence(p, k):
+    # exp is a permutation of 1..q - 1 that starts at 1, and each entry
+    # is the one before times g = exp[1], by g's multiplication matrix
+    fld = FiniteField(p, k)
+    exp = fld._exp.astype(np.int64)
+    assert exp[0] == 1
+    assert np.array_equal(np.sort(exp), np.arange(1, fld.q))
+    step = fld._mul_matrix(int(exp[1]))
+    for i in range(0, fld.q - 2, 1 << 16):
+        a = exp[i:min(i + (1 << 16), fld.q - 2)]
+        assert np.array_equal(
+            _encode_array(fld, _digit_array(fld, a) @ step % p),
+            exp[i + 1:i + 1 + len(a)]), i
+    assert np.array_equal(fld._log[exp], np.arange(fld.q - 1))
+
+
+# sha256 of the int32 little-endian bytes of _expz, _log and _zechz, in
+# that order, over these fields in turn: a change to how the tables are
+# built must leave them byte for byte as they were
+PINNED_TABLE_FIELDS = [(3, 2), (5, 2), (11, 3), (3, 7), (5, 5), (7, 4),
+                       (13, 4), (43, 3), (3, 10), (7, 6), (631, 2), (5, 8)]
+TABLES_SHA256 = (
+    "70c3e7f35a7b6403660c1ffef97bfb7030f12badd91ff8c01e97be2f98e2328c")
+
+
+def test_extension_tables_are_pinned():
+    digest = hashlib.sha256()
+    for p, k in PINNED_TABLE_FIELDS:
+        fld = FiniteField(p, k)
+        for table in (fld._expz, fld._log, fld._zechz):
+            digest.update(table.astype("<i4").tobytes())
+    assert digest.hexdigest() == TABLES_SHA256
+
+
 LARGEST_PRIME_FIELD = 4194301  # the largest prime below 2^22
 EXTENSION_FIELDS_BELOW_200 = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4),
                               (11, 2), (5, 3), (13, 2)]

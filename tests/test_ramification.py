@@ -12,8 +12,10 @@ from cycliccurves.ramification import (
     OrbitDatum,
     Signature,
     different_exponent,
+    orbit_datum,
     rh_genus_tame,
     rh_genus_wild,
+    tame_orbits,
     validate_filtration,
 )
 
@@ -227,6 +229,22 @@ def test_tame_indices_as_level_zero_orbits(n, g0, indices):
                    for o in orbits)
         assert rh_genus_wild(n, g0, orbits) == rh_genus_tame(
             n, g0, Signature(g0, indices))
+
+
+def test_orbit_datum_has_one_call_form():
+    # one orbit is one cache key, so the tame data of `tame_orbits` are
+    # the very objects that a direct call returns, and no keyword or
+    # default form keys the same orbit apart.  Both caches are bounded,
+    # so a tuple cached earlier may hold data since evicted: start empty
+    tame_orbits.cache_clear()
+    orbit_datum.cache_clear()
+    for n, indices in ((6, (2, 2, 3, 3)), (12, (3, 4, 12)), (10, (2, 5))):
+        for datum, e in zip(tame_orbits(n, indices), indices):
+            assert datum is orbit_datum(0, n, e, 0)
+    with pytest.raises(TypeError):
+        orbit_datum(5, 10, 2, m=0)
+    with pytest.raises(TypeError):
+        orbit_datum(5, 10, 2)
 
 
 def test_filtration_identity_for_p_squared_profiles():
