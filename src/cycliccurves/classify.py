@@ -305,7 +305,8 @@ def _canonical_genus_entries(n, g):
 
 def enumerate_signatures(n: int, g: int) -> list[Signature]:
     """All tame ramification types of a degree-n cyclic cover with
-    total-space genus g, sorted by (g0, indices)."""
+    total-space genus g, sorted by (g0, indices): the order in which
+    the targets and their multisets are searched."""
     if not is_int(n) or n < 2:
         raise BadOrder(f"n must be an int >= 2, got {n!r}")
     if not is_int(g) or g < 2:
@@ -330,10 +331,9 @@ def enumerate_signatures(n: int, g: int) -> list[Signature]:
         raise TooManyCandidates(
             f"order {n} and genus {g} give {candidates} candidate index "
             f"multisets, above the {_MAX_CANDIDATES} the enumerator tests")
-    found = [Signature(g0, indices) for g0, target in enumerate(targets)
-             for indices in _index_multisets(ds, terms, count, 0, target)
-             if _signature_ok(n, g0, indices)]
-    return sorted(found, key=lambda sig: (sig.g0, sig.indices))
+    return [Signature(g0, indices) for g0, target in enumerate(targets)
+            for indices in _index_multisets(ds, terms, count, 0, target)
+            if _signature_ok(n, g0, indices)]
 
 
 def _steps(terms, start, remaining):
@@ -381,11 +381,9 @@ class _MultisetCounts(dict):
 
 
 def _index_multisets(ds, terms, count, start, remaining):
-    # The multisets of ds[start:] whose Hurwitz terms sum to remaining,
-    # descending only where `count` finds one: depth first, in the order
-    # of the steps, on a stack of (prefix, steps not yet taken).
-    if remaining == 0:
-        yield ()
+    # The multisets of ds[start:] whose Hurwitz terms sum to remaining > 0,
+    # in lexicographic order, descending only where `count` finds one:
+    # depth first, on a stack of (prefix, steps not yet taken).
     stack = [((), _steps(terms, start, remaining))]
     while stack:
         prefix, steps = stack[-1]

@@ -18,6 +18,11 @@ Output is line-delimited JSON by default (canonical key order, integers
 only, byte-stable under reparse/reserialize); --format csv/table give a
 flat rendering.  Exit codes: 0 success, 1 verification mismatch, 2
 usage or precondition error.
+
+Records are made in one place.  A subcommand returns its exit code and
+its payloads, plain dicts; `main` stamps each with `schema_version` and
+`command` and emits them in --format (`verify` is JSON only).  A new
+record kind is one more payload, and `main` does not change for it.
 """
 
 import argparse
@@ -95,12 +100,6 @@ def _parse_prime_power(q):
 # output plumbing
 
 
-def _record(command, payload):
-    rec = {"schema_version": SCHEMA_VERSION, "command": command}
-    rec.update(payload)
-    return rec
-
-
 def _flatten(value):
     if isinstance(value, (list, tuple)):
         return " ".join(_flatten(v) for v in value) or "-"
@@ -144,7 +143,7 @@ def _emit(records, fmt):
 def _cmd_classify(args):
     # classify runs, and can fail, before the first record is printed
     entries = classify(args.p, args.genus, raw_pairs=args.raw_pairs, n=args.n)
-    _emit((_record("classify", {
+    return 0, ({
         "p": args.p,
         "genus": entry.genus,
         "n": entry.n,
@@ -156,13 +155,11 @@ def _cmd_classify(args):
             "indices": list(entry.signature.indices)},
         "orbits": [{"orders": list(o.filtration.orders), "size": o.orbit_size}
                    for o in entry.ramification] if entry.wild else None,
-    }) for entry in entries), args.format)
-    return 0
+    } for entry in entries)
 
 
 def _cmd_pairs(args):
-    _emit(_pair_records(args), args.format)
-    return 0
+    return 0, _pair_records(args)
 
 
 def _pair_records(args):
@@ -176,25 +173,23 @@ def _pair_records(args):
         if key not in canonical:
             canonical |= dict.fromkeys(_pair_orbit(n, (pair.r, pair.s)), key)
         if not args.canonical or canonical[key] == key:
-            yield _record("pairs", {
+            yield {
                 "n": pair.n,
                 "r": pair.r,
                 "s": pair.s,
                 "genus": pair.genus,
                 "canonical": list(divmod(canonical[key], n)),
-            })
+            }
 
 
 def _cmd_signatures(args):
     sigs = enumerate_signatures(args.n, args.genus)
-    records = [_record("signatures", {
+    return 0, ({
         "n": args.n,
         "genus": args.genus,
         "g0": sig.g0,
         "indices": list(sig.indices),
-    }) for sig in sigs]
-    _emit(records, args.format)
-    return 0
+    } for sig in sigs)
 
 
 def _cmd_verify(args):
@@ -236,10 +231,9 @@ def _cmd_verify(args):
                 **({"reason": reason} if reason else {})}
     ok = all(fields["ok"] for fields in checks.values())
     checks["summary"] = {"ok": ok}
-    _emit((_record("verify", {"check": name, "model": args.model,
-                              "q": args.q, **fields})
-           for name, fields in checks.items()), "json")
-    return 0 if ok else 1
+    return (0 if ok else 1), ({"check": name, "model": args.model,
+                               "q": args.q, **fields}
+                              for name, fields in checks.items())
 
 
 @functools.cache  # parse_args fills a fresh Namespace on every call
@@ -282,7 +276,7 @@ def _build_parser():
     v.add_argument("--q", type=int, required=True, help="odd prime power")
     v.add_argument("--zeta-depth", type=int, default=0,
                    help="count over this many extensions and infer the genus")
-    v.set_defaults(func=_cmd_verify)
+    v.set_defaults(func=_cmd_verify, format="json")  # a default, no flag
 
     return parser
 
@@ -293,7 +287,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code, payloads = args.func(args)
+        _emit(({"schema_version": SCHEMA_VERSION, "command": args.command,
+                **payload} for payload in payloads), args.format)
+        return code
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -314,7 +314,7 @@ class FiniteField:
             # p - 1 to 0; log[0] = LOG_ZERO marks the i where 1 + g^i = 0,
             # and the zero slot reads log(1 + 0) = 0
             one_plus = exp + 1
-            one_plus[exp % p == p - 1] -= p
+            one_plus -= (exp % p == p - 1) * np.int32(p)
             self._zechz = log[one_plus]
 
     def _extension_exp(self, g, exp):

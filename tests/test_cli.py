@@ -495,6 +495,13 @@ def test_missing_required_flag_exits_two(capsys):
     capsys.readouterr()
 
 
+def test_verify_has_no_format_option(capsys):
+    # verify's records are JSON by a parser default, not by an option
+    code, out, err = run(capsys, "verify", "--model", "kummer:5,1,1",
+                         "--q", "11", "--format", "json")
+    assert (code, out) == (2, "") and "--format" in err
+
+
 # --- model spec parsing -----------------------------------------------------------
 
 

@@ -29,8 +29,12 @@ INVOCATIONS = (
         ["classify", "--p", "5", "--genus", "2", "--format", "csv"],
         ["classify", "--p", "0", "--genus", "6", "--format", "table"],
         ["pairs", "--n", "9"],
+        ["pairs", "--n", "9", "--format", "csv"],
         ["pairs", "--n", "12", "--genus", "4", "--canonical"],
+        ["pairs", "--n", "12", "--genus", "4", "--canonical",
+         "--format", "table"],
         ["signatures", "--n", "12", "--genus", "5"],
+        ["signatures", "--n", "12", "--genus", "5", "--format", "csv"],
         ["signatures", "--n", "8", "--genus", "5", "--format", "table"],
         ["verify", "--model", "kummer:5,1,1", "--q", "11"],
         ["verify", "--model", "kummer:8,1,3", "--q", "9", "--zeta-depth", "4"],
