@@ -38,7 +38,7 @@ def main():
                     f"{o.orbit_size}x{list(o.filtration.orders)}"
                     for o in e.ramification)
                 print(f"  g={g:>2}  N={e.n:>3}  {e.branch:<16} "
-                      f"{model_to_spec(e.model):<24} {ram}")
+                      f"{model_to_spec(e):<24} {ram}")
         print()
     print("branch totals:", dict(sorted(totals.items())))
     print(f"done in {time.perf_counter() - start:.2f}s")

@@ -41,7 +41,7 @@ def grid_hash():
             for raw in (False, True):
                 for e in classify(p, g, raw_pairs=raw):
                     digest.update(repr((
-                        p, g, raw, e.n, e.branch, model_to_spec(e.model),
+                        p, g, raw, e.n, e.branch, model_to_spec(e),
                         e.genus, e.wild, repr(e.signature),
                         repr(e.ramification if e.wild else None),
                     )).encode())

@@ -47,7 +47,7 @@ BATTERY = [
 
 
 def check(model, count_field, orbit_field):
-    g = model.genus()
+    g = model.genus
     t0 = time.perf_counter()
     series = count_series(model, count_field, 2 * g)
     inferred = zeta_genus(series, g)
@@ -57,7 +57,7 @@ def check(model, count_field, orbit_field):
     except (OrderMismatch, PreconditionViolated) as exc:
         order = str(exc)
     elapsed = time.perf_counter() - t0
-    status = "OK" if inferred == g and order == model.cyclic_order() else "FAIL"
+    status = "OK" if inferred == g and order == model.n else "FAIL"
     print(f"{model_to_spec(model):<24} q={count_field.q:<4} g={g} "
           f"zeta={inferred} order={order} counts={list(series.counts)} "
           f"[{elapsed:.2f}s] {status}")

@@ -14,10 +14,8 @@ from .ramification import (
     NotADivisor,
     OrbitDatum,
     Signature,
-    different_exponent,
     rh_genus_tame,
     rh_genus_wild,
-    validate_filtration,
 )
 from .families import (
     ASPower,
@@ -30,12 +28,10 @@ from .families import (
     NotPrimitive,
     PrimitivePair,
     kummer_genus,
-    kummer_signature,
 )
 from .classify import (
     BadGenus,
     BadOrder,
-    ClassificationEntry,
     OrderTooLarge,
     SasakiReport,
     TooManyCandidates,

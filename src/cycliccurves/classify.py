@@ -2,14 +2,15 @@
 
 `classify(p, g)` lists, for a characteristic p (0 or an odd prime) and
 a genus g >= 2, every family of curves of genus g admitting a cyclic
-automorphism group of order N >= 2g + 1, together with its N, its
-ramification data, and a model template.  The families are the classes
-of `families.FAMILIES`: each states its branch (I tame; II and III
-wild), its ramification data and, for all but Kummer, its models of
-genus g in characteristic p (`of_genus`).  `classify` searches the
-Kummer pairs itself, asks every other family for its models and builds
-each entry from its model alone, so adding a family means adding one
-class to `FAMILIES`.
+automorphism group of order N >= 2g + 1.  Each entry is a model
+template, which carries its N, its ramification data and its branch.
+The families are the classes of `families.FAMILIES`: each states its
+branch (I tame; II and III wild), its ramification data and, for all
+but Kummer, its models of genus g in characteristic p (`of_genus`).
+`classify` searches the Kummer pairs itself, asks every other family
+for its models, checks each of those (N >= 2g + 1, and the genus by
+Riemann-Hurwitz) and returns the models, so adding a family means
+adding one class to `FAMILIES`.
 
 The search over N stops at 4g + 2, which guarantees termination and
 completeness: a Kummer pair's gcds, pairwise coprime proper divisors of
@@ -20,8 +21,9 @@ orbit of pairs directly: a unit scales each entry of the exponent triple
 sum of the three gcds, and so the least members come from the divisor
 triples of N alone.  The raw listing expands their orbits, one sum test
 per unit (`_pair_orbit`), into keys r*N + s sorted once.  Both listings
-read the pairs' gcds from a table per order and check primitivity and
-the genus once per gcd triple (`_kummer_entries`).  `verify_sasaki_bound`
+read the pairs' gcds from a table per order, check primitivity and
+the genus once per gcd triple and build each entry, a `Kummer` tuple,
+in one call (`_kummer_entries`).  `verify_sasaki_bound`
 stays exhaustive, one order at a time as int16 arrays; with it,
 `primitive_pairs` and `kummer_genus` are the independent check of both.
 Orders stop at 2897: it bounds the pairs that `primitive_pairs` and
@@ -102,36 +104,6 @@ def _check_order(n, context=""):
             f"{context}order {n} is past the cap that bounds a pair walk by "
             f"{TABLE_LIMIT} pairs and classify's gcd tables by {_MAX_ORDER} "
             f"entries an order; orders up to {_MAX_ORDER} are supported")
-
-
-@dataclass(frozen=True, slots=True)
-class ClassificationEntry:
-    """One family in the classification, built from its model alone.
-
-    It keeps only the model: `n`, `branch`, `genus`, `wild` and
-    `ramification` (every short orbit) are its, and `signature` is a tame
-    model's type read off them (None for a wild one).  Construction
-    checks N >= 2g + 1 and the genus by Riemann-Hurwitz.
-    """
-
-    model: CurveModel
-
-    def __post_init__(self):
-        model = self.model
-        n, g = model.cyclic_order(), model.genus()
-        if n < 2 * g + 1:
-            raise ValueError(f"N={n} below 2g+1={2 * g + 1}")
-        if (rh := rh_genus_wild(n, 0, model.ramification())) != g:
-            raise ValueError(
-                f"ramification data of {model} gives genus {rh}, not {g}")
-
-    n = property(lambda e: e.model.cyclic_order())
-    branch = property(lambda e: e.model.branch)
-    genus = property(lambda e: e.model.genus())
-    wild = property(lambda e: e.model.wild)
-    ramification = property(lambda e: e.model.ramification())
-    signature = property(
-        lambda e: None if e.wild else tame_signature(e.ramification))
 
 
 def primitive_pairs(n: int):
@@ -255,45 +227,27 @@ def _genus_pairs(n, g):
                repeat(n))
 
 
-# Each slot descriptor's `__set__` writes its slot of a frozen instance
-# without the class's `__setattr__`; `__slots__` lists the fields in order.
-(_set_pair_n, _set_pair_r, _set_pair_s, _set_pair_genus, _set_pair_orbits,
- _set_kummer_pair, _set_entry_model) = (
-    getattr(cls, name).__set__
-    for cls in (PrimitivePair, Kummer, ClassificationEntry)
-    for name in cls.__slots__)
-
-
 def _kummer_entries(n, g, pairs):
-    """`ClassificationEntry(Kummer.of(n, r, s))` for each pair (r, s) of
-    genus g, with the range checked per pair, and primitivity and the genus
-    (by Riemann-Hurwitz) on one `PrimitivePair` per gcd triple of the
-    order's table; its interned orbit data serve every pair of a type."""
+    """`Kummer(n, r, s)` for each pair (r, s) of genus g, with the range
+    checked per pair, and primitivity and the genus (by Riemann-Hurwitz)
+    on one `PrimitivePair` per gcd triple of the order's table.  Each
+    entry is one tuple built in one call, and the interned orbit data of
+    a type serve every pair of it."""
     if g < 2 or n < 2 * g + 1:
         raise ValueError(f"no Kummer entry of genus {g} at order {n}")
-    new, gcds = object.__new__, _order_gcds(n)
+    new, gcds = tuple.__new__, _order_gcds(n)
     types, out = {}, []
     for r, s in pairs:
         if r < 1 or s < 1 or r + s >= n:
             primitive_gcds(n, r, s)  # raises NotPrimitive
         orbits = types.get(abc := (gcds[r], gcds[s], gcds[r + s]))
         if orbits is None:
-            orbits = types[abc] = PrimitivePair(n, r, s).orbits
+            orbits = types[abc] = PrimitivePair(n, r, s).ramification
             if (rh := rh_genus_wild(n, 0, orbits)) != g:
                 raise ValueError(f"ramification data {tame_signature(orbits)}"
                                  f" of ({r}, {s}) mod {n} gives genus {rh}, "
                                  f"not {g}")
-        pair = new(PrimitivePair)
-        _set_pair_n(pair, n)
-        _set_pair_r(pair, r)
-        _set_pair_s(pair, s)
-        _set_pair_genus(pair, g)
-        _set_pair_orbits(pair, orbits)
-        model = new(Kummer)
-        _set_kummer_pair(model, pair)
-        entry = new(ClassificationEntry)
-        _set_entry_model(entry, model)
-        out.append(entry)
+        out.append(new(Kummer, (n, r, s, g, orbits)))
     return out
 
 
@@ -411,13 +365,17 @@ def _signature_ok(n, g0, indices):
 
 
 def classify(p: int, g: int, *, raw_pairs: bool = False,
-             n: int | None = None) -> list[ClassificationEntry]:
+             n: int | None = None) -> list[CurveModel]:
     """All families of genus-g curves with a cyclic group of order
     N >= 2g + 1 in characteristic p (0 for the classical case).
 
-    Kummer entries are grouped by canonical pair; with raw_pairs=True
-    every genus-matching primitive pair gets its own entry.  An
-    optional n restricts the output to that group order.
+    Each entry is a model, which carries its N (`n`), `genus`,
+    `branch`, `wild`, `ramification` and `signature`.  Every model but a
+    Kummer one is checked here, N >= 2g + 1 and its genus by
+    Riemann-Hurwitz; Kummer entries are checked per gcd triple
+    (`_kummer_entries`).  They are grouped by canonical pair; with
+    raw_pairs=True every genus-matching primitive pair gets its own
+    entry.  An optional n restricts the output to that group order.
     """
     if not is_int(p) or p == 2 or p and not is_prime(p):
         raise UnsupportedCharacteristic(
@@ -430,10 +388,16 @@ def classify(p: int, g: int, *, raw_pairs: bool = False,
     orders = range(2 * g + 1, 4 * g + 3)
     if n is not None:
         orders = [n] if n in orders else []
-    others = {}  # the other families' entries, at most one each, by N
-    for entry in [ClassificationEntry(model) for family in FAMILIES[1:]
-                  for model in family.of_genus(p, g)]:
-        others.setdefault(entry.n, []).append(entry)
+    others = {}  # the other families' models, at most one each, by N
+    for model in (model for family in FAMILIES[1:]
+                  for model in family.of_genus(p, g)):
+        big_n, genus = model.n, model.genus
+        if big_n < 2 * genus + 1:
+            raise ValueError(f"N={big_n} below 2g+1={2 * genus + 1}")
+        if (rh := rh_genus_wild(big_n, 0, model.ramification)) != genus:
+            raise ValueError(
+                f"ramification data of {model} gives genus {rh}, not {genus}")
+        others.setdefault(big_n, []).append(model)
     entries = []
     for big_n in orders:
         if not p or big_n % p:

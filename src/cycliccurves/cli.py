@@ -12,7 +12,7 @@ in the order the family declares (`families.FAMILIES`).  Field
 coefficients are integers (prime-field residues) or dot-separated
 coefficient strings like 2.1 for extension field elements (meaning
 2 + 1*x in the base-p encoding).  `verify` expects the generator to have
-order `cyclic_order()`; q^depth may not pass the field ceiling 2^22.
+the model's order `n`; q^depth may not pass the field ceiling 2^22.
 
 Output is line-delimited JSON by default (canonical key order, integers
 only, byte-stable under reparse/reserialize); --format csv/table give a
@@ -149,7 +149,7 @@ def _cmd_classify(args):
         "n": entry.n,
         "branch": entry.branch,
         "wild": entry.wild,
-        "model": model_to_spec(entry.model),
+        "model": model_to_spec(entry),
         "signature": None if entry.wild else {
             "g0": entry.signature.g0,
             "indices": list(entry.signature.indices)},
@@ -195,7 +195,7 @@ def _cmd_signatures(args):
 def _cmd_verify(args):
     p, k = _parse_prime_power(args.q)
     model = parse_model_spec(args.model, p)
-    g = model.genus()
+    g = model.genus
     if args.zeta_depth:  # a bad tower is refused before any field is built
         fforacle.check_tower(args.q, args.zeta_depth, g)
     fld = fforacle.field(p, k)
@@ -207,7 +207,7 @@ def _cmd_verify(args):
         report = fforacle.verify_automorphism(model, fld)
         count = report.places
         automorphism = {
-            "order": report.order, "expected_order": model.cyclic_order(),
+            "order": report.order, "expected_order": model.n,
             "affine_points": report.point_count,
             "fixed_points": [list(pt) for pt in report.fixed_points],
             "ok": report.fixed_points == model.affine_fixed}

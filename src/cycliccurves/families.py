@@ -9,16 +9,18 @@ cyclic automorphism group of order N >= 2g + 1:
   * ASRational    b*y^p + c*y = a*x + 1/x     N = 2p,  wild
   * Homma         y^p - y = x^2               N = p,   wild
 
-Each family is one frozen dataclass, the one place its equation and
-generator are stated: invariants (`genus`, `cyclic_order`); its branch
-of the classification (`branch`, `wild`), its short orbits with their
-stabilisers' filtrations (`ramification`) and, but for Kummer, its
-models of genus g in characteristic p (`of_genus`); the
-curve as lhs(y) = rhs(x) over one finite field, with preconditions,
-x-domain, the fibre sizes of lhs and the places the affine points do
-not give (`equation`); the generator on affine points, which finds its
-root of unity in the field (`point_map`, `affine_fixed`); and the
-command-line spec `name:field,...` (`name`, `spec_fields`).
+Each family is one immutable class, the one place its equation and
+generator are stated (Kummer is a tuple, its own `PrimitivePair`; the
+others are frozen dataclasses): invariants (`n`, the group order, and
+`genus`); its branch of the classification (`branch`, `wild`), its
+short orbits with their stabilisers' filtrations (`ramification`) and,
+but for Kummer, its models of genus g in characteristic p
+(`of_genus`); the curve as lhs(y) = rhs(x) over one finite field, with
+preconditions, x-domain, the fibre sizes of lhs and the places the
+affine points do not give (`equation`); the generator on affine
+points, which finds its root of unity in the field (`point_map`,
+`affine_fixed`); and the command-line spec `name:field,...` (`name`,
+`spec_fields`).
 Classification, counting, automorphism checks (`fforacle`) and spec
 parsing (`cli`) are generic over these, so adding a family means adding
 one class to `FAMILIES`.  The wild ones, b*y^p + c*y = f(x), share the
@@ -38,15 +40,15 @@ Constructors reject parameters that give genus < 2 or a zero coefficient.
 """
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 from typing import Any, ClassVar
 
 import numpy as np
 
 from .intmath import is_int, is_prime
-from .ramification import (OrbitDatum, Signature, orbit_datum, tame_orbits,
-                           tame_signature)
+from .ramification import orbit_datum, tame_orbits, tame_signature
 
 Param = int | str
 
@@ -63,35 +65,34 @@ class PreconditionViolated(ValueError):
     """A model/field precondition fails (divisibility, zero parameter...)."""
 
 
-@dataclass(frozen=True, slots=True)
-class PrimitivePair:
+class PrimitivePair(tuple):
     """Exponent pair (r, s) for y^n = x^r (1-x)^s.
 
     Requires ints with r, s >= 1, r + s <= n - 1 and gcd(r, s, n) = 1.
     `genus` is (n + 2 - gcd(n,r) - gcd(n,s) - gcd(n,r+s)) / 2, and
-    `orbits` has gcd(n, r) places over x = 0 with stabiliser n/gcd(n, r),
-    and so for s and r + s over 1 and infinity (`signature` is their
-    view); both come once at construction from the same gcd triple that
-    checks primitivity.
+    `ramification` has gcd(n, r) places over x = 0 with stabiliser
+    n/gcd(n, r), and so for s and r + s over 1 and infinity (`signature`
+    is their view); both come once at construction from the same gcd
+    triple that checks primitivity.  The pair is the immutable tuple
+    (n, r, s, genus, ramification), whose last two follow from the first
+    three.
     """
 
-    n: int
-    r: int
-    s: int
-    genus: int = field(init=False, repr=False, compare=False)
-    orbits: tuple = field(init=False, repr=False, compare=False)
-    signature = property(lambda pair: tame_signature(pair.orbits))
+    __slots__ = ()
+    n, r, s, genus, ramification = map(property, map(itemgetter, range(5)))
+    signature = property(lambda pair: tame_signature(pair.ramification))
 
-    def __post_init__(self):
-        n, r, s = self.n, self.r, self.s
+    def __new__(cls, n, r, s):
         if not (is_int(n) and is_int(r) and is_int(s)):
             raise NotPrimitive(f"(n, r, s)=({n!r}, {r!r}, {s!r}) must be ints")
         a, b, c = primitive_gcds(n, r, s)
         total = n + 2 - a - b - c
         assert total % 2 == 0, (n, r, s)
-        object.__setattr__(self, "genus", total // 2)
-        object.__setattr__(self, "orbits", tame_orbits(
-            n, tuple(sorted((n // a, n // b, n // c)))))
+        return tuple.__new__(cls, (n, r, s, total // 2, tame_orbits(
+            n, tuple(sorted((n // a, n // b, n // c))))))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, r={self.r}, s={self.s})"
 
 
 def primitive_gcds(n: int, r: int, s: int) -> tuple[int, int, int]:
@@ -107,11 +108,6 @@ def primitive_gcds(n: int, r: int, s: int) -> tuple[int, int, int]:
 def kummer_genus(n: int, r: int, s: int) -> int:
     """Genus of y^n = x^r (1-x)^s for a primitive pair."""
     return PrimitivePair(n, r, s).genus
-
-
-def kummer_signature(n: int, r: int, s: int) -> Signature:
-    """Ramification signature of y^n = x^r (1-x)^s for a primitive pair."""
-    return PrimitivePair(n, r, s).signature
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +202,16 @@ class Equation:
 
 
 class CurveModel:
-    """Base class for the tagged union of curve families."""
+    """Base class for the tagged union of curve families.
+
+    A model is its own classification entry.  Its read-only attributes
+    are `n`, the order of its cyclic group, `genus`, `ramification`,
+    every short orbit over the x-line (quotient genus 0): its size and
+    its stabiliser's lower-numbering filtration, in the tame form p = 0
+    where the family does not fix p, and `signature`, a tame model's
+    type read off them (None for a wild one).  `model` is the model
+    itself, so code that read an entry's model reads it unchanged.
+    """
 
     __slots__ = ()  # so that a slotted family has no instance dict
 
@@ -216,6 +221,9 @@ class CurveModel:
     spec_fields: ClassVar[tuple[str, ...]]  # spec parameters, in order
     coefficients: ClassVar[int] = 0  # trailing spec fields: field elements
     affine_fixed: ClassVar[tuple] = ()  # affine points the generator fixes
+    model = property(lambda model: model)
+    signature = property(lambda model: None if model.wild
+                         else tame_signature(model.ramification))
 
     @classmethod
     def of(cls, *values):
@@ -224,18 +232,6 @@ class CurveModel:
 
     def spec_values(self) -> tuple:
         return tuple(getattr(self, f) for f in self.spec_fields)
-
-    def genus(self) -> int:
-        raise NotImplementedError
-
-    def cyclic_order(self) -> int:
-        raise NotImplementedError
-
-    def ramification(self) -> tuple[OrbitDatum, ...]:
-        """Every short orbit over the x-line (quotient genus 0): its size
-        and its stabiliser's lower-numbering filtration, in the tame form
-        p = 0 where the family does not fix p."""
-        raise NotImplementedError
 
     @classmethod
     def of_genus(cls, p: int, g: int):
@@ -260,45 +256,33 @@ class CurveModel:
                                       for v in values[k:]))
 
     def point_map(self, fld) -> Callable:
-        """The generator, of order `cyclic_order()`, on affine points over
-        `fld`; PreconditionViolated if `fld` lacks its root of unity."""
+        """The generator, of order `n`, on affine points over `fld`;
+        PreconditionViolated if `fld` lacks its root of unity."""
         raise NotImplementedError
 
 
-@dataclass(frozen=True, slots=True)
-class Kummer(CurveModel):
-    """y^n = x^r (1-x)^s with (r, s) a primitive pair."""
+class Kummer(PrimitivePair, CurveModel):
+    """y^n = x^r (1-x)^s with (r, s) a primitive pair of genus >= 2: one
+    object that is the model, its entry and its pair (`pair`)."""
 
+    __slots__ = ()
     name = "kummer"
     branch = "I-Kummer"
     spec_fields = ("n", "r", "s")
     affine_fixed = ((0, 0), (1, 0))
+    pair = property(lambda model: model)
 
-    pair: PrimitivePair
-
-    def __post_init__(self):
-        if self.genus() < 2:
-            raise DegenerateModel(
-                f"Kummer pair {self.pair} has genus {self.genus()} < 2")
-
-    @classmethod
-    def of(cls, n, r, s):
-        return cls(PrimitivePair(n, r, s))
+    def __new__(cls, n, r, s):
+        model = super().__new__(cls, n, r, s)
+        if model.genus < 2:
+            raise DegenerateModel(f"{model!r} has genus {model.genus} < 2")
+        return model
 
     def spec_values(self):
-        return (self.pair.n, self.pair.r, self.pair.s)
-
-    def genus(self):
-        return self.pair.genus
-
-    def cyclic_order(self):
-        return self.pair.n
-
-    def ramification(self):
-        return self.pair.orbits
+        return self[:3]
 
     def equation(self, fld):
-        n, r, s = self.pair.n, self.pair.r, self.pair.s
+        n, r, s = self[:3]
         _require(n % fld.p, f"p={fld.p} divides n={n}; y^n = x^r(1-x)^s is "
                  "purely inseparable over the x-line here")
         # Over x = 0, 1 and infinity the rational places correspond to
@@ -315,7 +299,7 @@ class Kummer(CurveModel):
             extra=extra)
 
     def point_map(self, fld):
-        zeta = fld.element_of_order(self.pair.n)
+        zeta = fld.element_of_order(self.n)
         return lambda pt: (pt[0], fld.mul(zeta, pt[1]))
 
 
@@ -337,16 +321,12 @@ class Hyperelliptic(CurveModel):
         if isinstance(self.lam, int) and self.lam in (0, 1):
             raise DegenerateModel(f"lambda={self.lam} degenerates the family")
 
-    def genus(self):
-        return self.g
-
-    def cyclic_order(self):
-        return 2 * self.g + 2
-
-    def ramification(self):
-        # stabilisers: 2 at the roots of each factor of the right side,
-        # g + 1 at the places over x = 0 and over infinity
-        return tame_orbits(2 * self.g + 2, (2, 2, self.g + 1, self.g + 1))
+    genus = property(lambda model: model.g)
+    n = property(lambda model: 2 * model.g + 2)
+    # stabilisers: 2 at the roots of each factor of the right side,
+    # g + 1 at the places over x = 0 and over infinity
+    ramification = property(lambda model: tame_orbits(
+        model.n, (2, 2, model.g + 1, model.g + 1)))
 
     @classmethod
     def of_genus(cls, p, g):
@@ -386,21 +366,24 @@ class ArtinSchreier(CurveModel):
     def __post_init__(self):
         if not is_int(self.p) or self.p == 2 or not is_prime(self.p):
             raise DegenerateModel(f"odd prime required, got {self.p!r}")
-        if (g := self.genus()) < 2:
+        if (g := self.genus) < 2:
             raise DegenerateModel(f"{self!r} has genus {g} < 2")
 
+    @property
     def genus(self):
         # each pole of order m adds m + 1, t/e of them on an orbit, t = N/p
-        p, t = self.p, self.cyclic_order() // self.p
+        p, t = self.p, self.n // self.p
         return (p - 1) * (sum(t // e * (m + 1) for e, m in self.places()
                               if m) - 2) // 2
 
-    def cyclic_order(self):
+    @property
+    def n(self):
         # p times the order of the tame part, which fixes two x when > 1
         return self.p * max(e for e, _ in self.places())
 
+    @property
     def ramification(self):
-        p, n = self.p, self.cyclic_order()
+        p, n = self.p, self.n
         return tuple([orbit_datum(p, n, e, m) for e, m in self.places()])
 
     def equation(self, fld):
@@ -408,7 +391,7 @@ class ArtinSchreier(CurveModel):
                  f"curve lives in characteristic {self.p}, field has {fld.p}")
         b, c, f = self.sides(fld)
         # one rational place over each pole, N/(e*p) poles on an orbit
-        t = self.cyclic_order() // self.p
+        t = self.n // self.p
         return Equation(fld, *_additive_lhs(fld, b, c), rhs=f,
                         extra=sum(t // e for e, m in self.places() if m),
                         missing_x=self.missing_x)

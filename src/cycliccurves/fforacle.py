@@ -27,7 +27,7 @@ the curve families by exact computation over small finite fields:
     extra places it gives the same count as `count_places`.
   * `verify_automorphism` runs the family's generator (`point_map`) on
     that listing and checks that it is a permutation of order exactly
-    `cyclic_order()`, reporting orbit structure and fixed points, and
+    the model's `n`, reporting orbit structure and fixed points, and
     the listing's place count, so that one listing serves `verify`.
 
 Both counts and `verify_automorphism` are generic: the equation, its
@@ -538,7 +538,7 @@ class PlaceCountSeries:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        g = self.model.genus()
+        g = self.model.genus
         for j, nj in enumerate(self.counts, start=1):
             if nj < 0:
                 raise HasseWeilViolation(f"negative count N_{j}={nj}")
@@ -714,10 +714,10 @@ class OrbitReport:
 
 def verify_automorphism(model: CurveModel, fld: FiniteField) -> OrbitReport:
     """Check that the generator permutes the rational affine points
-    with order exactly `model.cyclic_order()`, and report the orbit
-    structure: each image is found by dense lookup, a point hit twice
-    is refused, and the cycles are found by pointer doubling on the
-    image indices, with no loop over points.  A refusal
+    with order exactly `model.n`, and report the orbit structure: each
+    image is found by dense lookup, a point hit twice is refused, and
+    the cycles are found by pointer doubling on the image indices, with
+    no loop over points.  A refusal
     (`NotAnAutomorphism`, `OrderMismatch`) carries the listing's
     `places` as the report does."""
     eq = model.equation(fld)
@@ -764,7 +764,7 @@ def _orbits(model, generator, points, q):
     # A label constant along its cycle is the cycle's least index, which
     # the window starting there holds, so a round is added only while
     # some label differs from its image's.
-    claimed = model.cyclic_order()
+    claimed = model.n
     label, jump, rounds = np.arange(n), index, claimed.bit_length()
     while rounds:
         for _ in range(rounds):
@@ -778,6 +778,7 @@ def _orbits(model, generator, points, q):
     order = lcm(*sizes)
     if order != claimed:
         raise OrderMismatch(
+            # the wording is part of the CLI's pinned output
             f"permutation has order {order}, cyclic_order is {claimed}")
     fixed = (cycles == 1).nonzero()[0]  # each a cycle's least point
     return OrbitReport(

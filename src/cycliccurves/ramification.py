@@ -129,10 +129,6 @@ class FiltrationProfile:
                      if orders[i] > orders[i + 1])
 
 
-# raw orders in, the canonical profile out, or InvalidFiltration
-validate_filtration = FiltrationProfile
-
-
 @dataclass(frozen=True)
 class OrbitDatum:
     """A filtration together with the number of points sharing it."""

@@ -14,7 +14,6 @@ from hypothesis import assume, given, strategies as st
 from cycliccurves.classify import (
     BadGenus,
     BadOrder,
-    ClassificationEntry,
     OrderTooLarge,
     TooManyCandidates,
     TooManyIndices,
@@ -29,9 +28,9 @@ from cycliccurves.classify import (
 import cycliccurves.classify as classify_module
 from cycliccurves import families, intmath, ramification
 from cycliccurves.families import (FAMILIES, ASPower, ASRational,
-                                   DegenerateModel, Homma, Hyperelliptic,
-                                   Kummer, NotPrimitive, PrimitivePair,
-                                   kummer_genus)
+                                   CurveModel, DegenerateModel, Homma,
+                                   Hyperelliptic, Kummer, NotPrimitive,
+                                   PrimitivePair, kummer_genus)
 from cycliccurves.fforacle import FiniteField, PreconditionViolated
 from cycliccurves.intmath import divisors
 from cycliccurves.ramification import (
@@ -224,7 +223,7 @@ def test_hyperelliptic_type_appears_exactly_for_even_genus():
 def _summary(entries):
     out = []
     for e in entries:
-        pair = (e.model.pair.r, e.model.pair.s) if isinstance(e.model, Kummer) \
+        pair = (e.r, e.s) if isinstance(e, Kummer) \
             else None
         out.append((e.n, e.branch, pair))
     return out
@@ -239,11 +238,11 @@ def test_classify_char5_genus2():
         (10, "II-ASPower", None),
     ]
     aspower = [e for e in classify(5, 2) if e.branch == "II-ASPower"]
-    assert aspower[0].model.m == 2
+    assert aspower[0].m == 2
 
 
 def test_classify_char5_genus2_raw_pairs():
-    kummer = [(e.n, e.model.pair.r, e.model.pair.s)
+    kummer = [(e.n, e.r, e.s)
               for e in classify(5, 2, raw_pairs=True)
               if e.branch == "I-Kummer"]
     assert kummer == [
@@ -265,7 +264,7 @@ def test_classify_char3_lists_the_wild_families():
     # p = 3 is in the paper's scope, every p != 2: ASRational at g = p - 1
     # and ASPower at m = g + 1 whenever 3 does not divide m
     for g in range(2, 41):
-        wild = [(e.branch, e.n, e.model.spec_values()[:2])
+        wild = [(e.branch, e.n, e.spec_values()[:2])
                 for e in classify(3, g) if e.wild]
         want = [("II-ASPower", 3 * (g + 1), (3, g + 1))] if g % 3 != 2 else []
         if g == 2:
@@ -341,7 +340,7 @@ def test_no_entry_lies_above_4g_plus_2():
         for n in (4 * g + 3, 4 * g + 4):
             assert not np.any(classify_module._pair_triangle(n)[0] == g), n
         for p in (0, 3, 5, 7, 11, 13):
-            assert all(model.cyclic_order() <= 4 * g + 2
+            assert all(model.n <= 4 * g + 2
                        for family in FAMILIES[1:]
                        for model in family.of_genus(p, g)), (p, g)
 
@@ -391,14 +390,12 @@ def test_entry_fields_are_the_models():
         for g in range(2, 16):
             for raw in (False, True):
                 for e in classify(p, g, raw_pairs=raw):
-                    assert e.n == e.model.cyclic_order()
-                    assert e.genus == e.model.genus() == g
-                    assert e.branch == type(e.model).branch
-                    assert e.wild == type(e.model).wild
-                    ram = e.model.ramification()
-                    assert (e.signature, e.ramification) == (
-                        (None, ram) if e.wild else (_signature_of(ram), ram))
-    assert ClassificationEntry.__slots__ == ("model",)
+                    assert isinstance(e, CurveModel) and e.model is e
+                    assert e.genus == g
+                    assert e.branch == type(e).branch
+                    assert e.wild == type(e).wild
+                    assert e.signature == (
+                        None if e.wild else _signature_of(e.ramification))
 
 
 def _signature_of(orbits):
@@ -406,30 +403,34 @@ def _signature_of(orbits):
     return Signature(0, tuple(o.filtration.o0 for o in orbits))
 
 
-def test_entry_validation_rejects_inconsistencies():
+def test_entry_validation_rejects_inconsistencies(monkeypatch):
+    # classify checks each model that a family other than Kummer gives:
+    # N >= 2g + 1, and the genus by Riemann-Hurwitz
     class WrongSignature(Kummer):
-        def ramification(self):  # the signature (0; 7,7,7,7): genus 6
-            return (OrbitDatum(FiltrationProfile(0, (7,)), 1),) * 4
+        of_genus = classmethod(lambda cls, p, g: iter([cls(7, 1, 1)]))
+        # the signature (0; 7,7,7,7): genus 6
+        ramification = property(
+            lambda model: (OrbitDatum(FiltrationProfile(0, (7,)), 1),) * 4)
 
     class WrongOrder(Kummer):
-        def cyclic_order(self):
-            return 5
+        of_genus = classmethod(lambda cls, p, g: iter([cls(7, 1, 1)]))
+        n = property(lambda model: 5)
 
     class WrongOrbits(Homma):
-        def ramification(self):
-            return (OrbitDatum(FiltrationProfile(self.p, (self.p, self.p)),
-                               1),)  # genus 0
+        ramification = property(lambda model: (OrbitDatum(
+            FiltrationProfile(model.p, (model.p, model.p)), 1),))  # genus 0
 
-    entry = ClassificationEntry(Kummer.of(7, 1, 1))
+    entry = Kummer.of(7, 1, 1)
     assert (entry.n, entry.genus, entry.signature) == (
         7, 3, Signature(0, (7, 7, 7)))
-    with pytest.raises(ValueError, match="gives genus 6, not 3"):
-        ClassificationEntry(WrongSignature(Kummer.of(7, 1, 1).pair))
-    with pytest.raises(ValueError, match="below 2g"):
-        ClassificationEntry(WrongOrder(Kummer.of(7, 1, 1).pair))
-    assert ClassificationEntry(Homma(5)).ramification is not None
-    with pytest.raises(ValueError, match="gives genus 0, not 2"):
-        ClassificationEntry(WrongOrbits(5))
+    assert classify(5, 2, n=5) == [Homma(5)]
+    assert Homma(5).ramification is not None
+    for family, p, g, match in ((WrongSignature, 0, 3, "gives genus 6, not 3"),
+                                (WrongOrder, 0, 3, "below 2g"),
+                                (WrongOrbits, 5, 2, "gives genus 0, not 2")):
+        monkeypatch.setattr(classify_module, "FAMILIES", (Kummer, family))
+        with pytest.raises(ValueError, match=match):
+            classify(p, g)
 
 
 def test_caches_are_bounded():
@@ -513,7 +514,7 @@ def test_raw_listing_matches_the_pair_triangle_at_large_orders():
     # at three highly composite orders
     triangles = {n: classify_module._pair_triangle(n) for n in range(121, 245)}
     raw = classify(0, 60, raw_pairs=True)
-    assert [(e.n, e.model.pair.r, e.model.pair.s) for e in raw
+    assert [(e.n, e.r, e.s) for e in raw
             if e.branch == Kummer.branch] == [
         (n, r, s) for n in range(121, 243)
         for r, s in _triangle_pairs(triangles[n], 60)]
@@ -528,23 +529,20 @@ def test_raw_listing_matches_the_pair_triangle_at_large_orders():
 
 
 def test_kummer_entries_equal_the_constructed_ones():
-    # built field by field, the entries are the constructors' objects:
-    # equal, with the same repr and hash, canonical and raw
+    # built in one call each, the entries are the constructor's objects:
+    # equal, with the same type, repr and hash, canonical and raw
     for n in range(5, 131):
         for g in range(2, (n - 1) // 2 + 1):
             for pairs in (list(classify_module._genus_pairs(n, g)),
                           classify_module._orbit_minima(n, g)):
                 built = classify_module._kummer_entries(n, g, pairs)
-                want = [ClassificationEntry(Kummer.of(n, r, s))
-                        for r, s in pairs]
+                want = [Kummer.of(n, r, s) for r, s in pairs]
                 assert built == want, (n, g)
+                assert list(map(type, built)) == list(map(type, want)), (n, g)
                 assert list(map(repr, built)) == list(map(repr, want)), (n, g)
                 assert list(map(hash, built)) == list(map(hash, want)), (n, g)
-                # compare=False fields, which == does not see
-                assert [(e.model.pair.signature, e.model.pair.genus)
-                        for e in built] == [
-                    (e.model.pair.signature, e.model.pair.genus)
-                    for e in want], (n, g)
+                assert [(e.signature, e.genus) for e in built] == [
+                    (e.signature, e.genus) for e in want], (n, g)
 
 
 def test_raw_entries_are_slotted_and_small():
@@ -552,8 +550,9 @@ def test_raw_entries_are_slotted_and_small():
     for e in entries:
         if e.branch != Kummer.branch:
             continue
-        for obj in (e, e.model, e.model.pair):
-            assert not hasattr(obj, "__dict__"), obj
+        # one object is the entry, its model and its pair
+        assert e.model is e and e.model.pair is e, e
+        assert not hasattr(e, "__dict__"), e
     del entries
     # the pair search's divisor caches are warm after the listing above
     gc.collect()
@@ -563,7 +562,7 @@ def test_raw_entries_are_slotted_and_small():
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert size <= 200 * len(entries), size / len(entries)
+    assert size <= 120 * len(entries), size / len(entries)
 
 
 def test_kummer_entries_check_every_pair(monkeypatch):
@@ -606,19 +605,18 @@ def test_kummer_entries_share_a_signature_per_type():
         for e in entries:
             by_type.setdefault(e.ramification, set()).add(id(e.ramification))
             # the signature view is interned with its orbit data
-            assert e.signature is e.signature is e.model.pair.signature
+            assert e.signature is e.signature is PrimitivePair(
+                *e[:3]).signature
         assert all(len(ids) == 1 for ids in by_type.values()), (n, g)
         assert len(by_type) == (1 if n == 60 else 2)
         # the pairs of one type have gcd triples in different orders
-        triples = {(gcd(n, e.model.pair.r), gcd(n, e.model.pair.s))
-                   for e in entries}
+        triples = {(gcd(n, e.r), gcd(n, e.s)) for e in entries}
         assert len(triples) > len(by_type)
 
 
 def test_classify_lists_entries_in_order():
     def key(entry):
-        model = entry.model
-        return entry.n, FAMILIES.index(type(model)), model.spec_values()
+        return entry.n, FAMILIES.index(type(entry)), entry.spec_values()
 
     for p in (0, 3, 5, 7, 11, 13, 17, 19, 23):
         for g in range(2, 41):

@@ -15,7 +15,6 @@ from cycliccurves.families import (
     NotPrimitive,
     PrimitivePair,
     kummer_genus,
-    kummer_signature,
 )
 from cycliccurves.fforacle import (count_places, count_places_naive, field,
                                    verify_automorphism)
@@ -83,10 +82,10 @@ def test_sasaki_inequality(nrs):
 
 
 def test_kummer_signature_examples():
-    assert kummer_signature(6, 1, 1).indices == (3, 6, 6)
-    assert kummer_signature(5, 1, 1).indices == (5, 5, 5)
-    assert kummer_signature(8, 1, 3).indices == (2, 8, 8)
-    assert kummer_signature(6, 1, 1).g0 == 0
+    assert PrimitivePair(6, 1, 1).signature.indices == (3, 6, 6)
+    assert PrimitivePair(5, 1, 1).signature.indices == (5, 5, 5)
+    assert PrimitivePair(8, 1, 3).signature.indices == (2, 8, 8)
+    assert PrimitivePair(6, 1, 1).signature.g0 == 0
 
 
 def test_signature_and_genus_formula_agree_exhaustively():
@@ -94,7 +93,7 @@ def test_signature_and_genus_formula_agree_exhaustively():
 
     for n in range(3, 41):
         for pair in primitive_pairs(n):
-            sig = kummer_signature(n, pair.r, pair.s)
+            sig = PrimitivePair(n, pair.r, pair.s).signature
             assert rh_genus_tame(n, 0, sig) == kummer_genus(n, pair.r, pair.s)
 
 
@@ -108,15 +107,15 @@ def test_tame_orbits_are_the_stated_ones():
             stated = sorted(((n // d,), d) for d in (
                 gcd(n, pair.r), gcd(n, pair.s), gcd(n, pair.r + pair.s)))
             assert sorted((o.filtration.orders, o.orbit_size)
-                          for o in pair.orbits) == stated, pair
-            assert {o.filtration.p for o in pair.orbits} == {0}, pair
+                          for o in pair.ramification) == stated, pair
+            assert {o.filtration.p for o in pair.ramification} == {0}, pair
             if pair.genus >= 2:
-                assert Kummer(pair).ramification() is pair.orbits
+                assert Kummer(*pair[:3]).ramification is pair.ramification
     # two orbits of g + 1 roots with stabiliser 2, and two of size 2 over
     # x = 0 and infinity with stabiliser g + 1
     for g in range(2, 41, 2):
         assert sorted((o.filtration.p, o.filtration.orders, o.orbit_size)
-                      for o in Hyperelliptic(g, "l").ramification()) == sorted(
+                      for o in Hyperelliptic(g, "l").ramification) == sorted(
             [(0, (2,), g + 1)] * 2 + [(0, (g + 1,), 2)] * 2), g
 
 
@@ -124,15 +123,15 @@ def test_tame_orbits_are_the_stated_ones():
 
 
 def test_model_genus_examples():
-    assert ASPower(5, 2, 1, 0).genus() == 2
-    assert ASPower(5, 2, 1, 0).cyclic_order() == 10
-    assert Homma(5).genus() == 2
-    assert Homma(5).cyclic_order() == 5
-    assert Hyperelliptic(2, 2).genus() == 2
-    assert Hyperelliptic(2, 2).cyclic_order() == 6
-    assert ASRational(5, 1, 1, -1).genus() == 4
-    assert ASRational(5, 1, 1, -1).cyclic_order() == 10
-    assert Kummer.of(5, 1, 1).genus() == 2
+    assert ASPower(5, 2, 1, 0).genus == 2
+    assert ASPower(5, 2, 1, 0).n == 10
+    assert Homma(5).genus == 2
+    assert Homma(5).n == 5
+    assert Hyperelliptic(2, 2).genus == 2
+    assert Hyperelliptic(2, 2).n == 6
+    assert ASRational(5, 1, 1, -1).genus == 4
+    assert ASRational(5, 1, 1, -1).n == 10
+    assert Kummer.of(5, 1, 1).genus == 2
 
 
 def test_degenerate_models_rejected():
@@ -172,7 +171,7 @@ def test_aspower_checks_its_genus():
     # refuses y^3 - y = x^2, of genus 1
     with pytest.raises(DegenerateModel, match="genus 1 < 2"):
         ASPower(3, 2, 1, 0)
-    assert ASPower(3, 4, 1, 0).genus() == 3
+    assert ASPower(3, 4, 1, 0).genus == 3
 
 
 def test_wild_families_share_one_genus_floor():
@@ -193,29 +192,29 @@ def test_wild_families_share_one_genus_floor():
 
 
 def test_symbolic_parameters_allowed():
-    assert Hyperelliptic(4, "lambda").genus() == 4
-    assert ASPower(7, 3, "a", "b").genus() == 6
+    assert Hyperelliptic(4, "lambda").genus == 4
+    assert ASPower(7, 3, "a", "b").genus == 6
 
 
 @given(st.sampled_from([5, 7, 11, 13]), st.integers(2, 12))
 def test_aspower_order_strictly_exceeds_bound(p, m):
     assume(gcd(p, m) == 1)
     model = ASPower(p, m, 1, 0)
-    assert 2 * model.genus() + 1 < model.cyclic_order()
+    assert 2 * model.genus + 1 < model.n
 
 
 @given(st.sampled_from([5, 7, 11, 13, 17]))
 def test_homma_attains_bound_exactly(p):
     model = Homma(p)
-    assert 2 * model.genus() + 1 == model.cyclic_order()
+    assert 2 * model.genus + 1 == model.n
 
 
 @given(st.integers(1, 15), st.integers(2, 40))
 def test_hyperelliptic_genus_is_parameter_free(half_g, lam):
     g = 2 * half_g
     assume(lam not in (0, 1))
-    assert Hyperelliptic(g, lam).genus() == g
-    assert Hyperelliptic(g, lam).cyclic_order() == 2 * g + 2
+    assert Hyperelliptic(g, lam).genus == g
+    assert Hyperelliptic(g, lam).n == 2 * g + 2
 
 
 # --- place in the classification --------------------------------------------
@@ -238,7 +237,7 @@ def _sweep_models():
     for n in range(3, 41):
         for pair in primitive_pairs(n):
             if pair.genus >= 2:
-                yield Kummer(pair)
+                yield Kummer(*pair[:3])
     for g in range(2, 41, 2):
         yield Hyperelliptic(g, "lambda")
     for p in WILD_PRIMES:  # Homma(3) has genus 1 and is refused
@@ -276,14 +275,14 @@ def test_ramification_gives_the_genus():
     seen = set()
     for model in _sweep_models():
         seen.add(type(model))
-        n, ram = model.cyclic_order(), model.ramification()
-        assert rh_genus_wild(n, 0, ram) == model.genus(), model
+        n, ram = model.n, model.ramification
+        assert rh_genus_wild(n, 0, ram) == model.genus, model
         if model.wild:
             p = model.p
             assert n % p == 0
             assert (n, tuple((o.filtration.orders, o.orbit_size)
                              for o in ram)) == _stated_orbits(model), model
-            assert model.genus() == _stated_genus(model), model
+            assert model.genus == _stated_genus(model), model
             # Stichtenoth, Prop. 3.7.8 needs every pole of f prime to p
             assert all(m % p for _, m in model.places() if m), model
         else:
@@ -292,7 +291,7 @@ def test_ramification_gives_the_genus():
                        for o in ram), model
             sig = Signature(0, tuple(o.filtration.o0 for o in ram))
             assert lcm(*sig.indices) == n
-            assert rh_genus_tame(n, sig.g0, sig) == model.genus(), model
+            assert rh_genus_tame(n, sig.g0, sig) == model.genus, model
     assert seen == set(FAMILIES)
     assert {(type(m), m.p) for m in _sweep_models() if m.wild} >= {
         (ASPower, 3), (ASRational, 3)}
@@ -301,8 +300,8 @@ def test_ramification_gives_the_genus():
 def test_wild_orbit_data_are_interned():
     # ASPower(5, 3, a, b) has one pole of order 3 at infinity whatever
     # a and b are: both models read one datum
-    first, second = (ASPower(5, 3, 1, 0).ramification(),
-                     ASPower(5, 3, 2, 1).ramification())
+    first, second = (ASPower(5, 3, 1, 0).ramification,
+                     ASPower(5, 3, 2, 1).ramification)
     assert first[0] is second[0]
     assert all(a is b for a, b in zip(first, second))
 
@@ -310,7 +309,7 @@ def test_wild_orbit_data_are_interned():
 def test_repeated_ramification_builds_no_profile(monkeypatch):
     models = [ASPower(5, 3, 1, 0), ASRational(7, 1, 1, 4), Homma(11),
               Kummer.of(7, 1, 2), Hyperelliptic(4, "l")]
-    before = [model.ramification() for model in models]
+    before = [model.ramification for model in models]
     built = []
     post_init = ramification.FiltrationProfile.__post_init__
 
@@ -320,7 +319,7 @@ def test_repeated_ramification_builds_no_profile(monkeypatch):
 
     monkeypatch.setattr(ramification.FiltrationProfile, "__post_init__",
                         counting)
-    assert [model.ramification() for model in models] == before
+    assert [model.ramification for model in models] == before
     assert built == []
 
 
@@ -348,9 +347,9 @@ def test_of_genus_matches_brute_force(p):
             found = list(family.of_genus(p, g))
             for model in found:
                 assert type(model) is family
-                assert model.genus() == g
-                assert model.cyclic_order() >= 2 * g + 1
-            assert found == [m for m in models if m.genus() == g], (
+                assert model.genus == g
+                assert model.n >= 2 * g + 1
+            assert found == [m for m in models if m.genus == g], (
                 family, p, g)
 
 
@@ -377,13 +376,13 @@ def test_point_map_roots_of_unity():
 
 
 def test_generator_order_matches_cyclic_order():
-    # the permutation of the affine points has order exactly
-    # cyclic_order(), or verify_automorphism raises
+    # the permutation of the affine points has order exactly the
+    # model's n, or verify_automorphism raises
     for model, p in [(Kummer.of(7, 1, 2), 29), (Hyperelliptic(4, 5), 11),
                      (ASPower(7, 2, 3, 1), 7), (ASRational(5, 1, 1, 4), 5),
                      (Homma(11), 11)]:
         report = verify_automorphism(model, field(p, 1))
-        assert report.order == model.cyclic_order(), model
+        assert report.order == model.n, model
 
 
 # --- the additive left side b*y^p + c*y -------------------------------------

@@ -617,7 +617,7 @@ def test_counting_preconditions():
     for model, p, g in ((Kummer.of(5, 1, 1), 7, 2),
                         (Kummer.of(7, 1, 2), 3, 3),
                         (ASPower(5, 3, 1, 0), 5, 4)):
-        assert model.genus() == g
+        assert model.genus == g
         assert zeta_genus(count_series(model, field(p, 1), 2 * g), g) == g
     with pytest.raises(PreconditionViolated):
         count_places(Homma(5), field(7, 1))  # wrong characteristic
@@ -640,7 +640,7 @@ def test_kummer_refuses_a_characteristic_dividing_n():
                           lambda: count_series(model, fld, 4),
                           lambda: verify_automorphism(model, fld)):
                 with pytest.raises(PreconditionViolated,
-                                   match=f"^p={p} divides n={model.pair.n};"):
+                                   match=f"^p={p} divides n={model.n};"):
                     check()
 
 
@@ -798,7 +798,7 @@ def test_zeta_genus_insufficient_counts():
     (Hyperelliptic(2, 3), 7, 1),
 ])
 def test_zeta_genus_recovers_formula_genus(model, p, k):
-    g = model.genus()
+    g = model.genus
     series = count_series(model, field(p, k), 2 * g)
     assert zeta_genus(series, g) == g
 
@@ -945,13 +945,10 @@ def reference_orbits(points, images):
 class PointList(CurveModel):
     """The points (x, 0), x < len(images), of the line y = 0 over a
     prime field; the generator sends (x, 0) to images[x] and claims
-    the order `order`."""
+    the order `n`."""
 
     images: tuple
-    order: int = 1
-
-    def cyclic_order(self):
-        return self.order
+    n: int = 1
 
     def equation(self, fld):
         return Equation(fld, lambda y: y, None, lambda x: 0 * x, extra=0,
@@ -1061,10 +1058,10 @@ def check_against_reference(model, fld):
     order, sizes, fixed = reference_orbits(
         points, list(zip(np.asarray(image_xs).tolist(),
                          np.asarray(image_ys).tolist())))
-    if order != model.cyclic_order():
+    if order != model.n:
         with pytest.raises(OrderMismatch, match=(
                 f"^permutation has order {order}, "
-                f"cyclic_order is {model.cyclic_order()}$")):
+                f"cyclic_order is {model.n}$")):
             verify_automorphism(model, fld)
         return "mismatch"
     report = verify_automorphism(model, fld)
@@ -1126,7 +1123,7 @@ def test_a_generator_that_hits_a_point_twice_is_refused():
     with pytest.raises(NotAnAutomorphism,
                        match=r"^\(0, 0\) and \(1, 0\) both map to "
                              r"\(0, 0\)$"):
-        verify_automorphism(PointList(((0, 0), (0, 0), (2, 0)), order=2),
+        verify_automorphism(PointList(((0, 0), (0, 0), (2, 0)), n=2),
                             field(5, 1))
     rng = random.Random(13)
     for n in (2, 3, 17, 100, 1000):

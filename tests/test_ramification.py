@@ -16,7 +16,6 @@ from cycliccurves.ramification import (
     rh_genus_tame,
     rh_genus_wild,
     tame_orbits,
-    validate_filtration,
 )
 
 SMALL_PRIMES = (3, 5, 7)
@@ -75,15 +74,15 @@ def tame_profiles(draw):
 
 
 def test_trailing_ones_are_normalized():
-    assert validate_filtration(5, [5, 5, 5, 1, 1]) == validate_filtration(
+    assert FiltrationProfile(5, [5, 5, 5, 1, 1]) == FiltrationProfile(
         5, [5, 5, 5])
-    assert validate_filtration(5, [1]).orders == ()
+    assert FiltrationProfile(5, [1]).orders == ()
 
 
 def test_tame_form_is_p_zero():
     for e in range(1, 60):
         profile = FiltrationProfile(0, (e, 1, 1))
-        assert profile == FiltrationProfile(0, (e,)) == validate_filtration(
+        assert profile == FiltrationProfile(0, (e,)) == FiltrationProfile(
             0, [e])
         assert (profile.o0, profile.jumps()) == (e, ())
         assert different_exponent(profile) == e - 1
@@ -93,16 +92,16 @@ def test_tame_form_is_p_zero():
 
 
 def test_different_exponent_examples():
-    assert different_exponent(validate_filtration(5, [4])) == 3
-    assert different_exponent(validate_filtration(3, [9, 9, 3, 3, 3])) == 22
-    assert different_exponent(validate_filtration(3, [1])) == 0
+    assert different_exponent(FiltrationProfile(5, [4])) == 3
+    assert different_exponent(FiltrationProfile(3, [9, 9, 3, 3, 3])) == 22
+    assert different_exponent(FiltrationProfile(3, [1])) == 0
 
 
 def test_wrong_level_count_is_rejected():
     # one extra level of order 3 moves the second jump off the
     # congruence class of the first
     with pytest.raises(InvalidFiltration):
-        validate_filtration(3, [9, 9, 3, 3, 3, 3])
+        FiltrationProfile(3, [9, 9, 3, 3, 3, 3])
 
 
 @pytest.mark.parametrize("p,orders", [
@@ -121,7 +120,7 @@ def test_wrong_level_count_is_rejected():
 ])
 def test_invalid_profiles(p, orders):
     with pytest.raises(InvalidFiltration):
-        validate_filtration(p, orders)
+        FiltrationProfile(p, orders)
 
 
 @given(wild_profiles())
@@ -161,11 +160,11 @@ def test_rh_tame_errors():
 
 
 def test_rh_wild_examples():
-    profile = validate_filtration(3, [9, 9, 3, 3, 3])
+    profile = FiltrationProfile(3, [9, 9, 3, 3, 3])
     assert rh_genus_wild(9, 0, [OrbitDatum(profile, 1)]) == 3
     assert rh_genus_wild(5, 0, [
-        OrbitDatum(validate_filtration(5, [5, 5, 5]), 1)]) == 2
-    two_points = [OrbitDatum(validate_filtration(3, [2]), 1)] * 2
+        OrbitDatum(FiltrationProfile(5, [5, 5, 5]), 1)]) == 2
+    two_points = [OrbitDatum(FiltrationProfile(3, [2]), 1)] * 2
     assert rh_genus_wild(2, 0, two_points) == 0
 
 
@@ -177,7 +176,7 @@ def test_group_order_cap():
 
 
 def test_rh_wild_rejects_bad_orbit_size():
-    profile = validate_filtration(5, [5, 5, 5])
+    profile = FiltrationProfile(5, [5, 5, 5])
     with pytest.raises(Inconsistent):
         rh_genus_wild(10, 0, [OrbitDatum(profile, 1)])
 
@@ -249,7 +248,7 @@ def test_orbit_datum_has_one_call_form():
 
 def test_filtration_identity_for_p_squared_profiles():
     for p in (3, 5, 7, 11, 13):
-        profile = validate_filtration(p, [p * p, p * p] + [p] * p)
+        profile = FiltrationProfile(p, [p * p, p * p] + [p] * p)
         g = rh_genus_wild(p * p, 0, [OrbitDatum(profile, 1)])
         assert p * p == 2 * g + p
 
