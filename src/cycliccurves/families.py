@@ -163,12 +163,14 @@ def _additive_lhs(fld, b, c):
     p = fld.p
     lam = _kernel_root(fld, b, c)
 
-    def fibre(v):
-        if lam is None:
-            return np.ones_like(v)
-        w = fld.inv(fld.mul(c, lam))
-        return np.where(fld.trace(v if w < p else fld.mul(w, v)) == 0, p, 0)
-    return (lambda y: fld.add(fld.mul(b, fld.pow(y, p)), fld.mul(c, y))), fibre
+    def lhs(y):
+        return fld.add(fld.mul(b, fld.pow(y, p)), fld.mul(c, y))
+    if lam is None:
+        return lhs, np.ones_like
+    # w = 1/(c*lam), once per equation, and left out when in F_p
+    w = fld.inv(fld.mul(c, lam))
+    scaled = (lambda v: v) if w < p else (lambda v: fld.mul(w, v))
+    return lhs, lambda v: np.where(fld.trace(scaled(v)) == 0, p, 0)
 
 
 @dataclass(frozen=True)
@@ -190,11 +192,14 @@ class Equation:
     extra: int
     missing_x: tuple = ()
 
-    def affine_xs(self):
-        """The x values of the affine model, as an array (field elements
-        are enumerated by encoding, so x sits at index x)."""
-        xs = self.fld.elements()
-        return np.delete(xs, self.missing_x) if self.missing_x else xs
+    def affine_xs(self, lo=0, hi=None):
+        """The x values of the affine model in [lo, hi), the whole field
+        by default, as an int64 array: field elements are enumerated by
+        encoding, so x sits at index x - lo, less the `missing_x` in the
+        range before it."""
+        xs = np.arange(lo, self.fld.q if hi is None else hi, dtype=np.int64)
+        missing = [x - lo for x in self.missing_x if lo <= x < lo + len(xs)]
+        return np.delete(xs, missing) if missing else xs
 
 
 # ---------------------------------------------------------------------------

@@ -40,16 +40,17 @@ encoding of an element of the field in use.  An equation meets one
 field only: `count_series` reads the coefficients in the base field of
 its tower and moves them into each extension (`CurveModel.lifted`).
 
-Counting evaluates each side of the equation once over the whole
-field, as an array: the fast count sums the closed-form fibre sizes of
-rhs over all x (`fibre(rhs(xs)).sum()`), the naive count compares lhs
+Each side of the equation is evaluated as an array.  The fast count
+runs over x in blocks of `_BLOCK` elements and sums the closed-form
+fibre sizes of rhs block by block (`fibre(rhs(xs)).sum()`), and the
+table build fills its tables block by block too, so neither holds more
+than O(`_BLOCK`) beyond the field tables.  The naive count compares lhs
 over all y with each rhs value, the listing sorts the y by lhs(y) and
 pairs each x with the y of value rhs(x), and the automorphism check
 maps every listed point in one call, finds the images by dense lookups
-and walks the orbits by pointer doubling.  Every use of a field
-enumerates all of it, and memory beyond the field tables is a few
-vectors of length q, so every field, prime or not, stops at
-`TABLE_LIMIT` elements (2^22), the ceiling of the tables.
+and walks the orbits by pointer doubling: these hold a few vectors of
+length q, a point listing being O(q) by nature.  Every field, prime or
+not, stops at `TABLE_LIMIT` elements (2^22), the ceiling of the tables.
 
 Everything is a pure function of its inputs; fields cache their own
 tables but are immutable once constructed, so all operations are safe
@@ -199,6 +200,11 @@ def _fold(s, p):
     return s
 
 
+def _blocks(n):
+    """The (lo, hi) that cover range(n) in steps of `_BLOCK`."""
+    return ((lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
+
+
 def _wrap(s, n):
     """s - n, folded into [0, n) where s < 2n and clipped to n, the zero
     slot of the exp table, where s carries a zero log: int32 throughout."""
@@ -210,6 +216,12 @@ def _wrap(s, n):
 LOG_ZERO = 1 << 28  # log(0): any sum with it, less n, is past n < 2^22
 _TABLE_BITS = TABLE_LIMIT.bit_length() - 1  # the ceiling is 2^_TABLE_BITS
 _RUN = 1 << 14  # longest run of powers the exp build makes in one step
+# the elements a whole-field pass (a place count, a table fill) takes at
+# a time, so that its temporaries are O(_BLOCK) beside the O(q) tables.
+# 2^15 and 2^16 count F_{5^8} fastest; at 2^16 an int64 block is 512 KB,
+# enough for glibc's adaptive thresholds to keep freed blocks in the heap
+# rather than trim and fault them in again block after block
+_BLOCK = 1 << 16
 # the exp build's first powers as digit rows: below this many, a SWAR
 # `_times` costs more to set up than it saves; above, digit rows cost more
 _DIGIT_RUN = 1 << 11
@@ -294,18 +306,26 @@ class FiniteField:
                   @ self._pvec == 1 for ell in fac):
             g += 1
         exp = np.zeros(q, dtype=np.int32)
+        log = np.full(q, LOG_ZERO, dtype=np.int32)
         if k == 1:
             # g^(i*t + j) = (g^t)^i * g^j: giant steps times baby steps,
-            # in int64, which also scatters the logs faster than int32
+            # in int64, which also scatters the logs faster than int32; a
+            # block is the fewest whole giant-step rows that hold _BLOCK
+            # powers, so a field of one block is one product
             t = isqrt(n) + 1
             baby, giant = _powers(g, t, p), _powers(pow(g, t, p), t, p)
-            exp[:n] = powers = _mod(giant[:, None] * baby, p).ravel()[:n]
+            rows = -(-_BLOCK // t)
+            for lo in range(0, n, rows * t):
+                i, hi = lo // t, min(lo + rows * t, n)
+                exp[lo:hi] = powers = _mod(
+                    giant[i:i + rows, None] * baby, p).ravel()[:hi - lo]
+                log[powers] = np.arange(lo, hi, dtype=np.int32)
         else:
             self._extension_exp(g, exp[:n])
-            powers = exp[:n]
-        log = np.full(q, LOG_ZERO, dtype=np.int32)
-        log[powers] = np.arange(n, dtype=np.int32)
-        if log[1] != 0 or (log[1:] == LOG_ZERO).any():
+            for lo, hi in _blocks(n):
+                log[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
+        # every other log is below n, so a maximum finds a log left unset
+        if log[1] != 0 or log[1:].max() == LOG_ZERO:
             raise RuntimeError("discrete log table construction failed")
         self._expz, self._log, self._exp = exp, log, exp[:n]
         self._zechz = None
@@ -313,9 +333,11 @@ class FiniteField:
             # 1 + g^i changes only the lowest digit, which wraps from
             # p - 1 to 0; log[0] = LOG_ZERO marks the i where 1 + g^i = 0,
             # and the zero slot reads log(1 + 0) = 0
-            one_plus = exp + 1
-            one_plus -= (exp % p == p - 1) * np.int32(p)
-            self._zechz = log[one_plus]
+            self._zechz = np.empty(q, dtype=np.int32)
+            for lo, hi in _blocks(q):
+                one_plus = exp[lo:hi] + 1
+                one_plus -= (exp[lo:hi] % p == p - 1) * np.int32(p)
+                log.take(one_plus, out=self._zechz[lo:hi])
 
     def _extension_exp(self, g, exp):
         """Fill exp with g^0, ..., g^(q-2) for k >= 2.  The first
@@ -441,15 +463,18 @@ class FiniteField:
     def num_nth_roots(self, c, n):
         """Number of y with y^n = c: gcd(n, q-1) for a nonzero n-th
         power (a log divisible by the gcd), 0 for a nonzero non-power,
-        1 for zero.  An array reads a table over the logs, whose slot
-        q - 1 is the zero log's; one element needs no table."""
+        1 for zero.  An array's logs are tested against the gcd d
+        directly, with no table, giving an int32 array as long as c: the
+        zero log, capped to q - 1, is a multiple of d, and its d is then
+        moved to 1."""
         d, m = gcd(n, self.q - 1), self.q - 1
         if np.ndim(c) == 0:
             lc = int(self._log[c])
             return 1 if lc == LOG_ZERO else d * (lc % d == 0)
-        roots = np.zeros(self.q, dtype=np.int32)
-        roots[:m:d], roots[m] = d, 1
-        return roots[np.minimum(self._log[c], m)]
+        lc = np.minimum(self._log[c], m)
+        roots = (lc - lc // d * d == 0) * np.int32(d)
+        roots -= (lc == m) * np.int32(d - 1)
+        return roots
 
     def nth_root(self, c, n):
         """A y with y^n = c for nonzero c, or None if c is no n-th power:
@@ -502,9 +527,12 @@ def field(p: int, k: int = 1) -> FiniteField:
 def count_places(model: CurveModel, fld: FiniteField) -> int:
     """Exact number of rational places of the smooth model over `fld`:
     the fibre sizes of the left side over rhs(x), summed over the affine
-    x values, plus the family's `extra` places."""
+    x values, plus the family's `extra` places.  The x run in blocks of
+    `_BLOCK` (`Equation.affine_xs(lo, hi)`), so the count holds O(_BLOCK)
+    memory beyond the field tables; a field of one block is one call."""
     eq = model.equation(fld)
-    return int(eq.fibre(eq.rhs(eq.affine_xs())).sum()) + eq.extra
+    return sum(int(eq.fibre(eq.rhs(eq.affine_xs(lo, hi))).sum())
+               for lo, hi in _blocks(fld.q)) + eq.extra
 
 
 def count_places_naive(model: CurveModel, fld: FiniteField) -> int:
@@ -779,7 +807,7 @@ def _orbits(model, generator, points, q):
     if order != claimed:
         raise OrderMismatch(
             # the wording is part of the CLI's pinned output
-            f"permutation has order {order}, cyclic_order is {claimed}")
+            f"permutation has order {order}, the model's order n is {claimed}")
     fixed = (cycles == 1).nonzero()[0]  # each a cycle's least point
     return OrbitReport(
         point_count=n, order=order,

@@ -2,12 +2,14 @@ import hashlib
 import math
 import random
 import time
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from cycliccurves import fforacle
 from cycliccurves.families import (
     FAMILIES,
     ASPower,
@@ -555,10 +557,88 @@ def test_num_nth_roots_matches_a_count_of_the_powers(p, k):
 
 
 def test_largest_table_memory():
-    # about 1.6M elements; the three int32 tables stay under 20 MB
-    fld = FiniteField(3, 13)
+    # about 1.6M elements; the three int32 tables stay under 20 MB, and
+    # numpy reports its buffers to tracemalloc: the build's blocks and the
+    # place count hold at most 4 MiB beyond them (the whole-field passes
+    # held 8 and 49 MiB)
+    tracemalloc.start()
+    try:
+        fld = FiniteField(3, 13)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        count = count_places(ASPower(3, 4, 1, 0), fld)
+        count_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    tables = fld._expz.nbytes + fld._log.nbytes + fld._zechz.nbytes
     assert fld._exp.nbytes + fld._log.nbytes + fld._zechz[:-1].nbytes < 20 * 10**6
+    assert build_peak <= tables + 4 * 2**20
+    assert count_peak <= 4 * 2**20
+    assert count == 3**13 + 1
     assert fld.mul(fld.inv(12345), 12345) == 1
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_blocked_build_is_exact(monkeypatch, block):
+    # prime fields of several giant-step blocks, extension fields of
+    # several log and Zech blocks, none a whole number of blocks long
+    fields = [(101, 1), (1009, 1), (5, 3), (11, 2), (3, 7)]
+    monkeypatch.setattr(fforacle, "_BLOCK", block)
+    for p, k in fields:
+        blocked, whole = FiniteField(p, k), field(p, k)
+        for name in ("_expz", "_log", "_zechz"):
+            a, b = getattr(blocked, name), getattr(whole, name)
+            assert (a is None and b is None) or (  # no Zech table for k = 1
+                a.dtype == b.dtype and a.tobytes() == b.tobytes()), (p, k)
+
+
+# one model of each family, over fields of one block, of several blocks
+# and of a whole number of blocks; ASRational's missing x = 0 is in the
+# first block
+BLOCKED_COUNTS = [
+    (Kummer.of(5, 1, 2), (11, 1)), (Kummer.of(8, 1, 3), (3, 4)),
+    (Kummer.of(7, 1, 1), (13, 2)), (Hyperelliptic(2, 3), (7, 2)),
+    (Hyperelliptic(2, 2), (11, 2)), (ASPower(3, 4, 1, 0), (3, 5)),
+    (ASPower(5, 2, 1, 0), (5, 3)), (ASRational(5, 1, 1, 4), (5, 1)),
+    (ASRational(5, 1, 1, 4), (5, 3)), (ASRational(3, 1, 1, 1), (3, 5)),
+    (Homma(5), (5, 3)), (Homma(7), (7, 2)),
+]
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_blocked_count_is_exact(monkeypatch, block):
+    cases = [(model, field(*pk)) for model, pk in BLOCKED_COUNTS]
+    whole = [count_places(model, fld) for model, fld in cases]
+    monkeypatch.setattr(fforacle, "_BLOCK", block)
+    blocked = [count_places(model, fld) for model, fld in cases]
+    assert blocked == whole == [count_places_naive(model, fld)
+                                for model, fld in cases]
+
+
+def test_affine_xs_in_blocks_is_the_whole_range():
+    fld = field(11, 2)
+    eq = Equation(fld, None, None, None, extra=0,
+                  missing_x=(0, 6, 7, 13, 63, 64, 120))
+    whole = eq.affine_xs()
+    assert whole.tolist() == [x for x in range(fld.q) if x not in eq.missing_x]
+    for block in (1, 7, 64, 121, 500):
+        parts = [eq.affine_xs(lo, min(lo + block, fld.q))
+                 for lo in range(0, fld.q, block)]
+        assert np.concatenate(parts).tolist() == whole.tolist(), block
+
+
+@pytest.mark.parametrize("p,k", [(3, 7), (13, 3), (1009, 1), (7, 4)])
+def test_num_nth_roots_array_path_is_the_scalar_path(p, k):
+    # every element, zero included; 2^28, the zero log, is a multiple of
+    # every power of two gcd, which the array path must not read as one
+    fld = field(p, k)
+    q = fld.q
+    coprime = next(n for n in range(5, q) if math.gcd(n, q - 1) == 1)
+    xs = fld.elements()
+    for n in (1, 2, 3, 4, 8, 16, 32, coprime, q - 1, q, 2 * (q - 1)):
+        scalar = [fld.num_nth_roots(c, n) for c in xs.tolist()]
+        assert fld.num_nth_roots(xs, n).tolist() == scalar, n
 
 
 # --- place counting -----------------------------------------------------------
@@ -826,8 +906,8 @@ def test_homma_automorphism_no_affine_fixed_points():
 def test_order_mismatch_detected():
     # over F_5 every affine point of this curve has x = 0, so the
     # order-10 generator only shows its order-5 part
-    with pytest.raises(OrderMismatch,
-                       match="permutation has order 5, cyclic_order is 10"):
+    with pytest.raises(OrderMismatch, match=(
+            "permutation has order 5, the model's order n is 10")):
         verify_automorphism(ASPower(5, 2, 1, 0), field(5, 1))
 
 
@@ -1061,7 +1141,7 @@ def check_against_reference(model, fld):
     if order != model.n:
         with pytest.raises(OrderMismatch, match=(
                 f"^permutation has order {order}, "
-                f"cyclic_order is {model.n}$")):
+                f"the model's order n is {model.n}$")):
             verify_automorphism(model, fld)
         return "mismatch"
     report = verify_automorphism(model, fld)
