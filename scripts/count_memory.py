@@ -29,7 +29,7 @@ LARGEST_PRIME = 4_194_301  # the largest prime below the ceiling 2^22
 
 # (model, field (p, k)): one of each family, q above 10^6
 ROWS = [
-    (Kummer.of(5, 1, 2), (LARGEST_PRIME, 1)),
+    (Kummer(5, 1, 2), (LARGEST_PRIME, 1)),
     (Hyperelliptic(2, 3), (LARGEST_PRIME, 1)),
     (ASPower(3, 4, 1, 0), (3, 13)),
     (ASRational(3, 1, 1, 1), (3, 13)),

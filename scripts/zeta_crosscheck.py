@@ -27,9 +27,9 @@ from cycliccurves.fforacle import (
 
 # (model, counting field (p, k), orbit-check field (p, k))
 BATTERY = [
-    (Kummer.of(5, 1, 1), (11, 1), (11, 1)),
-    (Kummer.of(6, 1, 1), (13, 1), (13, 1)),
-    (Kummer.of(8, 1, 3), (3, 2), (3, 2)),
+    (Kummer(5, 1, 1), (11, 1), (11, 1)),
+    (Kummer(6, 1, 1), (13, 1), (13, 1)),
+    (Kummer(8, 1, 3), (3, 2), (3, 2)),
     (Homma(5), (5, 1), (5, 1)),
     (Homma(7), (7, 1), (7, 1)),
     (ASPower(5, 2, 1, 0), (5, 1), (5, 3)),

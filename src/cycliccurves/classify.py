@@ -52,8 +52,7 @@ from math import gcd, isqrt, lcm
 import numpy as np
 
 from .intmath import TABLE_LIMIT, divisors, is_int, is_prime
-from .families import (FAMILIES, CurveModel, Kummer, PrimitivePair,
-                       primitive_gcds)
+from .families import FAMILIES, CurveModel, Kummer, PrimitivePair
 from .ramification import N_CAP, Signature, rh_genus_wild, tame_signature
 
 # Orbit decompositions kept: classify(p, g) reads at most 2g + 4 of them,
@@ -239,7 +238,7 @@ def _kummer_entries(n, g, pairs):
     types, out = {}, []
     for r, s in pairs:
         if r < 1 or s < 1 or r + s >= n:
-            primitive_gcds(n, r, s)  # raises NotPrimitive
+            PrimitivePair(n, r, s)  # raises NotPrimitive
         orbits = types.get(abc := (gcds[r], gcds[s], gcds[r + s]))
         if orbits is None:
             orbits = types[abc] = PrimitivePair(n, r, s).ramification

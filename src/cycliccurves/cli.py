@@ -80,8 +80,8 @@ def parse_model_spec(spec, p):
         raise ValueError(f"bad model spec {spec!r}")
     k = len(parts) - family.coefficients
     try:
-        return family.of(*(int(t) for t in parts[:k]),
-                         *(_parse_param(t, p) for t in parts[k:]))
+        return family(*(int(t) for t in parts[:k]),
+                      *(_parse_param(t, p) for t in parts[k:]))
     except ValueError as exc:
         raise ValueError(f"bad model spec {spec!r}: {exc}") from exc
 

@@ -85,7 +85,11 @@ class PrimitivePair(tuple):
     def __new__(cls, n, r, s):
         if not (is_int(n) and is_int(r) and is_int(s)):
             raise NotPrimitive(f"(n, r, s)=({n!r}, {r!r}, {s!r}) must be ints")
-        a, b, c = primitive_gcds(n, r, s)
+        if r < 1 or s < 1 or r + s > n - 1:
+            raise NotPrimitive(f"(r, s)=({r}, {s}) outside range for n={n}")
+        a, b, c = gcd(n, r), gcd(n, s), gcd(n, r + s)
+        if gcd(a, b) != 1:
+            raise NotPrimitive(f"gcd(r, s, n) != 1 for ({r}, {s}) mod {n}")
         total = n + 2 - a - b - c
         assert total % 2 == 0, (n, r, s)
         return tuple.__new__(cls, (n, r, s, total // 2, tame_orbits(
@@ -93,16 +97,6 @@ class PrimitivePair(tuple):
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, r={self.r}, s={self.s})"
-
-
-def primitive_gcds(n: int, r: int, s: int) -> tuple[int, int, int]:
-    """gcd(n, r), gcd(n, s), gcd(n, r + s); NotPrimitive unless primitive."""
-    if r < 1 or s < 1 or r + s > n - 1:
-        raise NotPrimitive(f"(r, s)=({r}, {s}) outside range for n={n}")
-    a, b, c = gcd(n, r), gcd(n, s), gcd(n, r + s)
-    if gcd(a, b) != 1:
-        raise NotPrimitive(f"gcd(r, s, n) != 1 for ({r}, {s}) mod {n}")
-    return a, b, c
 
 
 def kummer_genus(n: int, r: int, s: int) -> int:
@@ -230,11 +224,6 @@ class CurveModel:
     signature = property(lambda model: None if model.wild
                          else tame_signature(model.ramification))
 
-    @classmethod
-    def of(cls, *values):
-        """The model with these spec values, in `spec_fields` order."""
-        return cls(*values)
-
     def spec_values(self) -> tuple:
         return tuple(getattr(self, f) for f in self.spec_fields)
 
@@ -257,8 +246,8 @@ class CurveModel:
             return self
         values = self.spec_values()
         k = len(values) - self.coefficients
-        return self.of(*values[:k], *(fld.lift_from(_bind(v, src), src)
-                                      for v in values[k:]))
+        return type(self)(*values[:k], *(fld.lift_from(_bind(v, src), src)
+                                         for v in values[k:]))
 
     def point_map(self, fld) -> Callable:
         """The generator, of order `n`, on affine points over `fld`;
@@ -282,9 +271,6 @@ class Kummer(PrimitivePair, CurveModel):
         if model.genus < 2:
             raise DegenerateModel(f"{model!r} has genus {model.genus} < 2")
         return model
-
-    def spec_values(self):
-        return self[:3]
 
     def equation(self, fld):
         n, r, s = self[:3]

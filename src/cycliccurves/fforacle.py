@@ -463,14 +463,11 @@ class FiniteField:
     def num_nth_roots(self, c, n):
         """Number of y with y^n = c: gcd(n, q-1) for a nonzero n-th
         power (a log divisible by the gcd), 0 for a nonzero non-power,
-        1 for zero.  An array's logs are tested against the gcd d
-        directly, with no table, giving an int32 array as long as c: the
-        zero log, capped to q - 1, is a multiple of d, and its d is then
-        moved to 1."""
+        1 for zero.  The logs of c, an element or an array of them, are
+        tested against the gcd d directly, with no table, giving int32
+        counts of c's shape: the zero log, capped to q - 1, is a
+        multiple of d, and its d is then moved to 1."""
         d, m = gcd(n, self.q - 1), self.q - 1
-        if np.ndim(c) == 0:
-            lc = int(self._log[c])
-            return 1 if lc == LOG_ZERO else d * (lc % d == 0)
         lc = np.minimum(self._log[c], m)
         roots = (lc - lc // d * d == 0) * np.int32(d)
         roots -= (lc == m) * np.int32(d - 1)
@@ -486,7 +483,8 @@ class FiniteField:
     def lift_from(self, value, src):
         """Image of a src-encoded element under the embedding src -> self.
 
-        src must be a subfield pattern: same p, src.k dividing self.k.
+        src must be a subfield pattern: same p, src.k dividing self.k,
+        and value one of its elements, in [0, src.q).
         The embedding sends the residue of x in src to the least root
         of src.modulus in self, making lifts deterministic.  The roots
         are among the src.q - 1 powers of g^((q - 1) / (src.q - 1)).
@@ -495,6 +493,9 @@ class FiniteField:
             raise PreconditionViolated(
                 f"no embedding of F_{src.p}^{src.k} into F_{self.p}^{self.k}")
         value = int(value)
+        if not 0 <= value < src.q:
+            raise PreconditionViolated(
+                f"value {value} outside field of size {src.q}")
         if value < self.p or src.k == self.k:  # one modulus per (p, k)
             return value
 

@@ -6,14 +6,17 @@ ints, so there is no overflow to worry about.
 
 from functools import lru_cache
 
-# Witnesses making Miller-Rabin deterministic for n < 3.3 * 10**24; the
-# first four suffice below 3,215,031,751, the least strong pseudoprime to
-# all of them (C. Pomerance, J. L. Selfridge and S. S. Wagstaff, "The
-# pseudoprimes to 25 * 10^9", Math. Comp. 35, 1980).
+# Witnesses making Miller-Rabin deterministic below psi_12 =
+# 3,317,044,064,679,887,385,961,981, the least strong pseudoprime to all
+# twelve (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86, 2017); the first four suffice below
+# 3,215,031,751, the least strong pseudoprime to all of them
+# (C. Pomerance, J. L. Selfridge and S. S. Wagstaff, "The pseudoprimes
+# to 25 * 10^9", Math. Comp. 35, 1980).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_FOUR_BOUND = 3_215_031_751
 
-_CACHE_SIZE = 1024  # arguments kept by each factoring cache below
+_CACHE_SIZE = 1024  # arguments kept by the divisor cache below
 
 # Largest array the package enumerates: a tabulated or whole-field
 # evaluated finite field (`fforacle`) or the exponent pairs of one Kummer
@@ -28,8 +31,11 @@ def is_int(value) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n < 3.3e24."""
-    if n < 2:
+    """Deterministic primality test: True for a prime below psi_12.
+    False for every n at or above psi_12, before any work, since the
+    bases cannot certify one there; each caller refuses it as it
+    refuses a composite."""
+    if n < 2 or n >= 3_317_044_064_679_887_385_961_981:
         return False
     for p in _MR_BASES:  # the witnesses are the first twelve primes
         if n % p == 0:
@@ -52,7 +58,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime divisors of n, ascending."""
     if n < 1:

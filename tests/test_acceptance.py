@@ -62,10 +62,10 @@ def criterion(number, name, budget_seconds):
 # The cross-validation model set: every family is represented, fields
 # chosen so all preconditions hold.
 ZETA_MODELS = [
-    (Kummer.of(5, 1, 1), 11, 1),
-    (Kummer.of(6, 1, 1), 13, 1),
-    (Kummer.of(8, 1, 3), 3, 2),
-    (Kummer.of(10, 1, 4), 11, 1),
+    (Kummer(5, 1, 1), 11, 1),
+    (Kummer(6, 1, 1), 13, 1),
+    (Kummer(8, 1, 3), 3, 2),
+    (Kummer(10, 1, 4), 11, 1),
     (Homma(5), 5, 1),
     (Homma(7), 7, 1),
     (ASPower(5, 2, 1, 0), 5, 1),

@@ -315,7 +315,7 @@ def test_classify_errors():
     (lambda: FiniteField(5, 1.0), PreconditionViolated, 1.0),
     (lambda: PrimitivePair(5.0, 1, 1), NotPrimitive, 5.0),
     (lambda: PrimitivePair(True, 1, 1), NotPrimitive, True),
-    (lambda: Kummer.of(7, 1.0, 2), NotPrimitive, 1.0),
+    (lambda: Kummer(7, 1.0, 2), NotPrimitive, 1.0),
 ], ids=["classify-p-float", "classify-p-bool", "classify-p-str",
         "classify-g-float", "classify-g-bool", "signatures-g-float",
         "signatures-n-float", "signatures-n-bool", "pairs-n-float",
@@ -330,6 +330,27 @@ def test_non_int_arguments_get_typed_errors(call, error, bad):
     # arithmetic
     with pytest.raises(error, match=re.escape(repr(bad))):
         call()
+
+
+# psi_12 = 1287836182261 * 2575672364521, the least strong pseudoprime to
+# the twelve prime bases up to 37; 2^89 - 1 is a prime the bases cannot
+# certify either
+PSI_12 = 3_317_044_064_679_887_385_961_981
+
+
+@pytest.mark.parametrize("p", [PSI_12, 2**89 - 1])
+@pytest.mark.parametrize("call,error", [
+    (lambda p: classify(p, 2), UnsupportedCharacteristic),
+    (lambda p: Homma(p), DegenerateModel),
+    (lambda p: ASPower(p, 2, 1, 0), DegenerateModel),
+    (lambda p: ASRational(p, 1, 1, 4), DegenerateModel),
+    (lambda p: FiltrationProfile(p, (p,)), InvalidFiltration),
+    (lambda p: FiniteField(p, 1), PreconditionViolated),
+], ids=["classify", "homma", "aspower", "asrational", "profile", "field"])
+def test_characteristics_past_psi_12_get_typed_errors(call, error, p):
+    assert not intmath.is_prime(p)
+    with pytest.raises(error, match=str(p)):
+        call(p)
 
 
 def test_no_entry_lies_above_4g_plus_2():
@@ -420,7 +441,7 @@ def test_entry_validation_rejects_inconsistencies(monkeypatch):
         ramification = property(lambda model: (OrbitDatum(
             FiltrationProfile(model.p, (model.p, model.p)), 1),))  # genus 0
 
-    entry = Kummer.of(7, 1, 1)
+    entry = Kummer(7, 1, 1)
     assert (entry.n, entry.genus, entry.signature) == (
         7, 3, Signature(0, (7, 7, 7)))
     assert classify(5, 2, n=5) == [Homma(5)]
@@ -435,7 +456,6 @@ def test_entry_validation_rejects_inconsistencies(monkeypatch):
 
 def test_caches_are_bounded():
     arguments = [
-        (intmath.prime_factors, lambda i: (i + 1,)),
         (intmath.divisors, lambda i: (i + 1,)),
         (classify_module._canonical_genus_entries, lambda i: (5 + i, 2)),
         (classify_module._orbit_minima, lambda i: (5 + i, 2)),
@@ -454,7 +474,7 @@ def test_caches_are_bounded():
                 cache(*args(i))
             assert cache.cache_info().currsize <= bound
     finally:
-        for cache, _ in arguments[2:]:
+        for cache, _ in arguments[1:]:
             cache.cache_clear()
 
 
@@ -536,7 +556,7 @@ def test_kummer_entries_equal_the_constructed_ones():
             for pairs in (list(classify_module._genus_pairs(n, g)),
                           classify_module._orbit_minima(n, g)):
                 built = classify_module._kummer_entries(n, g, pairs)
-                want = [Kummer.of(n, r, s) for r, s in pairs]
+                want = [Kummer(n, r, s) for r, s in pairs]
                 assert built == want, (n, g)
                 assert list(map(type, built)) == list(map(type, want)), (n, g)
                 assert list(map(repr, built)) == list(map(repr, want)), (n, g)

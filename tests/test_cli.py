@@ -61,6 +61,15 @@ def test_classify_characteristic_two_rejected(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_classify_refuses_psi_12(capsys):
+    # the least strong pseudoprime to the twelve prime bases up to 37
+    psi_12 = "3317044064679887385961981"
+    code, out, err = run(capsys, "classify", "--p", psi_12, "--genus", "2")
+    assert code == 2
+    assert out == ""
+    assert f"characteristic {psi_12} unsupported" in err
+
+
 def test_classify_bad_genus(capsys):
     code, _, err = run(capsys, "classify", "--p", "5", "--genus", "1")
     assert code == 2 and "genus" in err
@@ -308,7 +317,7 @@ def test_a_refused_generator_keeps_the_listing_count(capsys, monkeypatch):
                        "--q", "31")
     places, automorphism, _ = json_lines(out)
     assert code == 1 and "is not on the curve" in automorphism["error"]
-    assert places["count"] == count_places(Kummer.of(5, 1, 1), field(31))
+    assert places["count"] == count_places(Kummer(5, 1, 1), field(31))
 
 
 def test_count_out_of_bounds_fails_the_places_record(capsys, monkeypatch):
@@ -506,7 +515,7 @@ def test_verify_has_no_format_option(capsys):
 
 
 def test_model_spec_round_trip():
-    for model in (Kummer.of(5, 1, 1), Hyperelliptic(2, 3),
+    for model in (Kummer(5, 1, 1), Hyperelliptic(2, 3),
                   ASPower(5, 2, 1, 0), ASRational(5, 1, 2, 4), Homma(5)):
         assert parse_model_spec(model_to_spec(model), 5) == model
 

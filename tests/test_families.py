@@ -131,14 +131,14 @@ def test_model_genus_examples():
     assert Hyperelliptic(2, 2).n == 6
     assert ASRational(5, 1, 1, -1).genus == 4
     assert ASRational(5, 1, 1, -1).n == 10
-    assert Kummer.of(5, 1, 1).genus == 2
+    assert Kummer(5, 1, 1).genus == 2
 
 
 def test_degenerate_models_rejected():
     with pytest.raises(DegenerateModel):
         Homma(3)  # genus 1
     with pytest.raises(DegenerateModel):
-        Kummer.of(6, 1, 2)  # genus 1
+        Kummer(6, 1, 2)  # genus 1
     with pytest.raises(DegenerateModel):
         Hyperelliptic(3, 2)  # odd genus
     with pytest.raises(DegenerateModel):
@@ -308,7 +308,7 @@ def test_wild_orbit_data_are_interned():
 
 def test_repeated_ramification_builds_no_profile(monkeypatch):
     models = [ASPower(5, 3, 1, 0), ASRational(7, 1, 1, 4), Homma(11),
-              Kummer.of(7, 1, 2), Hyperelliptic(4, "l")]
+              Kummer(7, 1, 2), Hyperelliptic(4, "l")]
     before = [model.ramification for model in models]
     built = []
     post_init = ramification.FiltrationProfile.__post_init__
@@ -365,7 +365,7 @@ def test_point_map_roots_of_unity():
     def order(z, p):
         return next(k for k in range(1, p) if pow(int(z), k, p) == 1)
 
-    x, y = image_of_one_one(Kummer.of(5, 1, 1), 11)
+    x, y = image_of_one_one(Kummer(5, 1, 1), 11)
     assert x == 1 and order(y, 11) == 5
     x, y = image_of_one_one(Hyperelliptic(2, 3), 7)
     assert order(x, 7) == 3 and y == 6
@@ -378,7 +378,7 @@ def test_point_map_roots_of_unity():
 def test_generator_order_matches_cyclic_order():
     # the permutation of the affine points has order exactly the
     # model's n, or verify_automorphism raises
-    for model, p in [(Kummer.of(7, 1, 2), 29), (Hyperelliptic(4, 5), 11),
+    for model, p in [(Kummer(7, 1, 2), 29), (Hyperelliptic(4, 5), 11),
                      (ASPower(7, 2, 3, 1), 7), (ASRational(5, 1, 1, 4), 5),
                      (Homma(11), 11)]:
         report = verify_automorphism(model, field(p, 1))

@@ -186,6 +186,18 @@ def test_lift_is_a_field_embedding():
     assert big.lift_from(2, small) == 2  # prime subfield is untouched
 
 
+def test_lift_refuses_a_value_outside_the_subfield():
+    # 32 is past F_25, whose two digits would wrap it to 7; -1 and 25
+    # are no elements of F_5
+    for big, value, small in ((field(5, 4), 32, field(5, 2)),
+                              (field(5, 2), -1, field(5, 1)),
+                              (field(5, 2), 25, field(5, 1))):
+        with pytest.raises(PreconditionViolated,
+                           match=rf"^value {value} outside field of size "
+                                 rf"{small.q}$"):
+            big.lift_from(value, small)
+
+
 def _horner(fld, coefficients, x):
     """sum of c_i x^i over fld, lowest coefficient first, one element at
     a time."""
@@ -597,8 +609,8 @@ def test_blocked_build_is_exact(monkeypatch, block):
 # and of a whole number of blocks; ASRational's missing x = 0 is in the
 # first block
 BLOCKED_COUNTS = [
-    (Kummer.of(5, 1, 2), (11, 1)), (Kummer.of(8, 1, 3), (3, 4)),
-    (Kummer.of(7, 1, 1), (13, 2)), (Hyperelliptic(2, 3), (7, 2)),
+    (Kummer(5, 1, 2), (11, 1)), (Kummer(8, 1, 3), (3, 4)),
+    (Kummer(7, 1, 1), (13, 2)), (Hyperelliptic(2, 3), (7, 2)),
     (Hyperelliptic(2, 2), (11, 2)), (ASPower(3, 4, 1, 0), (3, 5)),
     (ASPower(5, 2, 1, 0), (5, 3)), (ASRational(5, 1, 1, 4), (5, 1)),
     (ASRational(5, 1, 1, 4), (5, 3)), (ASRational(3, 1, 1, 1), (3, 5)),
@@ -645,9 +657,9 @@ def test_num_nth_roots_array_path_is_the_scalar_path(p, k):
 
 
 FROZEN_COUNTS = [
-    (Kummer.of(5, 1, 1), 11, 1, 13),
-    (Kummer.of(6, 1, 1), 13, 1, 16),
-    (Kummer.of(8, 1, 3), 3, 2, 14),
+    (Kummer(5, 1, 1), 11, 1, 13),
+    (Kummer(6, 1, 1), 13, 1, 16),
+    (Kummer(8, 1, 3), 3, 2, 14),
     (Homma(5), 5, 1, 6),
     (Homma(7), 7, 1, 8),
     (ASPower(5, 2, 1, 0), 5, 1, 6),
@@ -665,7 +677,7 @@ def test_count_places_frozen_values(model, p, k, expected):
 def test_count_places_matches_inline_brute_force():
     # an oracle independent of both library counting paths
     fld = field(11, 1)
-    model = Kummer.of(5, 1, 1)
+    model = Kummer(5, 1, 1)
     affine = 0
     for x in range(11):
         if x in (0, 1):
@@ -691,11 +703,11 @@ def test_counting_preconditions():
     # count does not, so it runs where 5 does not divide 6 = q - 1 (and
     # 3 does not divide 4), and the zeta genus matches the formula on
     # towers over such fields
-    for model, p in ((Kummer.of(5, 1, 1), 7), (ASPower(5, 3, 1, 0), 5)):
+    for model, p in ((Kummer(5, 1, 1), 7), (ASPower(5, 3, 1, 0), 5)):
         fld = field(p, 1)
         assert count_places(model, fld) == count_places_naive(model, fld)
-    for model, p, g in ((Kummer.of(5, 1, 1), 7, 2),
-                        (Kummer.of(7, 1, 2), 3, 3),
+    for model, p, g in ((Kummer(5, 1, 1), 7, 2),
+                        (Kummer(7, 1, 2), 3, 3),
                         (ASPower(5, 3, 1, 0), 5, 4)):
         assert model.genus == g
         assert zeta_genus(count_series(model, field(p, 1), 2 * g), g) == g
@@ -713,7 +725,7 @@ def test_kummer_refuses_a_characteristic_dividing_n():
     # where p divides n, y^n = x^r(1-x)^s is purely inseparable over the
     # x-line, not the Kummer curve: F_5 once counted 6 places on
     # kummer:5,1,1 and fitted genus 0 to its tower, against genus 2
-    for model, p in ((Kummer.of(5, 1, 1), 5), (Kummer.of(6, 1, 1), 3)):
+    for model, p in ((Kummer(5, 1, 1), 5), (Kummer(6, 1, 1), 3)):
         for k in (1, 2):
             fld = field(p, k)
             for check in (lambda: count_places(model, fld),
@@ -766,8 +778,8 @@ def test_count_series_lifts_coefficients_from_the_base_field(model, counts):
 def test_fast_count_equals_naive_on_extension_fields(p, k):
     fld = field(p, k)
     x = p  # the encoding of the field's generator
-    models = [Kummer.of(n, r, s) for n, r, s in ((5, 1, 1), (7, 1, 2),
-                                                 (8, 1, 3)) if n % p]
+    models = [Kummer(n, r, s) for n, r, s in ((5, 1, 1), (7, 1, 2),
+                                              (8, 1, 3)) if n % p]
     models += [Hyperelliptic(g, lam) for g in (2, 4) if (g + 1) % p
                for lam in (2, x + 1)]
     if p >= 5:
@@ -785,7 +797,7 @@ BIG_PRIME = 4194319  # the least prime above TABLE_LIMIT = 2^22
 @pytest.mark.parametrize("p", [241, 281])
 def test_fast_count_equals_naive_on_prime_fields(p):
     fld = field(p, 1)
-    models = [Kummer.of(5, 1, 1), Kummer.of(8, 1, 3), Hyperelliptic(2, 3),
+    models = [Kummer(5, 1, 1), Kummer(8, 1, 3), Hyperelliptic(2, 3),
               Hyperelliptic(4, 5), ASPower(p, 2, 2, 5), ASPower(p, 4, 3, 1),
               ASRational(p, 2, 3, 5), ASRational(p, 1, 1, p - 1), Homma(p)]
     for model in models:
@@ -873,7 +885,7 @@ def test_zeta_genus_insufficient_counts():
 
 
 @pytest.mark.parametrize("model,p,k", [
-    (Kummer.of(5, 1, 1), 11, 1),
+    (Kummer(5, 1, 1), 11, 1),
     (Homma(5), 5, 1),
     (Hyperelliptic(2, 3), 7, 1),
 ])
@@ -887,7 +899,7 @@ def test_zeta_genus_recovers_formula_genus(model, p, k):
 
 
 def test_kummer_automorphism_report():
-    model = Kummer.of(5, 1, 1)
+    model = Kummer(5, 1, 1)
     report = verify_automorphism(model, field(11, 1))
     assert report.order == 5
     assert report.fixed_points == ((0, 0), (1, 0))
@@ -949,7 +961,7 @@ class CubeRootKummer(Kummer):
 def test_not_an_automorphism_detected():
     # a root of unity of the wrong order does not preserve the curve
     with pytest.raises(NotAnAutomorphism, match="is not on the curve"):
-        verify_automorphism(CubeRootKummer.of(5, 1, 1), field(31, 1))
+        verify_automorphism(CubeRootKummer(5, 1, 1), field(31, 1))
 
 
 def test_zeta_instantiation_precondition(monkeypatch):
@@ -965,7 +977,7 @@ def test_zeta_instantiation_precondition(monkeypatch):
 
     monkeypatch.setattr("cycliccurves.fforacle.affine_points", no_points)
     for model, p, n in ((Hyperelliptic(2, 3), 11, 3),
-                        (Kummer.of(5, 1, 1), 7, 5),
+                        (Kummer(5, 1, 1), 7, 5),
                         (ASPower(5, 3, 1, 0), 5, 3)):
         with pytest.raises(PreconditionViolated, match=f"order {n}"):
             verify_automorphism(model, field(p, 1))
@@ -979,7 +991,7 @@ def test_asrational_orbit_structure():
 
 
 def test_orbit_sizes_partition_points():
-    for model, p, k in [(Kummer.of(6, 1, 1), 13, 1),
+    for model, p, k in [(Kummer(6, 1, 1), 13, 1),
                         (Hyperelliptic(2, 3), 7, 1),
                         (Homma(7), 7, 1)]:
         report = verify_automorphism(model, field(p, k))
@@ -1106,7 +1118,7 @@ def family_models(p):
               for b in (1, p + 3) for c in (4, p - 1, 2 * p + 1)]
     for family, values in specs:
         try:
-            yield family.of(*values)
+            yield family(*values)
         except ValueError:  # degenerate, or not primitive
             pass
 
@@ -1165,7 +1177,7 @@ def test_point_lookup_past_int32_keys():
     # q^2 > 2^31 in F_3^10: the sort keys lhs(y) * q + y of the int32
     # table values need int64
     fld = field(3, 10)
-    assert check_against_reference(Kummer.of(8, 1, 1), fld) == "report"
+    assert check_against_reference(Kummer(8, 1, 1), fld) == "report"
     assert check_against_reference(Hyperelliptic(10, 2), fld) == "report"
 
 
@@ -1226,7 +1238,7 @@ def test_images_off_the_field_or_the_affine_xs_are_refused():
     for x in (10, 11):
         with pytest.raises(NotAnAutomorphism,
                            match=rf"^image \({x}, 0\) of \(0, 0\) is not"):
-            verify_automorphism(moving_every_point_to(Kummer, x).of(5, 1, 1),
+            verify_automorphism(moving_every_point_to(Kummer, x)(5, 1, 1),
                                 field(11, 1))
     # three points (x, 0) over F_5: x = 3 is a field element outside
     # the affine xs, 5 and -1 are no field elements, and (0, 5) shares
