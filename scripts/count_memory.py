@@ -10,6 +10,14 @@ and that of the count, each in MiB.  Both passes run over the field in
 blocks of `fforacle._BLOCK` elements, so their peaks stay near a few
 blocks whatever q is.
 
+Then one row for each raw Kummer listing `classify(0, g,
+raw_pairs=True)` below, also under tracemalloc: the entries, the
+seconds (tracemalloc slows each allocation, so they run several times
+slower than untraced), and the MiB held once it returns (the entries
+and what the call left in the caches) and at its peak.  The listing
+expands its orbits over blocks of orders of `classify._BLOCK` keys, so
+its peak stays within about a block's arrays of what it holds.
+
 Example:
     PYTHONPATH=src python3 scripts/count_memory.py
 """
@@ -18,6 +26,7 @@ import json
 import time
 import tracemalloc
 
+from cycliccurves.classify import classify
 from cycliccurves.cli import model_to_spec
 from cycliccurves.families import (
     ASPower, ASRational, Homma, Hyperelliptic, Kummer,
@@ -35,6 +44,7 @@ ROWS = [
     (ASRational(3, 1, 1, 1), (3, 13)),
     (Homma(5), (5, 9)),
 ]
+RAW_GENERA = (100, 200)  # raw classify(0, g): 42,193 and 166,699 entries
 
 
 def measure(model, p, k):
@@ -63,9 +73,26 @@ def measure(model, p, k):
             "count_peak_mib": round(count_peak / MIB, 2)}
 
 
+def measure_raw(g):
+    """The row of the raw listing of classify(0, g)."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        entries = classify(0, g, raw_pairs=True)
+        seconds = time.perf_counter() - start
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return {"classify": f"p=0 g={g} raw_pairs", "entries": len(entries),
+            "s": round(seconds, 4), "held_mib": round(held / MIB, 2),
+            "peak_mib": round(peak / MIB, 2)}
+
+
 def main():
     for model, (p, k) in ROWS:
         print(json.dumps(measure(model, p, k)), flush=True)
+    for g in RAW_GENERA:
+        print(json.dumps(measure_raw(g)), flush=True)
 
 
 if __name__ == "__main__":

@@ -19,16 +19,19 @@ exceeds it.  The Kummer search finds the least member of each symmetry
 orbit of pairs directly: a unit scales each entry of the exponent triple
 (r, s, -(r+s)) down to its gcd with N and no lower, the genus fixes the
 sum of the three gcds, and so the least members come from the divisor
-triples of N alone.  The raw listing expands their orbits, one sum test
-per unit (`_pair_orbit`), into keys r*N + s sorted once.  Both listings
-read the pairs' gcds from a table per order, check primitivity and
-the genus once per gcd triple and build each entry, a `Kummer` tuple,
-in one call (`_kummer_entries`).  `verify_sasaki_bound`
-stays exhaustive, one order at a time as int16 arrays; with it,
-`primitive_pairs` and `kummer_genus` are the independent check of both.
-Orders stop at 2897: it bounds the pairs that `primitive_pairs` and
-`verify_sasaki_bound` walk by `TABLE_LIMIT`, and classify's gcd tables
-by N entries an order, 256 orders kept.  All here is pure and
+triples of N alone.  The canonical listing reads the pairs' gcds from a
+table per order, checks primitivity and the genus once per gcd triple
+and builds each entry, a `Kummer` tuple, in one call (`_kummer_entries`).
+The raw listing expands the orbits of those entries as arrays, over
+blocks of orders, into int64 keys sorted once a block, and checks every
+member for range, primitivity and the gcd triple of the orbit data it
+takes (`_orbit_members`, which `canonical_pair` uses too).
+`verify_sasaki_bound` stays exhaustive, one order at a time as int16
+arrays; with it, `primitive_pairs` and `kummer_genus` are the
+independent check of both.  Orders stop at 2897: it bounds the pairs
+that `primitive_pairs` and `verify_sasaki_bound` walk by `TABLE_LIMIT`,
+classify's gcd tables by N entries an order, 256 orders kept, and N, r
+and s to the 12 bits each has in a key.  All here is pure and
 deterministic: entries come out ordered by N, family and spec values.
 
 `enumerate_signatures(n, g)` lists every tame ramification type
@@ -95,6 +98,14 @@ class TooManyCandidates(ValueError):
 # Largest order whose exponent pairs, one for every (r, s) with
 # r + s <= n - 1, stay within TABLE_LIMIT: 2897.
 _MAX_ORDER = (isqrt(8 * TABLE_LIMIT + 1) + 3) // 2
+# Each of n, r and s takes _W_BITS bits of an orbit member's key.
+_W_BITS = 12
+_W = 1 << _W_BITS
+assert _MAX_ORDER < _W
+# The ints below _W, one object each, which raw entries share.
+_INTS = np.array(range(_W), object)
+# Keys a raw block of orders expands at most, unless one order has more.
+_BLOCK = 1 << 14
 
 
 def _check_order(n, context=""):
@@ -145,21 +156,67 @@ def _order_gcds(n):
     return tuple(gcds)
 
 
-def _pair_orbit(n, *pairs):
-    """Keys r * n + s of the in-range members of the pairs' symmetry orbits,
-    the permutations of u * (r, s, n - r - s) mod n: for one of the units u
-    and -u it sums to n, and all six are in range, for the other to 2n."""
-    keys, gcds = set(), _order_gcds(n)
-    units = [u for u in range(1, (n + 1) // 2) if gcds[u] == 1]
-    for r, s in pairs:
-        for u in units:
-            a, b = u * r % n, u * s % n
-            if a + b > n:
-                a, b = n - a, n - b
-            c = n - a - b
-            an, bn, cn = a * n, b * n, c * n
-            keys.update((an + b, an + c, bn + a, bn + c, cn + a, cn + b))
-    return keys
+def _ragged_arange(lengths):
+    """0 .. k - 1 for each k of the int64 array `lengths`, back to back."""
+    ends = np.cumsum(lengths)
+    return np.arange(lengths.sum()) - np.repeat(ends - lengths, lengths)
+
+
+def _orbit_members(n, r, s):
+    """The symmetry orbits of the pairs (r, s) mod n, int64 arrays: the
+    permutations of u * (r, s, n - r - s) mod n, one unit u < n/2 at a
+    time (for one of u and -u the triple sums to n, and all six are in
+    range; the other sums to 2n and is flipped to n minus each), as keys
+    ((n*W + r)*W + s)*M + i, i the index of the pair whose orbit holds
+    the member, sorted once.  Returns the columns n, r, s, i of the
+    distinct members in lexicographic order and their `_gcd_type`s; a
+    member out of range or not primitive raises `NotPrimitive`."""
+    bits = int(n.size).bit_length()  # M = 2**bits; m < 2**23 fits int64
+    # gcd(n, x) for x < n, the tables of the orders back to back
+    orders = _distinct(np.sort(n))
+    offset = np.zeros(_W, np.int64)
+    offset[orders] = np.cumsum(orders) - orders
+    gcds = np.gcd(_ragged_arange(orders), np.repeat(orders, orders))
+    # each pair beside each x < n/2 of its order, the units kept
+    rows = np.repeat(np.arange(n.size), (n - 1) // 2)
+    u = _ragged_arange((n - 1) // 2) + 1
+    keep = gcds[offset[n][rows] + u] == 1
+    rows, u = rows[keep], u[keep]
+    big = n[rows]
+    triple = u * np.array((r, s, n - r - s))[:, rows] % big
+    triple = np.where(triple.sum(0) > big, big - triple, triple)
+    keys = ((big << _W_BITS | triple[[0, 0, 1, 1, 2, 2]]) << _W_BITS
+            | triple[[1, 2, 0, 2, 0, 1]]) << bits | rows
+    keys = keys.ravel()
+    keys.sort()
+    keys = _distinct(keys)
+    i, keys = keys & ((1 << bits) - 1), keys >> bits
+    s, keys = keys & (_W - 1), keys >> _W_BITS
+    n, r = keys >> _W_BITS, keys & (_W - 1)
+    _refuse_first(n, r, s, (r < 1) | (s < 1) | (r + s >= n))
+    abc = gcds[offset[n] + np.array((r, s, r + s))]
+    _refuse_first(n, r, s, np.gcd(abc[0], abc[1]) != 1)
+    return n, r, s, i, _gcd_type(abc)
+
+
+def _gcd_type(abc):
+    # the columns of three rows, each sorted and packed in one int
+    low, high = abc.min(0), abc.max(0)
+    return (high << _W_BITS | abc.sum(0) - low - high) << _W_BITS | low
+
+
+def _distinct(a):
+    """The distinct values of an ascending array.  (`np.unique` sorts
+    again, and its first call in a process imports `numpy.ma`, about
+    15 ms under numpy 2.4.)"""
+    return np.concatenate((a[:1], a[1:][a[1:] != a[:-1]]))
+
+
+def _refuse_first(n, r, s, bad):
+    # the first member marked bad raises NotPrimitive from the constructor
+    if bad.any():
+        j = bad.argmax()
+        PrimitivePair(int(n[j]), int(r[j]), int(s[j]))
 
 
 def canonical_pair(n: int, r: int, s: int) -> PrimitivePair:
@@ -173,7 +230,15 @@ def canonical_pair(n: int, r: int, s: int) -> PrimitivePair:
     claim is made that distinct orbits are never isomorphic.
     """
     PrimitivePair(n, r, s)
-    return PrimitivePair(n, *divmod(min(_pair_orbit(n, (r, s))), n))
+    _check_order(n)
+    return PrimitivePair(n, *_orbit(n, r, s)[0])
+
+
+def _orbit(n, r, s):
+    """The members (r, s) of the symmetry orbit of a pair, in
+    lexicographic order."""
+    _, r, s, _, _ = _orbit_members(*np.array([[n], [r], [s]], np.int64))
+    return list(zip(r.tolist(), s.tolist()))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -219,19 +284,55 @@ def _least_in_orbit(n, gcds, m, s):
     return True
 
 
-def _genus_pairs(n, g):
-    """Every primitive pair of genus g at order n, in lexicographic
-    order, lazily: the orbits of `_orbit_minima(n, g)`, sorted as keys."""
-    return map(divmod, sorted(_pair_orbit(n, *_orbit_minima(n, g))),
-               repeat(n))
+def _raw_entries(g, orders):
+    """For each of the ascending orders in turn, the list of every Kummer
+    entry of genus g at it, in lexicographic order: the orbits of its
+    canonical entries, expanded over blocks of orders of at most `_BLOCK`
+    keys (an order with more is a block alone)."""
+    block, size = [], 0
+    for n in orders:
+        block.append(n)
+        # at most n/2 units, and 6 keys a unit
+        size += 3 * n * len(_canonical_genus_entries(n, g))
+        if size >= _BLOCK:
+            yield from _raw_block(g, block)
+            block, size = [], 0
+    if block:
+        yield from _raw_block(g, block)
+
+
+def _raw_block(g, orders):
+    # The canonical entries were checked when they were built.  Each
+    # member is checked for range and primitivity (`_orbit_members`), and
+    # its gcd triple, sorted, must be the orbit sizes of the orbit data it
+    # takes from its orbit's canonical entry.
+    canon = [e for n in orders for e in _canonical_genus_entries(n, g)]
+    n, r, s, i, types = _orbit_members(
+        *np.array([e[:3] for e in canon], np.int64).reshape(-1, 3).T)
+    data = np.fromiter((e[4] for e in canon), object, len(canon))
+    sizes = np.array([[o.orbit_size for o in d] for d in data], np.int64)
+    misfit = types != _gcd_type(sizes.reshape(-1, 3).T)[i]
+    if misfit.any():
+        j = misfit.argmax()
+        raise ValueError(f"({r[j]}, {s[j]}) mod {n[j]} does not give the "
+                         f"orbit data {tame_signature(data[i[j]])} of its "
+                         f"orbit")
+    # the entries share their ints and, per type, their orbit data
+    built = list(map(tuple.__new__, repeat(Kummer), zip(
+        _INTS[n].tolist(), _INTS[r].tolist(), _INTS[s].tolist(), repeat(g),
+        data[i].tolist())))
+    start = 0
+    for end in np.searchsorted(n, orders, "right").tolist():
+        yield built[start:end]
+        start = end
 
 
 def _kummer_entries(n, g, pairs):
-    """`Kummer(n, r, s)` for each pair (r, s) of genus g, with the range
-    checked per pair, and primitivity and the genus (by Riemann-Hurwitz)
-    on one `PrimitivePair` per gcd triple of the order's table.  Each
-    entry is one tuple built in one call, and the interned orbit data of
-    a type serve every pair of it."""
+    """`Kummer(n, r, s)` for each pair (r, s) of genus g (the canonical
+    listing's), with the range checked per pair, and primitivity and the
+    genus (by Riemann-Hurwitz) on one `PrimitivePair` per gcd triple of
+    the order's table.  Each entry is one tuple built in one call, and the
+    interned orbit data of a type serve every pair of it."""
     if g < 2 or n < 2 * g + 1:
         raise ValueError(f"no Kummer entry of genus {g} at order {n}")
     new, gcds = tuple.__new__, _order_gcds(n)
@@ -372,9 +473,11 @@ def classify(p: int, g: int, *, raw_pairs: bool = False,
     `branch`, `wild`, `ramification` and `signature`.  Every model but a
     Kummer one is checked here, N >= 2g + 1 and its genus by
     Riemann-Hurwitz; Kummer entries are checked per gcd triple
-    (`_kummer_entries`).  They are grouped by canonical pair; with
-    raw_pairs=True every genus-matching primitive pair gets its own
-    entry.  An optional n restricts the output to that group order.
+    (`_kummer_entries`), and the members of their orbits, which
+    raw_pairs=True lists, as arrays (`_raw_block`).  They are grouped by
+    canonical pair; with raw_pairs=True every genus-matching primitive
+    pair gets its own entry.  An optional n restricts the output to that
+    group order.
     """
     if not is_int(p) or p == 2 or p and not is_prime(p):
         raise UnsupportedCharacteristic(
@@ -397,13 +500,14 @@ def classify(p: int, g: int, *, raw_pairs: bool = False,
             raise ValueError(
                 f"ramification data of {model} gives genus {rh}, not {genus}")
         others.setdefault(big_n, []).append(model)
+    # the raw listing yields the list of each order's entries in turn
+    raw = _raw_entries(g, [big_n for big_n in orders if not p or big_n % p]
+                       ) if raw_pairs else None
     entries = []
     for big_n in orders:
         if not p or big_n % p:
-            if raw_pairs:
-                entries += _kummer_entries(big_n, g, _genus_pairs(big_n, g))
-            else:
-                entries += _canonical_genus_entries(big_n, g)
+            entries += (next(raw) if raw_pairs
+                        else _canonical_genus_entries(big_n, g))
         entries += others.get(big_n, ())  # after Kummer's at N
     return entries
 

@@ -34,7 +34,7 @@ import sys
 
 from . import fforacle
 from .classify import (
-    _pair_orbit,
+    _orbit,
     classify,
     enumerate_signatures,
     primitive_pairs,
@@ -159,6 +159,8 @@ def _cmd_classify(args):
 
 
 def _cmd_pairs(args):
+    if args.genus is not None and args.genus < 0:
+        raise ValueError(f"genus must be an int >= 0, got {args.genus}")
     return 0, _pair_records(args)
 
 
@@ -169,16 +171,16 @@ def _pair_records(args):
     for pair in primitive_pairs(n):
         if args.genus not in (None, pair.genus):
             continue
-        key = pair.r * n + pair.s
+        key = pair.r, pair.s
         if key not in canonical:
-            canonical |= dict.fromkeys(_pair_orbit(n, (pair.r, pair.s)), key)
+            canonical |= dict.fromkeys(_orbit(n, *key), key)
         if not args.canonical or canonical[key] == key:
             yield {
                 "n": pair.n,
                 "r": pair.r,
                 "s": pair.s,
                 "genus": pair.genus,
-                "canonical": list(divmod(canonical[key], n)),
+                "canonical": list(canonical[key]),
             }
 
 

@@ -489,36 +489,46 @@ def test_order_gcds_are_the_gcds():
 
 def _walked_orbit(n, r, s):
     # every unit scaling of the exponent triple, each of its six
-    # permutations tested for the range on its own, as keys r * n + s
+    # permutations tested for the range on its own
     t = n - r - s
     out = set()
     for u in range(1, n):
         if gcd(u, n) == 1:
             a, b, c = u * r % n, u * s % n, u * t % n
-            out.update(x * n + y for x, y in ((a, b), (a, c), (b, a),
-                                              (b, c), (c, a), (c, b))
+            out.update((x, y) for x, y in ((a, b), (a, c), (b, a),
+                                           (b, c), (c, a), (c, b))
                        if x + y <= n - 1)
     return out
 
 
+def _expanded(n, minima):
+    # the members of the orbits of `minima` at order n in lexicographic
+    # order, each with the least member of its orbit
+    _, r, s, i, _ = classify_module._orbit_members(
+        *np.array([(n, m, t) for m, t in minima], np.int64).reshape(-1, 3).T)
+    return [((x, y), minima[j])
+            for x, y, j in zip(r.tolist(), s.tolist(), i.tolist())]
+
+
 def test_orbit_minima_match_an_orbit_walk():
-    # the divisor-triple search and the one-sum-test orbits against
-    # walking the orbit of every primitive pair, one pair at a time
+    # the divisor-triple search and the orbit expansion against walking
+    # the orbit of every primitive pair, one pair at a time
     for n in range(3, 131):
-        by_genus, minima, seen = {}, {}, set()
+        minima, least = {}, {}
         for pair in primitive_pairs(n):
             rs = (pair.r, pair.s)
-            by_genus.setdefault(pair.genus, []).append(rs)
-            if pair.r * n + pair.s not in seen:
-                orbit = _walked_orbit(n, *rs)
-                assert classify_module._pair_orbit(n, rs) == orbit, (n, rs)
-                seen |= orbit
-                minima.setdefault(pair.genus, []).append(divmod(min(orbit), n))
-        for g in range(n):
-            assert classify_module._orbit_minima(n, g) == tuple(
-                sorted(minima.get(g, []))), (n, g)
-            assert list(classify_module._genus_pairs(n, g)) == \
-                by_genus.get(g, []), (n, g)
+            if rs not in least:
+                orbit = sorted(_walked_orbit(n, *rs))
+                assert classify_module._orbit(n, *rs) == orbit, (n, rs)
+                least |= dict.fromkeys(orbit, orbit[0])
+                minima.setdefault(pair.genus, []).append(orbit[0])
+        found = {g: classify_module._orbit_minima(n, g) for g in range(n)}
+        assert found == {g: tuple(sorted(minima.get(g, [])))
+                         for g in range(n)}, n
+        # the orbits of every genus at once: each pair once, in order,
+        # with the least member of its orbit
+        every = [pair for g in range(n) for pair in found[g]]
+        assert _expanded(n, every) == sorted(least.items()), n
 
 
 def _triangle_pairs(triangle, g):
@@ -526,6 +536,11 @@ def _triangle_pairs(triangle, g):
     genus, r, s = triangle
     keep = genus == g
     return list(zip(r[keep].tolist(), s[keep].tolist()))
+
+
+def _raw_pairs(g, orders):
+    return [[(e.r, e.s) for e in entries]
+            for entries in classify_module._raw_entries(g, orders)]
 
 
 def test_raw_listing_matches_the_pair_triangle_at_large_orders():
@@ -538,29 +553,54 @@ def test_raw_listing_matches_the_pair_triangle_at_large_orders():
             if e.branch == Kummer.branch] == [
         (n, r, s) for n in range(121, 243)
         for r, s in _triangle_pairs(triangles[n], 60)]
-    for n in (243, 244):
-        assert list(classify_module._genus_pairs(n, 60)) == \
-            _triangle_pairs(triangles[n], 60)
+    assert _raw_pairs(60, [243, 244]) == [
+        _triangle_pairs(triangles[n], 60) for n in (243, 244)]
     for n in (210, 360, 420):
         triangle = classify_module._pair_triangle(n)
         for g in range(2, (n - 1) // 2 + 1):
-            assert list(classify_module._genus_pairs(n, g)) == \
-                _triangle_pairs(triangle, g), (n, g)
+            assert _raw_pairs(g, [n]) == [_triangle_pairs(triangle, g)], (n, g)
+
+
+@pytest.mark.parametrize("block", [1, 1 << 11, None])
+def test_blocked_raw_listing_is_exact(monkeypatch, block):
+    # an order alone in each block, blocks of a few orders, and the
+    # default blocks, of which classify(0, 120) fills several
+    orders = {30: range(61, 123), 120: range(241, 483)}
+    whole = {g: classify(0, g, raw_pairs=True) for g in orders}
+    if block is not None:
+        monkeypatch.setattr(classify_module, "_BLOCK", block)
+    else:
+        sizes = [3 * n * len(classify_module._orbit_minima(n, 120))
+                 for n in orders[120]]
+        assert sum(sizes) > 2 * classify_module._BLOCK
+    for g, ns in orders.items():
+        blocked = classify(0, g, raw_pairs=True)
+        assert blocked == whole[g]
+        assert [(e.n, e.r, e.s) for e in blocked
+                if e.branch == Kummer.branch] == [
+            (n, r, s) for n in ns
+            for r, s in _triangle_pairs(classify_module._pair_triangle(n), g)]
 
 
 def test_kummer_entries_equal_the_constructed_ones():
     # built in one call each, the entries are the constructor's objects:
-    # equal, with the same type, repr and hash, canonical and raw
+    # equal, with the same type, repr, hash and orbit data, canonical
+    # and raw
     for n in range(5, 131):
+        triangle = classify_module._pair_triangle(n)
         for g in range(2, (n - 1) // 2 + 1):
-            for pairs in (list(classify_module._genus_pairs(n, g)),
-                          classify_module._orbit_minima(n, g)):
-                built = classify_module._kummer_entries(n, g, pairs)
+            minima = classify_module._orbit_minima(n, g)
+            for built, pairs in (
+                    (next(classify_module._raw_entries(g, [n])),
+                     _triangle_pairs(triangle, g)),
+                    (classify_module._kummer_entries(n, g, minima), minima)):
                 want = [Kummer(n, r, s) for r, s in pairs]
                 assert built == want, (n, g)
                 assert list(map(type, built)) == list(map(type, want)), (n, g)
                 assert list(map(repr, built)) == list(map(repr, want)), (n, g)
                 assert list(map(hash, built)) == list(map(hash, want)), (n, g)
+                assert all(e.ramification is w.ramification
+                           for e, w in zip(built, want)), (n, g)
                 assert [(e.signature, e.genus) for e in built] == [
                     (e.signature, e.genus) for e in want], (n, g)
 
@@ -618,9 +658,47 @@ def test_kummer_entries_check_every_pair(monkeypatch):
     assert calls == [Signature(0, (2, 12, 12)), Signature(0, (3, 4, 12))]
 
 
+def test_raw_entries_check_every_pair(monkeypatch):
+    # the raw listing expands the canonical entries it is given, and
+    # checks each member as `_kummer_entries` checks each pair
+    listed = classify_module._canonical_genus_entries
+    good = listed(12, 3)  # (1, 3) and (1, 5)
+
+    def raw(*extra):
+        monkeypatch.setattr(classify_module, "_canonical_genus_entries",
+                            lambda n, g: good + extra)
+        return [e for entries in classify_module._raw_entries(3, [12])
+                for e in entries]
+
+    assert len(raw()) == 18
+    orbits = good[0].ramification
+    # (1, 11) scales to triples with a zero, so (0, 1) is in its orbit
+    with pytest.raises(ValueError,
+                       match=r"\(r, s\)=\(0, 1\) outside range for n=12"):
+        raw(tuple.__new__(Kummer, (12, 1, 11, 3, orbits)))
+    # gcds 2, 2, 4 sum to n + 2 - 2g at g = 3, but (2, 2) is not primitive
+    with pytest.raises(ValueError,
+                       match=r"gcd\(r, s, n\) != 1 for \(2, 2\) mod 12"):
+        raw(tuple.__new__(Kummer, (12, 2, 2, 3, orbits)))
+    # a member takes only the orbit data its own gcd triple gives
+    with pytest.raises(ValueError, match=r"^\(1, 5\) mod 12 does not give "
+                       r"the orbit data \(0; 3,4,12\) of its orbit$"):
+        raw(tuple.__new__(Kummer, (12, 1, 5, 3, orbits)))
+    monkeypatch.undo()
+    # Riemann-Hurwitz runs on the canonical entries the listing expands
+    monkeypatch.setattr(classify_module, "rh_genus_wild", lambda *_: 4)
+    listed.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=r"\(0; 3,4,12\) of \(1, 3\) "
+                           r"mod 12 gives genus 4, not 3"):
+            classify(0, 3, raw_pairs=True, n=12)
+    finally:
+        listed.cache_clear()
+
+
 def test_kummer_entries_share_a_signature_per_type():
     for n, g in ((12, 3), (30, 10), (60, 20)):
-        entries = classify_module._kummer_entries(n, g, classify_module._genus_pairs(n, g))
+        entries = next(classify_module._raw_entries(g, [n]))
         by_type = {}
         for e in entries:
             by_type.setdefault(e.ramification, set()).add(id(e.ramification))
@@ -689,6 +767,8 @@ def test_oversized_orders_fail_fast():
         verify_sasaki_bound(2898)
     with pytest.raises(OrderTooLarge):
         next(primitive_pairs(100_000))
+    with pytest.raises(OrderTooLarge, match="order 1000003"):
+        canonical_pair(1_000_003, 1, 2)
     assert time.perf_counter() - start < 1
     # the largest genus reaches order 4 * 723 + 2 = 2894 <= 2897
     assert classify(0, 723, n=3) == []

@@ -172,6 +172,19 @@ def test_oversized_orders_fail_fast(capsys):
     assert time.perf_counter() - start < 1
 
 
+def test_pairs_refuses_a_negative_genus(capsys):
+    code, out, err = run(capsys, "pairs", "--n", "7", "--genus", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: genus must be an int >= 0, got -1\n"
+    # genus 0 and 1 stay filters: no pair has genus 0, and (1, 1) mod 3
+    # has genus 1
+    code, out, _ = run(capsys, "pairs", "--n", "7", "--genus", "0")
+    assert (code, out) == (0, "")
+    code, out, _ = run(capsys, "pairs", "--n", "3", "--genus", "1")
+    assert code == 0
+    assert [(r["r"], r["s"]) for r in json_lines(out)] == [(1, 1)]
+
+
 # --- signatures ------------------------------------------------------------------
 
 
