@@ -561,25 +561,21 @@ def test_raw_listing_matches_the_pair_triangle_at_large_orders():
             assert _raw_pairs(g, [n]) == [_triangle_pairs(triangle, g)], (n, g)
 
 
-@pytest.mark.parametrize("block", [1, 1 << 11, None])
-def test_blocked_raw_listing_is_exact(monkeypatch, block):
-    # an order alone in each block, blocks of a few orders, and the
-    # default blocks, of which classify(0, 120) fills several
-    orders = {30: range(61, 123), 120: range(241, 483)}
-    whole = {g: classify(0, g, raw_pairs=True) for g in orders}
-    if block is not None:
-        monkeypatch.setattr(classify_module, "_BLOCK", block)
-    else:
-        sizes = [3 * n * len(classify_module._orbit_minima(n, 120))
-                 for n in orders[120]]
-        assert sum(sizes) > 2 * classify_module._BLOCK
-    for g, ns in orders.items():
-        blocked = classify(0, g, raw_pairs=True)
-        assert blocked == whole[g]
-        assert [(e.n, e.r, e.s) for e in blocked
-                if e.branch == Kummer.branch] == [
-            (n, r, s) for n in ns
-            for r, s in _triangle_pairs(classify_module._pair_triangle(n), g)]
+def test_blocked_raw_listing_is_exact(monkeypatch):
+    # the default blocks, of which classify(0, 120) fills several, blocks
+    # of a few orders, and an order alone in each block
+    want = {g: [(n, r, s) for n in ns for r, s in
+                _triangle_pairs(classify_module._pair_triangle(n), g)]
+            for g, ns in ((30, range(61, 123)), (120, range(241, 483)))}
+    sizes = [3 * n * len(classify_module._orbit_minima(n, 120))
+             for n in range(241, 483)]
+    assert sum(sizes) > 2 * classify_module._BLOCK
+    for block in (None, 1 << 11, 1):
+        if block is not None:
+            monkeypatch.setattr(classify_module, "_BLOCK", block)
+        for g, pairs in want.items():
+            assert [(e.n, e.r, e.s) for e in classify(0, g, raw_pairs=True)
+                    if e.branch == Kummer.branch] == pairs, (block, g)
 
 
 def test_kummer_entries_equal_the_constructed_ones():
