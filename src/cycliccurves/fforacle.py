@@ -9,9 +9,9 @@ the curve families by exact computation over small finite fields:
     Rabin's test on the matrix C of x mod f, the one matrix that all
     arithmetic mod f is built on.  Its operations are array-at-a-time:
     they take numpy integer arrays and evaluate every element in one
-    call, by int32 exp/log tables over a primitive element (8 bytes per
-    element, with a Zech-log table more in extension fields, 12 bytes:
-    see `FiniteField`).
+    call, by int32 exp/log tables over the least primitive element by
+    encoding (8 bytes per element, with a Zech-log table more in
+    extension fields, 12 bytes: see `FiniteField`).
   * `count_places` returns the exact number of rational places of the
     smooth model of a curve over a field, combining fibre counts on the
     affine part with exact place counts over the branch and infinite
@@ -101,7 +101,7 @@ def _powers(c, n, p):
 
 
 def _matpow(m, e, p):
-    """m^e mod p for a square int64 matrix m."""
+    """m^e mod p for a square int64 matrix m (Rabin's test's C^p)."""
     out = np.eye(len(m), dtype=np.int64)
     while e:
         if e & 1:
@@ -120,11 +120,12 @@ def _companion(f, p):
 
 def _mul_rows(row, c, p):
     """The rows row, row C, ..., row C^(k-1) mod p: for C the matrix of
-    x, the matrix of multiplication by the element with digits `row`."""
+    x, the matrix of multiplication by the element with digits `row`.
+    A (B, k) stack of rows gives the (B, k, k) stack of their matrices."""
     rows = [row]
     for _ in range(len(c) - 1):
         rows.append(rows[-1] @ c % p)
-    return np.array(rows)
+    return np.stack(rows, axis=-2)
 
 
 def _is_unit(m, p):
@@ -194,9 +195,9 @@ def _mod(t, m):
 
 
 def _fold(s, p):
-    """s in (-p, p) folded into [0, p): prime-field residues in int64,
-    with no modulo."""
-    s += (s >> 63) & p
+    """s in (-p, p) folded into [0, p) with no modulo, for s of a signed
+    integer type that holds p: its sign bit, spread, masks p."""
+    s += s >> 8 * s.itemsize - 1 & p
     return s
 
 
@@ -225,6 +226,10 @@ _BLOCK = 1 << 16
 # the exp build's first powers as digit rows: below this many, a SWAR
 # `_times` costs more to set up than it saves; above, digit rows cost more
 _DIGIT_RUN = 1 << 11
+# the generator search's first window of candidates, each next one twice
+# as wide: of the 32 extension fields with p <= 13 and q <= 2^20 all but
+# four pass over fewer than 8 candidates, and F_{3^8} passes over 35
+_FIRST_WINDOW = 8
 
 
 class FiniteField:
@@ -253,6 +258,8 @@ class FiniteField:
     sum is the other one.  `_exp` is the first n entries of `_expz`.
     The tables are built from C, the matrix of x mod the modulus, stored
     once: the matrix of multiplication by c has the rows digits(c) C^i.
+    g is the least encoding of order n (`_least_primitive`), and the O(q)
+    passes split encodings and fold residues with no remainder.
 
     Use the cached factory `field(p, k)` rather than the constructor
     when possible so the tables are shared.
@@ -292,19 +299,47 @@ class FiniteField:
 
     def _mul_matrix(self, c):
         """The k x k matrix M over F_p with digits(a) @ M = digits(a * c):
-        row i holds the digits of c * x^i, row i - 1 times C."""
-        return _mul_rows(c // self._pvec % self.p, self._x, self.p)
+        row i holds the digits of c * x^i, row i - 1 times C.  An array
+        of B elements c gives the (B, k, k) stack of their matrices."""
+        digits = np.asarray(c)[..., None] // self._pvec % self.p
+        return _mul_rows(digits, self._x, self.p)
+
+    def _least_primitive(self):
+        """The least g, by encoding, of multiplicative order q - 1: the
+        first with g^((q-1)/l) != 1 for every prime l | q - 1.  Prime
+        fields test each g from 2 by `pow`.  Extension fields skip the
+        constants (of order dividing p - 1) and test the g from p in
+        windows of `_FIRST_WINDOW`, 2 `_FIRST_WINDOW`, ... candidates:
+        row 0 of M^e, M the matrix of g, holds the digits of g^e, so one
+        squaring chain M, M^2, M^4, ... of the window's stacked matrices
+        serves every exponent, each accumulating one digit row per
+        candidate from the row of 1."""
+        p, k, n = self.p, self.k, self.q - 1
+        exps = [n // ell for ell in prime_factors(n)]
+        if k == 1:
+            return next(g for g in range(2, p)
+                        if all(pow(g, e, p) != 1 for e in exps))
+        one = np.eye(1, k, dtype=np.int64)[0]
+        lo, width = p, _FIRST_WINDOW
+        while True:
+            m = self._mul_matrix(np.arange(lo, min(lo + width, self.q)))
+            rows = np.broadcast_to(one, (len(m), len(exps), k))
+            bits = np.array(exps)
+            while True:
+                rows = np.where((bits & 1)[:, None], rows @ m % p, rows)
+                bits = bits >> 1
+                if not bits.any():
+                    break
+                m = m @ m % p
+            primitive = ~(rows == one).all(axis=2).any(axis=1)
+            if primitive.any():
+                return lo + int(primitive.argmax())
+            lo, width = lo + width, 2 * width
 
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
         n = q - 1
-        fac = prime_factors(n)
-        g = 2 if k == 1 else p  # extensions skip the constants (order | p - 1)
-        # row 0 of c's matrix to the e-th power holds the digits of c^e
-        while any(pow(g, n // ell, p) == 1 if k == 1 else
-                  _matpow(self._mul_matrix(g), n // ell, p)[0]
-                  @ self._pvec == 1 for ell in fac):
-            g += 1
+        g = self._least_primitive()
         exp = np.zeros(q, dtype=np.int32)
         log = np.full(q, LOG_ZERO, dtype=np.int32)
         if k == 1:
@@ -336,7 +371,7 @@ class FiniteField:
             self._zechz = np.empty(q, dtype=np.int32)
             for lo, hi in _blocks(q):
                 one_plus = exp[lo:hi] + 1
-                one_plus -= (exp[lo:hi] % p == p - 1) * np.int32(p)
+                one_plus -= (one_plus // p * p == one_plus) * np.int32(p)
                 log.take(one_plus, out=self._zechz[lo:hi])
 
     def _extension_exp(self, g, exp):
@@ -375,8 +410,8 @@ class FiniteField:
         hi, lo = (hi << shifts).sum(axis=1), (lo << shifts).sum(axis=1)
 
         def times(a):
-            u, v = np.divmod(a, half)
-            s = hi[u] + lo[v]
+            u = a // half
+            s = hi[u] + lo[a - u * half]
             s -= (s + ones * ((1 << b) - p) >> b & ones) * p
             fields, width = k, b + 1
             while fields > 1:
@@ -439,16 +474,16 @@ class FiniteField:
             return _int64(a) % self.p
         if self._trace_halves is None:
             # Tr(x^i) is the trace of the matrix of multiplication by x^i,
-            # and Tr is F_p-linear; the tables take the least unsigned
-            # type that holds a sum of two traces
+            # and Tr is F_p-linear; the tables take the least signed type
+            # that holds a sum of two traces, at most 2p - 2
             basis = [int(np.trace(self._mul_matrix(self.p**i)))
                      for i in range(self.k)]
             half, hi, lo = self._halves(np.array(basis))
-            small = np.min_scalar_type(2 * self.p - 2)
+            small = np.min_scalar_type(-2 * self.p)
             self._trace_halves = half, hi.astype(small), lo.astype(small)
         half, hi, lo = self._trace_halves
-        u, v = np.divmod(a, half)
-        return (hi[u] + lo[v]) % self.p
+        u = a // half
+        return _fold(hi[u] + lo[a - u * half] - self.p, self.p)
 
     def element_of_order(self, n):
         """Least element (by encoding) of multiplicative order exactly n.
@@ -474,8 +509,11 @@ class FiniteField:
         return roots
 
     def nth_root(self, c, n):
-        """A y with y^n = c for nonzero c, or None if c is no n-th power:
-        y = g^m with m * n = log(c) mod q - 1."""
+        """A y with y^n = c, or None if c is no n-th power: 0 for c = 0,
+        since 0^n = 0, and otherwise y = g^m with m * n = log(c) mod
+        q - 1."""
+        if c == 0:
+            return 0
         d, lc = gcd(n, self.q - 1), int(self._log[c])
         return None if lc % d else int(self._exp[
             lc // d * pow(n // d, -1, (self.q - 1) // d) % (self.q - 1)])

@@ -175,6 +175,18 @@ def test_num_nth_roots_against_enumeration(p, k):
             assert fld.num_nth_roots(c, n) == expected
 
 
+@pytest.mark.parametrize("p,k", [(7, 1), (13, 1), (5, 2), (3, 3)])
+def test_nth_root_solves_or_refuses(p, k):
+    # a root exactly when one exists, 0 the n-th root of 0
+    fld = field(p, k)
+    for n in range(1, 7):
+        for c in range(fld.q):
+            y = fld.nth_root(c, n)
+            assert (y is None) == (fld.num_nth_roots(c, n) == 0), (c, n)
+            if y is not None:
+                assert fld.pow(y, n) == c, (c, n)
+
+
 def test_lift_is_a_field_embedding():
     small, big = field(3, 2), field(3, 4)
     rng = random.Random(9)
@@ -454,6 +466,26 @@ def test_extension_tables_are_int32():
     assert len(fld._log) == fld.q
 
 
+# the largest sum of the halves' traces in each field: F_{2039^2}'s
+# least modulus x^2 + 1 has Tr(x) = 0, so its sums stay below p in int16,
+# while F_{149^3}, F_{71^3} and F_{59^3} reach 2p - 2, in int16 (71 is
+# the least such p whose sums pass int8) and in int8
+@pytest.mark.parametrize("p,k,top", [(2039, 2, 2038), (149, 3, 296),
+                                     (71, 3, 140), (59, 3, 116)])
+def test_trace_folds_sums_up_to_twice_p(p, k, top):
+    # the trace sums the values of a's high and low digit halves, each
+    # below p, and folds the sum into [0, p); the sample holds an a
+    # whose halves give the largest sum
+    fld = FiniteField(p, k)
+    fld.trace(0)
+    half, hi, lo = fld._trace_halves
+    assert int(hi.max()) + int(lo.max()) == top
+    a = np.random.default_rng(p).integers(0, fld.q, 3000)
+    a[0] = hi.argmax() * half + lo.argmax()
+    assert fld.trace(a).tolist() == _ref_trace(fld, a).tolist()
+    assert [fld.trace(int(x)) for x in a[:20]] == fld.trace(a[:20]).tolist()
+
+
 # extension fields whose exp tables end below the first SWAR run (2^11
 # powers), just past it, and past the longest run (2^14)
 @pytest.mark.parametrize("p,k", [(3, 2), (11, 3), (3, 7), (5, 5), (3, 10),
@@ -472,6 +504,19 @@ def test_extension_exp_is_the_power_sequence(p, k):
             _encode_array(fld, _digit_array(fld, a) @ step % p),
             exp[i + 1:i + 1 + len(a)]), i
     assert np.array_equal(fld._log[exp], np.arange(fld.q - 1))
+
+
+@pytest.mark.parametrize("p,k", [
+    (p, k) for p in (3, 5, 7, 11, 13) for k in range(1, 11)
+    if p**k <= 1 << 16] + [(3, 12)])
+def test_generator_is_the_least_primitive_encoding(p, k):
+    # g = exp[1] has log 1, prime to q - 1; every c below it (from p in
+    # an extension, whose constants have order dividing p - 1) has a log
+    # sharing a factor with q - 1, so it is no generator
+    fld = FiniteField(p, k)
+    g, n = int(fld._exp[1]), fld.q - 1
+    assert math.gcd(int(fld._log[g]), n) == 1
+    assert (np.gcd(fld._log[2 if k == 1 else p:g], n) > 1).all()
 
 
 # sha256 of the int32 little-endian bytes of _expz, _log and _zechz, in
