@@ -2,37 +2,29 @@
 
 `classify(p, g)` lists, for a characteristic p (0 or an odd prime) and
 a genus g >= 2, every family of curves of genus g admitting a cyclic
-automorphism group of order N >= 2g + 1.  Each entry is a model
-template, which carries its N, its ramification data and its branch.
-The families are the classes of `families.FAMILIES`: each states its
-branch (I tame; II and III wild), its ramification data and, for all
-but Kummer, its models of genus g in characteristic p (`of_genus`).
-`classify` searches the Kummer pairs itself, asks every other family
-for its models, checks each of those (N >= 2g + 1, and the genus by
-Riemann-Hurwitz) and returns the models, so adding a family means
-adding one class to `FAMILIES`.
+automorphism group of order N >= 2g + 1, as models, each carrying its
+N, ramification data and branch (I tame; II and III wild).  It searches
+the Kummer pairs itself and asks every other class of
+`families.FAMILIES` for its models of genus g in characteristic p
+(`of_genus`), which it checks (N >= 2g + 1, and the genus by
+Riemann-Hurwitz): adding a family means adding one class to `FAMILIES`.
 
 The search over N stops at 4g + 2, which guarantees termination and
 completeness: a Kummer pair's gcds, pairwise coprime proper divisors of
 N, sum to N + 2 - 2g, and no other family's N (2g + 2, pm, 2p or p)
 exceeds it.  The Kummer search finds the least member of each symmetry
-orbit of pairs directly: a unit scales each entry of the exponent triple
-(r, s, -(r+s)) down to its gcd with N and no lower, the genus fixes the
-sum of the three gcds, and so the least members come from the divisor
-triples of N alone.  The canonical listing reads the pairs' gcds from a
-table per order, checks primitivity and the genus once per gcd triple
-and builds each entry, a `Kummer` tuple, in one call (`_kummer_entries`).
-The raw listing expands the orbits of those entries as arrays, over
-blocks of orders, into int64 keys sorted once a block, and checks every
-member for range, primitivity and the gcd triple of the orbit data it
-takes (`_orbit_members`, which `canonical_pair` uses too).
-`verify_sasaki_bound` stays exhaustive, one order at a time as int16
-arrays; with it, `primitive_pairs` and `kummer_genus` are the
-independent check of both.  Orders stop at 2897: it bounds the pairs
-that `primitive_pairs` and `verify_sasaki_bound` walk by `TABLE_LIMIT`,
-classify's gcd tables by N entries an order, 256 orders kept, and N, r
-and s to the 12 bits each has in a key.  All here is pure and
-deterministic: entries come out ordered by N, family and spec values.
+orbit of pairs from the divisor triples of N alone (`_orbit_minima`).
+The canonical listing checks and builds its entries once per gcd triple
+(`_kummer_entries`); the raw listing expands their orbits as int64
+arrays over blocks of orders and checks every member (`_orbit_members`,
+which `canonical_pair` uses too).
+`verify_sasaki_bound` counts the pairs of each genus exactly, by gcd
+type, and lists none (`_pair_counts`); `primitive_pairs` and
+`kummer_genus`, one pair at a time, check the listings and the counts.
+Orders stop at 2897: it bounds the pairs that `primitive_pairs` walks by
+`TABLE_LIMIT`, classify's gcd tables by N entries an order, 256 orders
+kept, and N, r and s to the 12 bits each has in a key.  All here is pure
+and deterministic: entries come out ordered by N, family and spec values.
 
 `enumerate_signatures(n, g)` lists every tame ramification type
 (g0; e_1..e_k) that a degree-n cyclic cover of genus g can have,
@@ -119,7 +111,7 @@ def _check_order(n, context=""):
 def primitive_pairs(n: int):
     """Yield every primitive pair (r, s) for exponent n, in
     lexicographic order.  One object at a time: the independent check of
-    classify's pair search and verify_sasaki_bound's triangles."""
+    classify's pair search and of verify_sasaki_bound's counts."""
     if not is_int(n) or n < 3:
         raise BadOrder(f"n must be an int >= 3, got {n!r}")
     _check_order(n)
@@ -127,24 +119,6 @@ def primitive_pairs(n: int):
         for s in range(1, n - r):
             if gcd(gcd(r, s), n) == 1:
                 yield PrimitivePair(n, r, s)
-
-
-def _pair_triangle(n):
-    """Every primitive pair (r, s) of order n in lexicographic order,
-    with its genus, as the int16 columns genus, r, s."""
-    # The triangle r, s >= 1, r + s <= n - 1 row by row: row r holds
-    # s = 1 .. n - 1 - r, so s steps up by 1 and drops back to 1 at each
-    # new row.  Every value stays below n, so int16 holds it throughout.
-    lengths = np.arange(n - 2, 0, -1)
-    r = np.repeat(np.arange(1, n - 1, dtype=np.int16), lengths)
-    steps = np.ones(r.size, dtype=np.int16)
-    steps[np.cumsum(lengths[:-1])] = 1 - lengths[:-1]
-    s = np.cumsum(steps, dtype=np.int16)
-    gcds = np.gcd(np.arange(n, dtype=np.int16), np.int16(n))
-    a, b = gcds[r], gcds[s]
-    keep = np.gcd(a, b) == 1  # gcd(gcd(n, r), gcd(n, s)) = gcd(r, s, n)
-    r, s = r[keep], s[keep]
-    return (n + 2 - a[keep] - b[keep] - gcds[r + s]) // 2, r, s
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -514,12 +488,39 @@ def classify(p: int, g: int, *, raw_pairs: bool = False,
 
 @dataclass(frozen=True)
 class SasakiReport:
-    """Result of the exhaustive N >= 2g + 1 bound check."""
+    """Result of the N >= 2g + 1 check from exact pair counts by gcd type,
+    which name no pair: a violation is (n, genus, pairs of that genus)."""
 
     n_max: int
     pairs_checked: int
     tight_pairs: int  # pairs attaining N = 2g + 1 exactly
-    violations: tuple[tuple[int, int, int, int], ...]
+    violations: tuple[tuple[int, int, int], ...]
+
+
+def _pair_counts(n):
+    """The number of primitive pairs of order n of each genus, exact."""
+    # A pair is a triple (x, y, z) mod n, x + y + z = 0, no entry 0, up
+    # to sign.  Its gcds with n, its type, are pairwise coprime; triples
+    # of a type factor over l^e || n (CRT): x, y units and y != -x, or one
+    # entry of gcd q = l^k (multiples of q less those of q*l), one a unit.
+    types, m = {(1, 1, 1): 1}, n  # the ordered triples of each type
+    while m > 1:
+        ell, full = divisors(m)[1], 1  # the least prime factor of m
+        while m % ell == 0:
+            m, full = m // ell, full * ell
+        units = full - full // ell
+        local = [((1, 1, 1), units * (units - full // ell))]
+        for q in divisors(full)[1:]:
+            ways = units * (full // q - full // q // ell)
+            local += [(t, ways) for t in ((q, 1, 1), (1, q, 1), (1, 1, q))]
+        types = {(a * x, b * y, c * z): w * v for (a, b, c), w in
+                 types.items() for (x, y, z), v in local}
+    counts = {}
+    for (a, b, c), w in types.items():
+        if w and n not in (a, b, c):  # w = 0: n even and no entry even
+            genus = (n + 2 - a - b - c) // 2
+            counts[genus] = counts.get(genus, 0) + w // 2
+    return counts
 
 
 def verify_sasaki_bound(n_max: int) -> SasakiReport:
@@ -530,12 +531,10 @@ def verify_sasaki_bound(n_max: int) -> SasakiReport:
     checked = tight = 0
     violations = []
     for n in range(3, n_max + 1):
-        genus, r, s = _pair_triangle(n)
+        counts = _pair_counts(n)
         # N >= 2g + 1 is g <= (n - 1) // 2, attained exactly for odd n
         top = (n - 1) // 2
-        checked += genus.size
-        if n % 2:
-            tight += int(np.count_nonzero(genus == top))
-        for i in np.flatnonzero(genus > top).tolist():
-            violations.append((n, int(r[i]), int(s[i]), int(genus[i])))
+        checked += sum(counts.values())
+        tight += counts.get(top, 0) if n % 2 else 0
+        violations += [(n, g, k) for g, k in counts.items() if g > top]
     return SasakiReport(n_max, checked, tight, tuple(violations))

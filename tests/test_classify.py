@@ -359,7 +359,7 @@ def test_no_entry_lies_above_4g_plus_2():
     # classify's search stops there, so the next two orders must be empty
     for g in range(2, 31):
         for n in (4 * g + 3, 4 * g + 4):
-            assert not np.any(classify_module._pair_triangle(n)[0] == g), n
+            assert not np.any(_pair_triangle(n)[0] == g), n
         for p in (0, 3, 5, 7, 11, 13):
             assert all(model.n <= 4 * g + 2
                        for family in FAMILIES[1:]
@@ -547,7 +547,7 @@ def test_raw_listing_matches_the_pair_triangle_at_large_orders():
     # the exhaustive pair list against the orbit search, far above the
     # orders of the orbit walk: every order of genus 60, and every genus
     # at three highly composite orders
-    triangles = {n: classify_module._pair_triangle(n) for n in range(121, 245)}
+    triangles = {n: _pair_triangle(n) for n in range(121, 245)}
     raw = classify(0, 60, raw_pairs=True)
     assert [(e.n, e.r, e.s) for e in raw
             if e.branch == Kummer.branch] == [
@@ -556,7 +556,7 @@ def test_raw_listing_matches_the_pair_triangle_at_large_orders():
     assert _raw_pairs(60, [243, 244]) == [
         _triangle_pairs(triangles[n], 60) for n in (243, 244)]
     for n in (210, 360, 420):
-        triangle = classify_module._pair_triangle(n)
+        triangle = _pair_triangle(n)
         for g in range(2, (n - 1) // 2 + 1):
             assert _raw_pairs(g, [n]) == [_triangle_pairs(triangle, g)], (n, g)
 
@@ -565,7 +565,7 @@ def test_blocked_raw_listing_is_exact(monkeypatch):
     # the default blocks, of which classify(0, 120) fills several, blocks
     # of a few orders, and an order alone in each block
     want = {g: [(n, r, s) for n in ns for r, s in
-                _triangle_pairs(classify_module._pair_triangle(n), g)]
+                _triangle_pairs(_pair_triangle(n), g)]
             for g, ns in ((30, range(61, 123)), (120, range(241, 483)))}
     sizes = [3 * n * len(classify_module._orbit_minima(n, 120))
              for n in range(241, 483)]
@@ -583,7 +583,7 @@ def test_kummer_entries_equal_the_constructed_ones():
     # equal, with the same type, repr, hash and orbit data, canonical
     # and raw
     for n in range(5, 131):
-        triangle = classify_module._pair_triangle(n)
+        triangle = _pair_triangle(n)
         for g in range(2, (n - 1) // 2 + 1):
             minima = classify_module._orbit_minima(n, g)
             for built, pairs in (
@@ -736,23 +736,55 @@ def test_large_genus_classifies_quickly():
     assert entries and all(e.genus == 723 for e in entries)
 
 
-# --- pair triangles ---------------------------------------------------------------
+# --- pair triangles and pair counts -------------------------------------------
+
+
+def _pair_triangle(n):
+    """Every primitive pair (r, s) of order n in lexicographic order,
+    with its genus, as the int16 columns genus, r, s."""
+    # The triangle r, s >= 1, r + s <= n - 1 row by row: row r holds
+    # s = 1 .. n - 1 - r, so s steps up by 1 and drops back to 1 at each
+    # new row.  Every value stays below n, so int16 holds it throughout.
+    lengths = np.arange(n - 2, 0, -1)
+    r = np.repeat(np.arange(1, n - 1, dtype=np.int16), lengths)
+    steps = np.ones(r.size, dtype=np.int16)
+    steps[np.cumsum(lengths[:-1])] = 1 - lengths[:-1]
+    s = np.cumsum(steps, dtype=np.int16)
+    gcds = np.gcd(np.arange(n, dtype=np.int16), np.int16(n))
+    a, b = gcds[r], gcds[s]
+    keep = np.gcd(a, b) == 1  # gcd(gcd(n, r), gcd(n, s)) = gcd(r, s, n)
+    r, s = r[keep], s[keep]
+    return (n + 2 - a[keep] - b[keep] - gcds[r + s]) // 2, r, s
 
 
 def test_pair_tables_group_primitive_pairs_by_genus():
     # the array triangle against the one-object-at-a-time enumeration
     for n in range(3, 121):
-        genus, r, s = classify_module._pair_triangle(n)
+        genus, r, s = _pair_triangle(n)
         pairs = list(primitive_pairs(n))
         assert list(zip(r.tolist(), s.tolist())) == [
             (pair.r, pair.s) for pair in pairs], n
         assert genus.tolist() == [pair.genus for pair in pairs], n
 
 
-def test_pair_table_is_compact():
-    columns = classify_module._pair_triangle(1000)
-    assert {column.dtype for column in columns} == {np.dtype(np.int16)}
-    assert sum(column.nbytes for column in columns) < 5_000_000
+def test_pair_counts_are_the_triangles_genus_histogram():
+    # the counts by gcd type against the brute-force pair list
+    for n in range(3, 301):
+        genus = _pair_triangle(n)[0].tolist()
+        assert classify_module._pair_counts(n) == {
+            g: genus.count(g) for g in set(genus)}, n
+
+
+def test_pair_counts_size_the_raw_listing():
+    # every primitive pair of genus g at an order N in [2g + 1, 4g + 2]
+    # that p does not divide is one raw Kummer entry
+    for p in (0, 3, 5, 7, 11, 13):
+        for g in range(2, 31):
+            entries = classify(p, g, raw_pairs=True)
+            assert sum(e.branch == Kummer.branch for e in entries) == sum(
+                classify_module._pair_counts(n).get(g, 0)
+                for n in range(2 * g + 1, 4 * g + 3)
+                if not p or n % p), (p, g)
 
 
 def test_oversized_orders_fail_fast():
@@ -785,26 +817,27 @@ def test_sasaki_bound_report():
 
 
 def test_sasaki_bound_totals():
-    # the brute-force totals over every primitive pair with N <= 200
-    report = verify_sasaki_bound(200)
-    assert (report.pairs_checked, report.tight_pairs) == (1_098_601, 397_351)
-    assert report.violations == ()
+    # the brute-force totals over every primitive pair with N <= 200, and
+    # with N <= 2897 (a walk over those 3.4 billion pairs took 128.6 s)
+    for n_max, checked, tight in ((200, 1_098_601, 397_351),
+                                  (2897, 3_369_393_943, 1_163_506_912)):
+        report = verify_sasaki_bound(n_max)
+        assert (report.pairs_checked, report.tight_pairs) == (checked, tight)
+        assert report.violations == ()
 
 
-def test_sasaki_bound_names_the_violating_pair(monkeypatch):
+def test_sasaki_bound_names_the_violating_genus(monkeypatch):
     honest = verify_sasaki_bound(10)
-    triangles = {n: classify_module._pair_triangle(n) for n in range(3, 11)}
-    real_genus, r, s = triangles[9]
-    # the last pair has the largest genus, 4 = (9 - 1) / 2; claim 5
-    genus = real_genus.copy()
-    genus[-1] = 5
-    triangles[9] = genus, r, s
-    monkeypatch.setattr(classify_module, "_pair_triangle", triangles.__getitem__)
+    counts = {n: classify_module._pair_counts(n) for n in range(3, 11)}
+    # move some pairs of the largest genus at 9, 4 = (9 - 1) / 2, to a
+    # false genus 5
+    assert max(counts[9]) == 4 and counts[9][4] > 2
+    k = counts[9][4] // 2
+    counts[9] = {**counts[9], 4: counts[9][4] - k, 5: k}
+    monkeypatch.setattr(classify_module, "_pair_counts", counts.__getitem__)
     report = verify_sasaki_bound(10)
-    r, s = int(r[-1]), int(s[-1])
-    assert kummer_genus(9, r, s) == 4
-    assert report.violations == ((9, r, s, 5),)
-    assert report.tight_pairs == honest.tight_pairs - 1
+    assert report.violations == ((9, 5, k),)
+    assert report.tight_pairs == honest.tight_pairs - k
     assert report.pairs_checked == honest.pairs_checked
 
 
