@@ -36,9 +36,11 @@ from cycliccurves.fforacle import FiniteField, count_places
 MIB = 2**20
 LARGEST_PRIME = 4_194_301  # the largest prime below the ceiling 2^22
 
-# (model, field (p, k)): one of each family, q above 10^6
+# (model, field (p, k)): one of each family, q above 10^6, and Kummer
+# over an extension field too, counted in its LogView
 ROWS = [
     (Kummer(5, 1, 2), (LARGEST_PRIME, 1)),
+    (Kummer(7, 1, 2), (3, 13)),
     (Hyperelliptic(2, 3), (LARGEST_PRIME, 1)),
     (ASPower(3, 4, 1, 0), (3, 13)),
     (ASRational(3, 1, 1, 1), (3, 13)),

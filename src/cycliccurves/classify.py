@@ -16,8 +16,9 @@ exceeds it.  The Kummer search finds the least member of each symmetry
 orbit of pairs from the divisor triples of N alone (`_orbit_minima`).
 The canonical listing checks and builds its entries once per gcd triple
 (`_kummer_entries`); the raw listing expands their orbits as int64
-arrays over blocks of orders and checks every member (`_orbit_members`,
-which `canonical_pair` uses too).
+arrays over blocks of orders and checks every member (`_orbit_members`);
+`canonical_pair` searches one orbit's least member alone
+(`_least_member`).
 `verify_sasaki_bound` counts the pairs of each genus exactly, by gcd
 type, and lists none (`_pair_counts`); `primitive_pairs` and
 `kummer_genus`, one pair at a time, check the listings and the counts.
@@ -205,14 +206,29 @@ def canonical_pair(n: int, r: int, s: int) -> PrimitivePair:
     """
     PrimitivePair(n, r, s)
     _check_order(n)
-    return PrimitivePair(n, *_orbit(n, r, s)[0])
+    return PrimitivePair(n, *_least_member(n, r, s))
 
 
-def _orbit(n, r, s):
-    """The members (r, s) of the symmetry orbit of a pair, in
-    lexicographic order."""
-    _, r, s, _, _ = _orbit_members(*np.array([[n], [r], [s]], np.int64))
-    return list(zip(r.tolist(), s.tolist()))
+def _least_member(n, r, s):
+    """The least in-range member (m, s') of the symmetry orbit of the
+    primitive pair (r, s): m is the least gcd with n of the triple
+    (r, s, n - r - s), and s' the least second coordinate that the
+    units sending a coordinate of gcd m to m give (`_least_in_orbit`'s
+    search, with a minimum in place of its test)."""
+    gcds = _order_gcds(n)
+    triple = (r, s, n - r - s)
+    m = min(gcds[x] for x in triple)
+    k, least = n // m, n
+    for i, x in enumerate(triple):
+        if gcds[x] != m:
+            continue
+        y, w = triple[:i] + triple[i + 1:]
+        for u in range(pow(x // m, -1, k), n, k):
+            if gcds[u] == 1:
+                uy, uw = u * y % n, u * w % n
+                if m + uy + uw == n:
+                    least = min(least, uy, uw)
+    return m, least
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

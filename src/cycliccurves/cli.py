@@ -34,7 +34,7 @@ import sys
 
 from . import fforacle
 from .classify import (
-    _orbit,
+    _least_member,
     classify,
     enumerate_signatures,
     primitive_pairs,
@@ -165,22 +165,17 @@ def _cmd_pairs(args):
 
 
 def _pair_records(args):
-    # pairs come in lexicographic order and an orbit keeps the genus, so
-    # an orbit's first pair is its canonical one
-    n, canonical = args.n, {}
-    for pair in primitive_pairs(n):
+    for pair in primitive_pairs(args.n):
         if args.genus not in (None, pair.genus):
             continue
-        key = pair.r, pair.s
-        if key not in canonical:
-            canonical |= dict.fromkeys(_orbit(n, *key), key)
-        if not args.canonical or canonical[key] == key:
+        canonical = _least_member(*pair[:3])
+        if not args.canonical or canonical == pair[1:3]:
             yield {
                 "n": pair.n,
                 "r": pair.r,
                 "s": pair.s,
                 "genus": pair.genus,
-                "canonical": list(canonical[key]),
+                "canonical": list(canonical),
             }
 
 

@@ -114,16 +114,18 @@ def _require(cond, msg):
 
 
 def _bind(value, fld):
-    """Resolve an integer model parameter to an element of `fld`: values
-    below p are prime-subfield residues, values in [p, q) base-p
-    encodings."""
+    """Resolve an integer model parameter to an element of `fld`, as the
+    field represents it (`element`): values below p are prime-subfield
+    residues, values in [p, q) base-p encodings.  Every constant of an
+    equation enters through here, so one statement serves a field and
+    its `LogView`."""
     if not isinstance(value, int):
         raise PreconditionViolated(
             f"symbolic parameter {value!r} cannot be evaluated in a field")
     if value < fld.p:
-        return value % fld.p
+        return fld.element(value % fld.p)
     if value < fld.q:
-        return value
+        return fld.element(value)
     raise PreconditionViolated(
         f"parameter {value} outside field of size {fld.q}")
 
@@ -161,9 +163,11 @@ def _additive_lhs(fld, b, c):
         return fld.add(fld.mul(b, fld.pow(y, p)), fld.mul(c, y))
     if lam is None:
         return lhs, np.ones_like
-    # w = 1/(c*lam), once per equation, and left out when in F_p
+    # w = 1/(c*lam), once per equation, and left out when in F_p, that
+    # is, when w^p = w
     w = fld.inv(fld.mul(c, lam))
-    scaled = (lambda v: v) if w < p else (lambda v: fld.mul(w, v))
+    scaled = (lambda v: v) if fld.pow(w, p) == w else (
+        lambda v: fld.mul(w, v))
     return lhs, lambda v: np.where(fld.trace(scaled(v)) == 0, p, 0)
 
 
@@ -187,12 +191,14 @@ class Equation:
     missing_x: tuple = ()
 
     def affine_xs(self, lo=0, hi=None):
-        """The x values of the affine model in [lo, hi), the whole field
-        by default, as an int64 array: field elements are enumerated by
-        encoding, so x sits at index x - lo, less the `missing_x` in the
-        range before it."""
-        xs = np.arange(lo, self.fld.q if hi is None else hi, dtype=np.int64)
-        missing = [x - lo for x in self.missing_x if lo <= x < lo + len(xs)]
+        """The x values of the affine model at positions [lo, hi) of the
+        field's enumeration (`elements`), the whole field by default,
+        less the `missing_x` (encodings): the element e sits at position
+        min(e, q - 1)."""
+        fld = self.fld
+        xs = fld.elements(lo, hi)
+        at = (min(fld.element(x), fld.q - 1) - lo for x in self.missing_x)
+        missing = [i for i in at if 0 <= i < len(xs)]
         return np.delete(xs, missing) if missing else xs
 
 
@@ -280,13 +286,14 @@ class Kummer(PrimitivePair, CurveModel):
         # the roots in F_q of z^d = u, where d is gcd(n, ord) and u is
         # the value of the local unit part: 1 over x = 0 and (-1)^s over
         # x = 1 and infinity, in place of the affine (0, 0) and (1, 0).
-        minus_one_s = fld.neg(1) if s % 2 else 1
-        extra = int(fld.num_nth_roots(1, gcd(n, r))
+        one = _bind(1, fld)
+        minus_one_s = fld.neg(one) if s % 2 else one
+        extra = int(fld.num_nth_roots(one, gcd(n, r))
                     + fld.num_nth_roots(minus_one_s, gcd(n, s))
                     + fld.num_nth_roots(minus_one_s, gcd(n, r + s))) - 2
         return Equation(
             fld, *_power_lhs(fld, n),
-            rhs=lambda x: fld.pow_product(x, r, fld.sub(1, x), s),
+            rhs=lambda x: fld.pow_product(x, r, fld.sub(one, x), s),
             extra=extra)
 
     def point_map(self, fld):
@@ -326,15 +333,16 @@ class Hyperelliptic(CurveModel):
             yield cls(g, "lambda")
 
     def equation(self, fld):
-        lam = _bind(self.lam, fld)
-        _require(lam not in (0, 1), f"lambda={self.lam} is 0 or 1 in field")
+        lam, one = _bind(self.lam, fld), _bind(1, fld)
+        _require(lam not in (_bind(0, fld), one),
+                 f"lambda={self.lam} is 0 or 1 in field")
         _require((self.g + 1) % fld.p != 0,
                  f"p={fld.p} divides g+1; family is singular here")
         e = self.g + 1
 
         def rhs(x):
             xe = fld.pow(x, e)
-            return fld.mul(fld.sub(xe, 1), fld.sub(xe, lam))
+            return fld.mul(fld.sub(xe, one), fld.sub(xe, lam))
 
         # degree 2g + 2 with a square leading coefficient: two places
         # at infinity
@@ -423,7 +431,8 @@ class ASPower(ArtinSchreier):
 
     def sides(self, fld):
         a, b, m = _bind(self.a, fld), _bind(self.b, fld), self.m
-        return 1, fld.p - 1, lambda x: fld.mul(a, fld.sub(fld.pow(x, m), b))
+        return (_bind(1, fld), _bind(fld.p - 1, fld),
+                lambda x: fld.mul(a, fld.sub(fld.pow(x, m), b)))
 
     def point_map(self, fld):
         zeta = fld.element_of_order(self.m)
@@ -496,7 +505,7 @@ class Homma(ArtinSchreier):
             yield cls(p)
 
     def sides(self, fld):
-        return 1, fld.p - 1, lambda x: fld.mul(x, x)
+        return _bind(1, fld), _bind(fld.p - 1, fld), lambda x: fld.mul(x, x)
 
     def point_map(self, fld):
         return lambda pt: (pt[0], fld.add(pt[1], 1))

@@ -11,11 +11,15 @@ the curve families by exact computation over small finite fields:
     they take numpy integer arrays and evaluate every element in one
     call, by int32 exp/log tables over the least primitive element by
     encoding (8 bytes per element, with a Zech-log table more in
-    extension fields, 12 bytes: see `FiniteField`).
+    extension fields, 12 bytes: see `FiniteField`).  `LogView` is the
+    same field with each element its discrete log, and zero the
+    sentinel `LOG_ZERO`: a product is a sum of logs and a sum one
+    Zech-log gather, with no exp/log round trip between operations.
   * `count_places` returns the exact number of rational places of the
     smooth model of a curve over a field, combining fibre counts on the
     affine part with exact place counts over the branch and infinite
-    points derived from the ramification data.
+    points derived from the ramification data; it counts an extension
+    field in its `LogView`.
   * `count_places_naive` is the brute-force double-loop oracle for the
     affine part; fast and naive paths must agree exactly.
   * `zeta_genus` infers the genus from a series of place counts by
@@ -214,7 +218,34 @@ def _wrap(s, n):
     return np.minimum(s, n)
 
 
-LOG_ZERO = 1 << 28  # log(0): any sum with it, less n, is past n < 2^22
+def _log_power(la, e, n):
+    """e log(a) mod n in int64 for e >= 0, the zero log's bit 28 kept
+    where e > 0 (0^e = 0) to put it past every log."""
+    t = _mod(_int64(la) * (e % n), n)
+    if e:
+        t |= la & LOG_ZERO
+    return t
+
+
+def _log_product(la, r, lb, s, n):
+    """r log(a) + s log(b) mod n in int64 for r, s >= 1, past every log
+    where a or b is zero."""
+    t = _mod(_int64(la) * (r % n) + _int64(lb) * (s % n), n)
+    t |= (la | lb) & LOG_ZERO
+    return t
+
+
+def _reduce(s, n):
+    """A sum s of two logs mod n: s in [0, 2n) folded into [0, n) with
+    no modulo, and s at or past `LOG_ZERO`, a sum with the zero log,
+    sent to `LOG_ZERO`."""
+    return np.where(s < LOG_ZERO, _fold(s - n, n), LOG_ZERO)
+
+
+LOG_ZERO = 1 << 28  # log(0), past every sum 2n - 2 of two logs, n < 2^22
+# the log view's sums of two logs lie in [0, 2 LOG_ZERO] and its
+# differences in [-LOG_ZERO, LOG_ZERO], all in int32
+assert 2 * TABLE_LIMIT <= LOG_ZERO and 2 * LOG_ZERO <= np.iinfo(np.int32).max
 _TABLE_BITS = TABLE_LIMIT.bit_length() - 1  # the ceiling is 2^_TABLE_BITS
 _RUN = 1 << 14  # longest run of powers the exp build makes in one step
 # the elements a whole-field pass (a place count, a table fill) takes at
@@ -242,20 +273,19 @@ class FiniteField:
     g^i` for i < n with a zero slot `_expz[n] = 0`, and `_log[a]`, with
     the sentinel `LOG_ZERO` = 2^28 at a = 0.  a^e is `_expz[log(a) * e
     mod n]` in int64 (and a^r b^s one exp of r log a + s log b), the zero
-    log's bit 28 sending 0^e to the zero slot; c is an n-th power exactly
-    when gcd(n, q - 1) divides log(c), and the elements of order n are
-    the g^(j(q-1)/n) with j prime to n.  Prime fields add, subtract and
+    log's bit 28 sending 0^e to the zero slot (`_log_power` and
+    `_log_product`, which the `LogView` shares); c is an n-th power
+    exactly when gcd(n, q - 1) divides log(c) (the view's test on the
+    logs), and the elements of order n are the g^(j(q-1)/n) with j prime
+    to n.  The inverse is the exp of -log(a), folded by `_wrap` into the
+    zero slot for a = 0.  Prime fields add, subtract and
     multiply in int64 modular arithmetic (q <= 2^22, so every product
     fits), a sum folded into [0, p) with no modulo.  Extension fields
     hold a third int32 table, the Zech log `_zechz[i] = log(1 + g^i)`
     (`LOG_ZERO` where 1 + g^i = 0, and 0 in the slot i = n), 12 bytes
-    per element in all, and compute in int32 with no modulo and no zero
-    test: a product is the exp of the summed logs, and g^i + g^j with
-    i <= j is g^(i + Z(j - i)) (K. Huber, "Some comments on Zech's
-    logarithms", IEEE Trans. Inf. Theory 36, 1990).  A zero log makes
-    every index sum pass n, and `_wrap` clips it to the zero slot; a
-    zero summand puts |log a - log b| past n, clipped to Z = 0, so the
-    sum is the other one.  `_exp` is the first n entries of `_expz`.
+    per element in all, and every operation of theirs but the trace is
+    the `LogView`'s, a sum one Zech gather.  `_exp` is the first n
+    entries of `_expz`.
     The tables are built from C, the matrix of x mod the modulus, stored
     once: the matrix of multiplication by c has the rows digits(c) C^i.
     g is the least encoding of order n (`_least_primitive`), and the O(q)
@@ -283,9 +313,11 @@ class FiniteField:
 
     # -- encoding helpers
 
-    def elements(self):
-        """Every element, as an int64 array indexed by its encoding."""
-        return np.arange(self.q, dtype=np.int64)
+    def elements(self, lo=0, hi=None):
+        """The elements at positions [lo, hi) of the field's enumeration,
+        the whole field by default, as int64: the encodings lo, ...,
+        each element at its own position."""
+        return np.arange(lo, self.q if hi is None else hi, dtype=np.int64)
 
     def _halves(self, m):
         """half = p^(k // 2), then digits(a) @ m mod p for the multiples
@@ -423,45 +455,47 @@ class FiniteField:
             return s
         return times
 
-    # -- field operations
+    # -- field operations: prime fields add, subtract and multiply
+    # encodings, and extension fields call the `LogView` between one log
+    # gather and one exp gather
+
+    def element(self, v):
+        """The element of encoding v, which is v itself (see `LogView`)."""
+        return v
+
+    def _exp_of(self, logs):
+        # the zero log reads the zero slot
+        return self._expz[np.minimum(logs, self.q - 1)]
 
     def add(self, a, b):
         if self.k == 1:
             return _fold(_int64(a) + _int64(b) - self.p, self.p)
-        la, lb = self._log[a], self._log[b]
-        z = self._zechz[np.minimum(abs(la - lb), self.q - 1)]
-        return self._expz[_wrap(np.minimum(la, lb) + z, self.q - 1)]
+        return self._exp_of(LogView(self).add(self._log[a], self._log[b]))
 
     def neg(self, a):
         if self.k == 1:
             return _fold(-_int64(a), self.p)
-        return self.mul(self.p - 1, a)
+        return self._exp_of(LogView(self).neg(self._log[a]))
 
     def sub(self, a, b):
         if self.k == 1:
             return _fold(_int64(a) - _int64(b), self.p)
-        return self.add(a, self.neg(b))
+        return self._exp_of(LogView(self).sub(self._log[a], self._log[b]))
 
     def mul(self, a, b):
         if self.k == 1:
             return _mod(_int64(a) * _int64(b), self.p)
-        return self._expz[_wrap(self._log[a] + self._log[b], self.q - 1)]
+        return self._exp_of(LogView(self).mul(self._log[a], self._log[b]))
 
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
-        n, la = self.q - 1, self._log[a]
-        t = _mod(_int64(la) * (e % n), n)
-        if e:  # 0^e = 0: the zero log's bit 28 sends it past n
-            t |= la & LOG_ZERO
-        return self._expz[np.minimum(t, n)]
+        return self._exp_of(_log_power(self._log[a], e, self.q - 1))
 
     def pow_product(self, a, r, b, s):
         """a^r * b^s for r, s >= 1, one exp of r log a + s log b."""
-        n, la, lb = self.q - 1, self._log[a], self._log[b]
-        t = _mod(_int64(la) * (r % n) + _int64(lb) * (s % n), n)
-        t |= (la | lb) & LOG_ZERO
-        return self._expz[np.minimum(t, n)]
+        return self._exp_of(_log_product(
+            self._log[a], r, self._log[b], s, self.q - 1))
 
     def inv(self, a):
         if (np.asarray(a) == 0).any():
@@ -496,27 +530,14 @@ class FiniteField:
         return int(self._exp[js * ((self.q - 1) // n)].min())
 
     def num_nth_roots(self, c, n):
-        """Number of y with y^n = c: gcd(n, q-1) for a nonzero n-th
-        power (a log divisible by the gcd), 0 for a nonzero non-power,
-        1 for zero.  The logs of c, an element or an array of them, are
-        tested against the gcd d directly, with no table, giving int32
-        counts of c's shape: the zero log, capped to q - 1, is a
-        multiple of d, and its d is then moved to 1."""
-        d, m = gcd(n, self.q - 1), self.q - 1
-        lc = np.minimum(self._log[c], m)
-        roots = (lc - lc // d * d == 0) * np.int32(d)
-        roots -= (lc == m) * np.int32(d - 1)
-        return roots
+        """Number of y with y^n = c (`LogView.num_nth_roots` on the logs
+        of c), as int32 counts of c's shape."""
+        return LogView(self).num_nth_roots(self._log[c], n)
 
     def nth_root(self, c, n):
-        """A y with y^n = c, or None if c is no n-th power: 0 for c = 0,
-        since 0^n = 0, and otherwise y = g^m with m * n = log(c) mod
-        q - 1."""
-        if c == 0:
-            return 0
-        d, lc = gcd(n, self.q - 1), int(self._log[c])
-        return None if lc % d else int(self._exp[
-            lc // d * pow(n // d, -1, (self.q - 1) // d) % (self.q - 1)])
+        """A y with y^n = c, or None if c is no n-th power (0 for c = 0)."""
+        root = LogView(self).nth_root(int(self._log[c]), n)
+        return None if root is None else int(self._exp_of(root))
 
     def lift_from(self, value, src):
         """Image of a src-encoded element under the embedding src -> self.
@@ -550,6 +571,99 @@ class FiniteField:
         return int(horner(digits.tolist(), int(roots.min())))
 
 
+class LogView:
+    """The discrete-log view of a `FiniteField`: the same operations on
+    the same tables, with each element its log over g, and zero the
+    sentinel `LOG_ZERO`.  So a product, an inverse and a power are
+    integer arithmetic mod n = q - 1 on the logs (`_reduce`), and the
+    sum of g^i and g^j, i <= j, is one Zech gather, g^(i + Z(j - i))
+    (K. Huber, "Some comments on Zech's logarithms", IEEE Trans. Inf.
+    Theory 36, 1990): a zero summand puts |i - j| past n, clipped to
+    the slot Z(n) = 0, so the sum is the other one.  An n-th-power test
+    reads the log directly, and a trace takes one exp gather.  The view
+    adds no table, and `add` needs the Zech table of an extension field;
+    `count_places` counts an extension field in it, where an equation
+    over encodings gathers logs and exps again at every operation.
+    Constants enter through `element`, the log of an encoding, so one
+    statement of an equation serves both views of a field."""
+
+    __slots__ = ("field", "p", "q", "_n")
+
+    def __init__(self, fld):
+        self.field, self.p, self.q = fld, fld.p, fld.q
+        self._n = fld.q - 1
+
+    def element(self, v):
+        """The element of encoding v: its log."""
+        return int(self.field._log[v])
+
+    def elements(self, lo=0, hi=None):
+        """The elements at positions [lo, hi) of the enumeration g^0,
+        ..., g^(q-2), 0, as int32 logs: the log i at position i and
+        `LOG_ZERO` at position q - 1.  In both views an element e sits
+        at position min(e, q - 1)."""
+        xs = np.arange(lo, self.q if hi is None else hi, dtype=np.int32)
+        xs[self._n - lo:] = LOG_ZERO
+        return xs
+
+    def add(self, a, b):
+        n = self._n
+        z = self.field._zechz[np.minimum(np.abs(np.subtract(a, b)), n)]
+        return _reduce(np.minimum(a, b) + z, n)
+
+    def neg(self, a):
+        return self.mul(self._n // 2, a)  # -1 = g^(n/2), q odd
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        return _reduce(np.add(a, b), self._n)
+
+    def inv(self, a):
+        if (np.asarray(a) == LOG_ZERO).any():
+            raise ZeroDivisionError("inverse of zero")
+        return _reduce(np.subtract(self._n, a), self._n)
+
+    # powers in int64, returned as int32 logs: an int32 count runs about
+    # a fifth faster on them
+    def pow(self, a, e):
+        if e < 0:
+            return self.pow(self.inv(a), -e)
+        return np.minimum(_log_power(a, e, self._n), LOG_ZERO).astype(
+            np.int32)
+
+    def pow_product(self, a, r, b, s):
+        return np.minimum(_log_product(a, r, b, s, self._n),
+                          LOG_ZERO).astype(np.int32)
+
+    def trace(self, a):
+        return self.field.trace(self.field._exp_of(a))
+
+    def num_nth_roots(self, c, n):
+        """Number of y with y^n = c: gcd(n, q-1) for a nonzero n-th
+        power (a log divisible by the gcd), 0 for a nonzero non-power,
+        1 for zero.  The logs c, one or an array of them, are tested
+        against the gcd d directly, giving int32 counts of c's shape:
+        the zero log, capped to q - 1, is a multiple of d, and its d is
+        then moved to 1."""
+        d, m = gcd(n, self._n), self._n
+        lc = np.minimum(c, m)
+        roots = (lc - lc // d * d == 0) * np.int32(d)
+        roots -= (lc == m) * np.int32(d - 1)
+        return roots
+
+    def nth_root(self, c, n):
+        """A y with y^n = c, or None if c is no n-th power: zero for
+        c = 0, since 0^n = 0, and otherwise the m with m * n = c mod
+        q - 1."""
+        if c == LOG_ZERO:
+            return LOG_ZERO
+        m = self._n
+        d = gcd(n, m)
+        return None if c % d else c // d * pow(n // d, -1, m // d) % m
+
+
 @lru_cache(maxsize=64)
 def field(p: int, k: int = 1) -> FiniteField:
     """Cached field factory with the deterministic least modulus.
@@ -568,8 +682,10 @@ def count_places(model: CurveModel, fld: FiniteField) -> int:
     the fibre sizes of the left side over rhs(x), summed over the affine
     x values, plus the family's `extra` places.  The x run in blocks of
     `_BLOCK` (`Equation.affine_xs(lo, hi)`), so the count holds O(_BLOCK)
-    memory beyond the field tables; a field of one block is one call."""
-    eq = model.equation(fld)
+    memory beyond the field tables; a field of one block is one call.
+    An extension field is counted in its `LogView`, over the logs
+    0, ..., q - 2 and zero."""
+    eq = model.equation(fld if fld.k == 1 else LogView(fld))
     return sum(int(eq.fibre(eq.rhs(eq.affine_xs(lo, hi))).sum())
                for lo, hi in _blocks(fld.q)) + eq.extra
 

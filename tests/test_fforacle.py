@@ -698,6 +698,135 @@ def test_num_nth_roots_array_path_is_the_scalar_path(p, k):
         assert fld.num_nth_roots(xs, n).tolist() == scalar, n
 
 
+def _view_sample(fld, size, seed):
+    """Seeded logs of F_q with the zero log, 1 (log 0) and -1 (log
+    n/2) first, each beside every other of the three."""
+    n = fld.q - 1
+    rng = np.random.default_rng(seed)
+    special = [LOG_ZERO, 0, n // 2]
+    a = np.array(special * 3 + rng.integers(0, n, size).tolist())
+    b = np.array([x for x in special for _ in range(3)]
+                 + rng.integers(0, n, size).tolist())
+    return a.astype(np.int32), b.astype(np.int32)
+
+
+@pytest.mark.parametrize("p,k", [(3, 13), (2039, 2)])
+def test_log_view_ops_at_the_largest_extension_fields(p, k):
+    # F_{3^13} and F_{2039^2} (q = 4,157,521) are the largest extension
+    # fields under the ceiling: every log sum and difference of the view
+    # stays in int32 there, checked against Python ints mod n, the sums
+    # against base-p digit sums of the encodings
+    fld = field(p, k)
+    view, n = fforacle.LogView(fld), fld.q - 1
+    a, b = _view_sample(fld, 2000, p * 100 + k)
+
+    def enc(x):
+        return 0 if x == LOG_ZERO else int(fld._expz[x])
+
+    def log(e):
+        return int(fld._log[e])
+
+    def digits(e):
+        return [e // p**i % p for i in range(k)]
+
+    def from_digits(d):
+        return sum(x * p**i for i, x in enumerate(d))
+
+    def ref_mul(x, y):
+        return LOG_ZERO if LOG_ZERO in (x, y) else (x + y) % n
+
+    def ref_add(x, y):
+        return log(from_digits([(u + v) % p for u, v in zip(
+            digits(enc(x)), digits(enc(y)))]))
+
+    def ref_neg(x):
+        return log(from_digits([-u % p for u in digits(enc(x))]))
+
+    def ref_pow(x, e):
+        if x == LOG_ZERO:
+            return LOG_ZERO if e else 0
+        return x * e % n
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert view.mul(a, b).tolist() == [ref_mul(x, y) for x, y in pairs]
+        assert view.add(a, b).tolist() == [ref_add(x, y) for x, y in pairs]
+        assert view.sub(a, b).tolist() == [
+            ref_add(x, ref_neg(y)) for x, y in pairs]
+        assert view.neg(a).tolist() == [ref_neg(x) for x in a.tolist()]
+        units = a[a != LOG_ZERO]
+        assert view.inv(units).tolist() == [-x % n for x in units.tolist()]
+        with pytest.raises(ZeroDivisionError):
+            view.inv(a)
+        for e in (0, 1, 2, p, n - 1, n, 3 * n + 5):
+            assert view.pow(a, e).tolist() == [
+                ref_pow(x, e) for x in a.tolist()], e
+        assert view.pow(units, -3).tolist() == [
+            ref_pow(-x % n, 3) for x in units.tolist()]
+        for r, s in ((1, 2), (n - 1, n + 3)):
+            assert view.pow_product(a, r, b, s).tolist() == [
+                ref_mul(ref_pow(x, r), ref_pow(y, s)) for x, y in pairs]
+        for m in (2, 3, 4, p - 1, n):
+            d = math.gcd(m, n)
+            assert view.num_nth_roots(a, m).tolist() == [
+                1 if x == LOG_ZERO else d * (x % d == 0)
+                for x in a.tolist()], m
+        assert view.trace(a).tolist() == [
+            int(fld.trace(enc(x))) for x in a.tolist()]
+        # scalars follow the array rules, and constants enter as logs
+        for x, y in pairs[:12]:
+            assert view.add(x, y) == ref_add(x, y)
+            assert view.mul(x, y) == ref_mul(x, y)
+        assert view.element(0) == LOG_ZERO and view.element(1) == 0
+        assert view.element(p - 1) == n // 2
+
+
+def test_log_view_lands_on_zero():
+    # 1 + g^i = 0 at i = n/2, 1 - 1 = 0, and Kummer's rhs at x = 0 and
+    # x = 1, each the zero log, whose fibre is the one root y = 0
+    for p, k in ((3, 2), (5, 3), (7, 2)):
+        fld = field(p, k)
+        view, n = fforacle.LogView(fld), fld.q - 1
+        assert view.add(0, n // 2) == LOG_ZERO
+        assert view.sub(0, 0) == LOG_ZERO
+        assert int(fld._zechz[n // 2]) == LOG_ZERO
+        for model in (Kummer(5, 1, 1), Kummer(8, 1, 3)):
+            if model.n % p:
+                eq = model.equation(view)
+                xs = np.array([view.element(0), view.element(1)])
+                assert eq.rhs(xs).tolist() == [LOG_ZERO] * 2
+                assert eq.fibre(eq.rhs(xs)).tolist() == [1, 1]
+        xs = view.elements()
+        assert xs[-1] == LOG_ZERO and xs[:-1].tolist() == list(range(n))
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (7, 2), (3, 4), (5, 3)])
+def test_log_view_equation_is_the_field_equation(p, k):
+    # one statement of each equation: bound to the view, its rhs on every
+    # affine x is the field's, read back through the exp table, and its
+    # fibre sizes are the field's too
+    fld = field(p, k)
+    view, n = fforacle.LogView(fld), fld.q - 1
+    x = p  # the encoding of the modulus's root
+    models = [Kummer(nn, r, s) for nn, r, s in ((5, 1, 1), (8, 1, 3))
+              if nn % p]
+    models += [Hyperelliptic(g, x + 1) for g in (2, 4) if (g + 1) % p]
+    models += [ASPower(p, 4, 2, x + 1), ASRational(p, x, 2, x + 1)]
+    models += [Homma(p)] if p >= 5 else []
+    for model in models:
+        eq, eqv = model.equation(fld), model.equation(view)
+        xs, logs = eq.affine_xs(), eqv.affine_xs()
+        assert fld._expz[np.minimum(logs, n)].tolist() == sorted(
+            xs.tolist(), key=lambda e: min(int(fld._log[e]), n)), model
+        rhs = eqv.rhs(logs)
+        assert fld._expz[np.minimum(rhs, n)].tolist() == eq.rhs(
+            fld._expz[np.minimum(logs, n)]).tolist(), model
+        assert eqv.fibre(rhs).tolist() == eq.fibre(eq.rhs(
+            fld._expz[np.minimum(logs, n)])).tolist(), model
+        assert eqv.extra == eq.extra
+
+
 # --- place counting -----------------------------------------------------------
 
 
@@ -819,21 +948,35 @@ def test_count_series_lifts_coefficients_from_the_base_field(model, counts):
     assert count_places(lifted, ext) == count_places_naive(lifted, ext)
 
 
-@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (7, 2)])
+# every extension field with q <= 10^4 of the characteristics 3 to 13
+EXTENSION_FIELDS_TO_10K = [(p, k) for p in (3, 5, 7, 11, 13)
+                           for k in range(2, 9) if p**k <= 10**4]
+
+
+@pytest.mark.parametrize("p,k", EXTENSION_FIELDS_TO_10K)
 def test_fast_count_equals_naive_on_extension_fields(p, k):
+    # count_places counts these in the field's LogView, the naive count
+    # on encodings: all five families, Homma where p >= 5 gives genus 2
     fld = field(p, k)
-    x = p  # the encoding of the field's generator
+    x = p  # the encoding of the modulus's root
     models = [Kummer(n, r, s) for n, r, s in ((5, 1, 1), (7, 1, 2),
                                               (8, 1, 3)) if n % p]
     models += [Hyperelliptic(g, lam) for g in (2, 4) if (g + 1) % p
                for lam in (2, x + 1)]
-    if p >= 5:
-        models += [ASPower(p, 2, x, 1), ASPower(p, 4, 2, x + 1),
-                   ASRational(p, 1, 1, p - 1), ASRational(p, x, 2, x + 1),
-                   Homma(p)]
+    models += [ASPower(p, 4, 2, x + 1), ASRational(p, 1, 1, p - 1),
+               ASRational(p, x, 2, x + 1)]
+    models += [ASPower(p, 2, x, 1), Homma(p)] if p >= 5 else []
     for model in models:
         assert count_places(model, fld) == count_places_naive(model, fld), \
             model
+
+
+def test_count_places_frozen_at_the_largest_fields():
+    # counts taken over encodings before extension fields were counted
+    # in their LogView
+    assert count_places(Kummer(7, 1, 2), field(3, 13)) == 1_594_324
+    model = ASRational(5, 1, 1, 4).lifted(field(5, 1), field(5, 8))
+    assert count_places(model, field(5, 8)) == 387_972
 
 
 BIG_PRIME = 4194319  # the least prime above TABLE_LIMIT = 2^22
