@@ -13,15 +13,19 @@ blocks whatever q is.
 Then one row for each raw Kummer listing `classify(0, g,
 raw_pairs=True)` below, also under tracemalloc: the entries, the
 seconds (tracemalloc slows each allocation, so they run several times
-slower than untraced), and the MiB held once it returns (the entries
-and what the call left in the caches) and at its peak.  The listing
-expands its orbits over blocks of orders of `classify._BLOCK` keys, so
-its peak stays within about a block's arrays of what it holds.
+slower than untraced), the MiB held once it returns (the entries
+and what the call left in the caches) and at its peak, and the cyclic
+garbage collections made during the call, per generation (from
+`gc.get_stats()`).  The listing expands its orbits over blocks of
+orders of `classify._BLOCK` keys, so its peak stays within about a
+block's arrays of what it holds, and builds each block's entries with
+the collector paused.
 
 Example:
     PYTHONPATH=src python3 scripts/count_memory.py
 """
 
+import gc
 import json
 import time
 import tracemalloc
@@ -79,15 +83,18 @@ def measure_raw(g):
     """The row of the raw listing of classify(0, g)."""
     tracemalloc.start()
     try:
+        before = [gen["collections"] for gen in gc.get_stats()]
         start = time.perf_counter()
         entries = classify(0, g, raw_pairs=True)
         seconds = time.perf_counter() - start
+        after = [gen["collections"] for gen in gc.get_stats()]
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     return {"classify": f"p=0 g={g} raw_pairs", "entries": len(entries),
             "s": round(seconds, 4), "held_mib": round(held / MIB, 2),
-            "peak_mib": round(peak / MIB, 2)}
+            "peak_mib": round(peak / MIB, 2),
+            "collections": [b - a for a, b in zip(before, after)]}
 
 
 def main():

@@ -39,6 +39,7 @@ peculiar to n >= 2g + 1 (g0 = 0 and three branch points, up to one
 exception) are asserted by the test suite, not imposed here.
 """
 
+import gc
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -307,14 +308,39 @@ def _raw_block(g, orders):
         raise ValueError(f"({r[j]}, {s[j]}) mod {n[j]} does not give the "
                          f"orbit data {tame_signature(data[i[j]])} of its "
                          f"orbit")
-    # the entries share their ints and, per type, their orbit data
-    built = list(map(tuple.__new__, repeat(Kummer), zip(
+    # The entries share their ints and, per type, their orbit data, and
+    # hold nothing else, so none can be part of a reference cycle: they
+    # are built with the cyclic collector paused, which resumes before
+    # any of them is yielded.
+    built = _uncollected(list, map(tuple.__new__, repeat(Kummer), zip(
         _INTS[n].tolist(), _INTS[r].tolist(), _INTS[s].tolist(), repeat(g),
         data[i].tolist())))
     start = 0
     for end in np.searchsorted(n, orders, "right").tolist():
         yield built[start:end]
         start = end
+
+
+def _uncollected(build, *args):
+    """build(*args) with Python's cyclic garbage collector paused; it
+    is resumed afterwards, also when the build raises, if it was running.
+
+    Safe for a build whose objects can never be part of a reference
+    cycle, such as a raw block's Kummer entries, which hold only shared
+    ints and interned orbit data: reference counting alone frees them,
+    so the collections their allocations would set off could free none
+    of them, and would only traverse them, again in each older
+    generation.  The pause is process-wide: another thread's objects go
+    uncollected while the build lasts, a few milliseconds, and nothing
+    else changes.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return build(*args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _kummer_entries(n, g, pairs):

@@ -622,6 +622,55 @@ def test_raw_entries_are_slotted_and_small():
     assert size <= 120 * len(entries), size / len(entries)
 
 
+def test_raw_listings_are_freed_by_reference_counting():
+    # `_raw_block` builds its entries with the cyclic collector paused,
+    # which is safe only while a listing holds no reference cycle: once
+    # it is dropped, the collector must find nothing, whatever families
+    # it lists.  If this fails, the pause is unsafe.
+    listed = set()
+    for p in (0, 3, 5, 7):
+        for g in (2, 3, 4, 6, 25, 50):
+            gc.collect()
+            entries = classify(p, g, raw_pairs=True)
+            listed.update(map(type, entries))
+            del entries
+            assert gc.collect() == 0, (p, g)
+    assert listed == set(FAMILIES)
+
+
+def test_raw_listing_pauses_the_collector_and_restores_it(monkeypatch):
+    # the raw entries are built with the collector off, and classify
+    # leaves it as it found it: on, off, and when the build raises
+    paused, failing = [], []
+
+    def rows(*columns):  # stands in for zip in the paused statement
+        for row in zip(*columns):
+            paused.append(not gc.isenabled())
+            if failing:
+                raise RuntimeError("build failed")
+            yield row
+
+    listing = classify(0, 10, raw_pairs=True)
+    kummer = sum(type(e) is Kummer for e in listing)
+    monkeypatch.setattr(classify_module, "zip", rows, raising=False)
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            paused.clear()
+            assert classify(0, 10, raw_pairs=True) == listing
+            assert len(paused) == kummer and all(paused), enabled
+            assert gc.isenabled() is enabled
+            failing.append(True)
+            with pytest.raises(RuntimeError, match="build failed"):
+                classify(0, 10, raw_pairs=True)
+            failing.clear()
+            assert gc.isenabled() is enabled
+            assert classify(0, 10) and gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
 def test_kummer_entries_check_every_pair(monkeypatch):
     entries = classify_module._kummer_entries
     assert [e.genus for e in entries(12, 3, [(1, 3), (1, 5)])] == [3, 3]
